@@ -102,7 +102,6 @@ class _DriftSeries:
         self.spec = spec
         self.current = z  # K^m z once advanced
         self.partial = constant_fn(0.0)
-        self.m = 0
         self.stable = False
 
     def advance(self) -> FourierFn:
@@ -113,8 +112,45 @@ class _DriftSeries:
                 self.stable = True
             else:
                 self.partial = self.partial + self.current
-        self.m += 1
         return self.partial
+
+    def norms(self, count: int, norm):
+        """Yield norm(partial sum) for m = 1..count; once stable, the last
+        computed value is reused."""
+        for _ in range(count):
+            was_stable = self.stable
+            partial = self.advance()
+            if not was_stable:
+                value = norm(partial)
+            yield value
+
+
+def _variance_compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
+    """X0^2 - Var X0, whose drift sums are the U_m of a martingale difference."""
+    if not is_martingale(spec, f):
+        raise PreconditionError("the observable must be a martingale difference")
+    f2, _ = product(f, f)
+    return f2.shift_constant(-lebesgue_inner(f, f))
+
+
+def _compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
+    """Z0 = X0^2 - sigma^2 + 2 X0 sum_{l>=1} E_0(X_l), whose drift sums are the W_m."""
+    sigma2 = long_run_variance(spec, f).sigma2
+    g_tail = resolvent_tail(spec, f, 1)
+    fg, _ = product(f, g_tail)
+    f2, _ = product(f, f)
+    return (f2 + 2.0 * fg).shift_constant(-sigma2)
+
+
+def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if isinstance(spec, IIDLaw):
+        return (0.0, 0.0)
+    series = _DriftSeries(spec, compensator(spec, f))
+    for _ in range(m):
+        w = series.advance()
+    return (_l1_norm(w, tol), _weighted_l1(f, w, tol))
 
 
 def variance_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
@@ -123,17 +159,7 @@ def variance_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
 
     Requires a martingale-difference observable.
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if isinstance(spec, IIDLaw):
-        return (0.0, 0.0)
-    if not is_martingale(spec, f):
-        raise PreconditionError("variance_drift_norms requires a martingale difference")
-    f2, _ = product(f, f)
-    series = _DriftSeries(spec, f2.shift_constant(-lebesgue_inner(f, f)))
-    for _ in range(m):
-        u = series.advance()
-    return (_l1_norm(u, tol), _weighted_l1(f, u, tol))
+    return _drift_norms(spec, f, m, tol, _variance_compensator)
 
 
 def projective_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
@@ -143,23 +169,7 @@ def projective_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
         Z0 = X0^2 - sigma^2 + 2 X0 sum_{l>=1} E_0(X_l),
         W_m = E_0(Z_1 + ... + Z_m).
     """
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if isinstance(spec, IIDLaw):
-        return (0.0, 0.0)
-    z = _compensator(spec, f)
-    series = _DriftSeries(spec, z)
-    for _ in range(m):
-        w = series.advance()
-    return (_l1_norm(w, tol), _weighted_l1(f, w, tol))
-
-
-def _compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
-    sigma2 = long_run_variance(spec, f).sigma2
-    g_tail = resolvent_tail(spec, f, 1)
-    fg, _ = product(f, g_tail)
-    f2, _ = product(f, f)
-    return (f2 + 2.0 * fg).shift_constant(-sigma2)
+    return _drift_norms(spec, f, m, tol, _compensator)
 
 
 @dataclass(frozen=True)
@@ -205,19 +215,10 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
     f2, _ = product(f, f)
     one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
-    series = _DriftSeries(spec, f)
     drift_terms = []
     second = 0.0
-    cached_norm = None
-    for m in range(1, n + 1):
-        s_m = series.advance()
-        if series.stable and cached_norm is not None:
-            norm = cached_norm
-        else:
-            prod_fn, _ = product(one_plus, s_m)
-            norm = _l1_norm(prod_fn, tol)
-            if series.stable:
-                cached_norm = norm
+    norms = _DriftSeries(spec, f).norms(n, lambda s_m: _l1_norm(product(one_plus, s_m)[0], tol))
+    for m, norm in enumerate(norms, 1):
         term = norm / (2.0 * m)
         drift_terms.append(term)
         second += term
@@ -263,10 +264,32 @@ class BoundReport:
                          float(sum(self.series)), self.correction))
 
 
-def _base_terms(mom: MomentSummary, n: int) -> tuple[float, float, int]:
+def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
+              tol: Tolerance, compensator, corrected: bool) -> BoundReport:
+    """13 sigma/6 + (Lambda/6) log(1+2n)
+       + sum_{m<=sqrt(2n)} (||X0 W_m||_1 + 2 sigma ||W_m||_1)/(m sigma^2)
+       (+ nonadapted correction), with W_m the drift sums of compensator(spec, f).
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    mom = moments(spec, f)
     constant = 13.0 * mom.sigma / 6.0
     log_term = mom.lam / 6.0 * math.log1p(2.0 * n)
-    return constant, log_term, int(math.isqrt(2 * n))
+    cutoff = int(math.isqrt(2 * n))
+    corr = 0.0
+    if isinstance(spec, IIDLaw):
+        series = [0.0] * cutoff
+    else:
+        norms = _DriftSeries(spec, compensator(spec, f)).norms(
+            cutoff, lambda w: (_l1_norm(w, tol), _weighted_l1(f, w, tol)))
+        series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
+                  for m, (l1, wl1) in enumerate(norms, 1)]
+        if corrected:
+            corr = nonadapted_correction(spec, f, n, tol).total
+    total = constant + log_term + float(sum(series)) + corr
+    return BoundReport(kind=kind, n=n, total=total, constant=constant,
+                       log_term=log_term, series=tuple(series), m_cutoff=cutoff,
+                       correction=corr)
 
 
 def martingale_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
@@ -276,31 +299,7 @@ def martingale_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
         13 sigma/6 + (Lambda/6) log(1+2n)
         + sum_{m<=sqrt(2n)} (||X0 U_m||_1 + 2 sigma ||U_m||_1)/(m sigma^2).
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    mom = moments(spec, f)
-    constant, log_term, cutoff = _base_terms(mom, n)
-    series = []
-    if isinstance(spec, IIDLaw):
-        series = [0.0] * cutoff
-    else:
-        if not is_martingale(spec, f):
-            raise PreconditionError("martingale_d1_bound requires a martingale difference")
-        f2, _ = product(f, f)
-        drift = _DriftSeries(spec, f2.shift_constant(-mom.var0))
-        cached = None
-        for m in range(1, cutoff + 1):
-            u = drift.advance()
-            if drift.stable and cached is not None:
-                l1, wl1 = cached
-            else:
-                l1, wl1 = _l1_norm(u, tol), _weighted_l1(f, u, tol)
-                if drift.stable:
-                    cached = (l1, wl1)
-            series.append((wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2))
-    total = constant + log_term + float(sum(series))
-    return BoundReport(kind="martingale", n=n, total=total, constant=constant,
-                       log_term=log_term, series=tuple(series), m_cutoff=cutoff)
+    return _d1_bound("martingale", spec, f, n, tol, _variance_compensator, corrected=False)
 
 
 def projective_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
@@ -314,31 +313,7 @@ def projective_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
     Coincides with the martingale bound (correction 0, W_m = U_m) on
     martingale-difference inputs.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    mom = moments(spec, f)
-    constant, log_term, cutoff = _base_terms(mom, n)
-    if isinstance(spec, IIDLaw):
-        series = [0.0] * cutoff
-        corr = 0.0
-    else:
-        drift = _DriftSeries(spec, _compensator(spec, f))
-        series = []
-        cached = None
-        for m in range(1, cutoff + 1):
-            w = drift.advance()
-            if drift.stable and cached is not None:
-                l1, wl1 = cached
-            else:
-                l1, wl1 = _l1_norm(w, tol), _weighted_l1(f, w, tol)
-                if drift.stable:
-                    cached = (l1, wl1)
-            series.append((wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2))
-        corr = nonadapted_correction(spec, f, n, tol).total
-    total = constant + log_term + float(sum(series)) + corr
-    return BoundReport(kind="projective", n=n, total=total, constant=constant,
-                       log_term=log_term, series=tuple(series), m_cutoff=cutoff,
-                       correction=corr)
+    return _d1_bound("projective", spec, f, n, tol, _compensator, corrected=True)
 
 
 def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
@@ -376,10 +351,7 @@ def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int,
         raise DomainError("l must be >= 1")
     if isinstance(spec, IIDLaw):
         return 0.0
-    if not is_martingale(spec, f):
-        raise PreconditionError("variance_l32_norm requires a martingale difference")
-    f2, _ = product(f, f)
-    g = transfer(spec, f2, l).shift_constant(-lebesgue_inner(f, f))
+    g = transfer(spec, _variance_compensator(spec, f), l)
     if g.is_zero():
         return 0.0
     return integrate_unit(lambda x: np.abs(g.eval(x)) ** 1.5, tol) ** (2.0 / 3.0)

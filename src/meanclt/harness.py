@@ -13,9 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -75,7 +73,9 @@ class ExperimentConfig:
         for t in self.targets:
             if t not in TARGETS:
                 raise DomainError(f"unknown target {t!r}; valid: {TARGETS}")
-        if "empirical_d1" in self.targets and not self.exact_pmf and self.reps < 100:
+        if self.reps < 1:
+            raise DomainError("reps must be >= 1")
+        if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
             raise DomainError("empirical targets require reps >= 100")
         if self.exact_pmf and not (isinstance(self.process, IIDLaw)
                                    and self.process.name == "rademacher"):
@@ -97,11 +97,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if "reps" not in d:
+            raise SchemaError("config is missing the required field 'reps' (field: reps)")
         tol = d.get("tolerance") or {}
         return cls(process=process_from_dict(d["process"]),
                    observable=FourierFn.from_dict(d["observable"]) if d.get("observable") else None,
                    n_grid=tuple(d["n_grid"]),
-                   reps=int(d.get("reps", 0) or 1),
+                   reps=int(d["reps"]),
                    seed=int(d.get("seed", 0)),
                    targets=tuple(d.get("targets", ("empirical_d1", "rate_fit"))),
                    tolerance=Tolerance(tol.get("abs_tol", 1e-11), tol.get("rel_tol", 1e-11),
@@ -162,14 +164,6 @@ def preset_config(name: str, n_max: Optional[int] = None, reps: Optional[int] = 
 # ---------------------------------------------------------------------------
 # Running experiments
 # ---------------------------------------------------------------------------
-
-
-def _worker_count() -> int:
-    env = os.environ.get("MEANCLT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
 
 
 def _rademacher_pmf(n: int) -> FinitePmf:
@@ -285,10 +279,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     t0 = time.perf_counter()
     spec, f = config.process, config.observable
 
-    if isinstance(spec, IIDLaw):
-        sigma2 = spec.var
-    else:
-        sigma2 = long_run_variance(spec, f).sigma2
+    sigma2 = long_run_variance(spec, f).sigma2
     sigma = math.sqrt(sigma2)
 
     zolo = None
@@ -327,33 +318,19 @@ def run(config: ExperimentConfig) -> RunManifest:
                 rec["ks"] = ks_sample_gauss(EmpiricalSample(sample), sigma)
         timings["distances"] = time.perf_counter() - t
 
-    bound_jobs = []
-    if "martingale_bound" in config.targets:
-        bound_jobs.append(("bound_martingale",
-                           lambda n: martingale_d1_bound(spec, f, n, config.tolerance).to_dict()))
-    if "projective_bound" in config.targets:
-        bound_jobs.append(("bound_projective",
-                           lambda n: projective_d1_bound(spec, f, n, config.tolerance).to_dict()))
-    if bound_jobs or "second_moment_terms" in config.targets:
+    if {"martingale_bound", "projective_bound", "second_moment_terms"} & set(config.targets):
         t = time.perf_counter()
-
-        def eval_bounds(rec):
+        for rec in per_n:
             n = rec["n"]
-            for key, fn in bound_jobs:
-                rec[key] = fn(n)
+            if "martingale_bound" in config.targets:
+                rec["bound_martingale"] = martingale_d1_bound(spec, f, n, config.tolerance).to_dict()
+            if "projective_bound" in config.targets:
+                rec["bound_projective"] = projective_d1_bound(spec, f, n, config.tolerance).to_dict()
             if "second_moment_terms" in config.targets:
                 drift, smooth = second_moment_norms(spec, f, int(math.isqrt(2 * n)),
                                                     config.tolerance)
                 rec["second_moment_drift"] = drift
                 rec["resolvent_smoothing"] = smooth
-
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(eval_bounds, per_n))
-        else:
-            for rec in per_n:
-                eval_bounds(rec)
         timings["bounds"] = time.perf_counter() - t
 
     fit = None

@@ -32,6 +32,7 @@ from .numerics import substream
 
 MARTINGALE_TOL = 1e-14
 _VARIANCE_FLOOR = -1e-12
+_SIMPLE_EIGENVALUE_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # High/low split representation of the walk step a
@@ -96,23 +97,39 @@ def exact_frac(a: Union[SplitReal, float], k: int) -> float:
     return float(Fraction((k * num) % den, den))
 
 
-def dist_to_integers(a: Union[SplitReal, float], k: int) -> float:
-    """Distance d(k*a, Z) computed through the exact fractional part."""
-    f = exact_frac(a, k)
-    return min(f, 1.0 - f)
-
-
 # ---------------------------------------------------------------------------
 # Process specifications
 # ---------------------------------------------------------------------------
 
 
 class ProcessSpec:
-    """Marker base class; concrete variants are frozen dataclasses."""
+    """Base class of the process families; concrete variants are frozen dataclasses.
+
+    A family implements four hooks.  The module functions `transfer`,
+    `resolvent_tail`, `long_run_variance` and `simulate` check their
+    arguments and then call the hook of the same name.
+    """
 
     label: str = "process"
 
     def to_dict(self) -> dict:
+        raise NotImplementedError
+
+    def _transfer(self, f, steps: int):
+        """K^steps f for a checked observable f and steps >= 1 (>= 0 for a FiniteChain)."""
+        raise NotImplementedError
+
+    def _resolvent_tail(self, f: FourierFn, m: int) -> FourierFn:
+        """sum_{l>=m} K^l f for a centered FourierFn f and m >= 1."""
+        raise NotImplementedError
+
+    def _long_run_variance(self, f, cov_terms: int) -> tuple:
+        """(sigma2, covariances) before the sign check; validates f itself."""
+        raise NotImplementedError
+
+    def _simulate_block(self, f, n: int, gens):
+        """Yield X_1, ..., X_n, one array over the block's replicates per step;
+        replicate r draws from gens[r] only, always in the same order."""
         raise NotImplementedError
 
 
@@ -122,6 +139,40 @@ class DoublingMap(ProcessSpec):
 
     def to_dict(self) -> dict:
         return {"type": "doubling_map"}
+
+    def _transfer(self, f, steps):
+        # frequency 2^steps * j moves to j; every other frequency averages out
+        idx = ((np.arange(f.max_freq >> steps) + 1) << steps) - 1
+        return FourierFn(f.constant, f.cos_coeffs[idx], f.sin_coeffs[idx])
+
+    def _resolvent_tail(self, f, m):
+        # K^l f = 0 once 2^l exceeds max_freq
+        out = constant_fn(0.0)
+        l = m
+        while f.max_freq >> l:
+            out = out + transfer(self, f, l)
+            l += 1
+        return out
+
+    def _long_run_variance(self, f, cov_terms):
+        # the covariance series ends once 2^n exceeds max_freq
+        f = _require_fourier(self, f, "long_run_variance")
+        covs = [lebesgue_inner(f, f)]
+        sigma2 = covs[0]
+        n = 1
+        while f.max_freq >> n:
+            c = lebesgue_inner(f, transfer(self, f, n))
+            covs.append(c)
+            sigma2 += 2.0 * c
+            n += 1
+        return sigma2, covs
+
+    def _simulate_block(self, f, n, gens):
+        w, bits = _draw_bit_paths(gens, n, lambda g: _row_bit_words(g, 1)[0], np.uint64)
+        for b in bits:
+            # xi_{t+1} = (xi_t + B)/2, exactly, in 64-bit fixed point
+            w = (w >> np.uint64(1)) | (b << np.uint64(63))
+            yield f.eval(w.astype(np.float64) * 2.0 ** -64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,6 +200,47 @@ class CircleWalk(ProcessSpec):
     def to_dict(self) -> dict:
         return {"type": "circle_walk", "a_hi": self.a.hi, "a_lo": self.a.lo}
 
+    def _transfer(self, f, steps):
+        mult = np.array([self.cos_step(j) ** steps for j in range(1, f.max_freq + 1)])
+        return FourierFn(f.constant, f.cos_coeffs * mult, f.sin_coeffs * mult)
+
+    def _resolvent_tail(self, f, m):
+        # geometric series per frequency
+        mult = np.zeros(f.max_freq)
+        for j in range(1, f.max_freq + 1):
+            if f.cos_coeffs[j - 1] == 0.0 and f.sin_coeffs[j - 1] == 0.0:
+                continue
+            denom = 2.0 * self.sin_sq_half_step(j)  # = 1 - cos(2 pi j a)
+            if denom < 1e-24:
+                raise DivergenceError(
+                    f"resonance: cos(2*pi*{j}*a) = 1 within tolerance; tail diverges")
+            mult[j - 1] = self.cos_step(j) ** m / denom
+        return FourierFn(0.0, f.cos_coeffs * mult, f.sin_coeffs * mult)
+
+    def _long_run_variance(self, f, cov_terms):
+        # cotangent closed form per frequency
+        f = _require_fourier(self, f, "long_run_variance")
+        sigma2 = 0.0
+        for j in range(1, f.max_freq + 1):
+            w = 0.5 * (f.cos_coeffs[j - 1] ** 2 + f.sin_coeffs[j - 1] ** 2)
+            if w == 0.0:
+                continue
+            frac = exact_frac(self.a, j)
+            if min(frac, 1.0 - frac) < 1e-12:
+                raise DivergenceError(f"resonance at frequency {j}: variance series diverges")
+            sigma2 += w / math.tan(math.pi * frac) ** 2
+        covs = [lebesgue_inner(f, f)]
+        for n in range(1, cov_terms):
+            covs.append(lebesgue_inner(f, transfer(self, f, n)))
+        return sigma2, covs
+
+    def _simulate_block(self, f, n, gens):
+        xi0, bits = _draw_bit_paths(gens, n, lambda g: g.random(), np.float64)
+        c = np.zeros(len(gens), dtype=np.int64)
+        for b in bits:
+            c += 2 * b.astype(np.int64) - 1
+            yield f.eval(np.mod(xi0 + c * self.a.hi + c * self.a.lo, 1.0))
+
 
 @dataclass(frozen=True, eq=False)
 class FiniteChain(ProcessSpec):
@@ -168,9 +260,11 @@ class FiniteChain(ProcessSpec):
             raise DomainError("transition probabilities must be nonnegative")
         if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12:
             raise DomainError("transition rows must sum to 1 within 1e-12")
+        w, vecs = np.linalg.eig(p.T)
+        if np.count_nonzero(np.abs(w - 1.0) < _SIMPLE_EIGENVALUE_TOL) > 1:
+            raise DomainError("eigenvalue 1 is not simple within 1e-9: the chain is reducible")
         pi = self.stationary
         if pi is None:
-            w, vecs = np.linalg.eig(p.T)
             idx = int(np.argmin(np.abs(w - 1.0)))
             pi = np.real(vecs[:, idx])
             pi = pi / pi.sum()
@@ -195,6 +289,40 @@ class FiniteChain(ProcessSpec):
                 "stationary": self.stationary.tolist(),
                 "values": self.values.tolist()}
 
+    def _transfer(self, f, steps):
+        # the observable is a state-value vector and K^m the matrix power
+        v = None if isinstance(f, FourierFn) else np.asarray(f, dtype=float)
+        if v is None or v.shape != (self.n_states,):
+            raise TypeError("FiniteChain transfer expects a state-value vector")
+        return np.linalg.matrix_power(self.transition, steps) @ v
+
+    def _long_run_variance(self, f, cov_terms):
+        if f is not None:
+            raise TypeError("FiniteChain carries its own state-value observable")
+        pi = self.stationary
+        v = self.values - float(pi @ self.values)
+        var0 = float(pi @ (v * v))
+        proj = np.outer(np.ones(self.n_states), pi)
+        fundamental = np.linalg.solve(np.eye(self.n_states) - self.transition + proj, v)
+        sigma2 = var0 + 2.0 * float(pi @ (v * (fundamental - v)))
+        covs = [var0]
+        pv = v.copy()
+        for _ in range(1, cov_terms):
+            pv = self.transition @ pv
+            covs.append(float(pi @ (v * pv)))
+        return sigma2, covs
+
+    def _simulate_block(self, f, n, gens):
+        u = np.empty((len(gens), n + 1))
+        for r, g in enumerate(gens):
+            u[r] = g.random(n + 1)
+        last = self.n_states - 1
+        state = np.searchsorted(np.cumsum(self.stationary), u[:, 0], side="right").clip(0, last)
+        p_cum = np.cumsum(self.transition, axis=1)
+        for t in range(1, n + 1):
+            state = (p_cum[state] < u[:, t][:, None]).sum(axis=1).clip(0, last)
+            yield self.values[state]
+
 
 @dataclass(frozen=True, eq=False)
 class IIDLaw(ProcessSpec):
@@ -218,6 +346,21 @@ class IIDLaw(ProcessSpec):
 
     def to_dict(self) -> dict:
         return {"type": "iid", "law": self.name}
+
+    def _transfer(self, f, steps):
+        return constant_fn(f.constant)
+
+    def _resolvent_tail(self, f, m):
+        return constant_fn(0.0)
+
+    def _long_run_variance(self, f, cov_terms):
+        return self.var, (self.var,)
+
+    def _simulate_block(self, f, n, gens):
+        draws = np.empty((len(gens), n))
+        for r, g in enumerate(gens):
+            draws[r] = self.sampler(g, n)
+        yield from draws.T
 
 
 def iid_rademacher() -> IIDLaw:
@@ -259,12 +402,14 @@ def process_from_dict(d: dict) -> ProcessSpec:
     raise DomainError(f"unknown process type {kind!r}")
 
 
-def _require_fourier(spec: ProcessSpec, f) -> FourierFn:
+def _require_fourier(spec: ProcessSpec, f, centered_for: Optional[str] = None) -> FourierFn:
     if isinstance(spec, FiniteChain):
         raise TypeError("FiniteChain observables are state-value vectors; "
                         "FourierFn-based operations do not apply")
     if not isinstance(f, FourierFn):
         raise TypeError("observable must be a FourierFn for this process")
+    if centered_for and not f.centered:
+        raise PreconditionError(f"{centered_for} requires a centered observable")
     return f
 
 
@@ -285,32 +430,9 @@ def transfer(spec: ProcessSpec, f, steps: int = 1):
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     if isinstance(spec, FiniteChain):
-        if isinstance(f, FourierFn):
-            raise TypeError("FiniteChain transfer expects a state-value vector")
-        v = np.asarray(f, dtype=float)
-        if v.shape != (spec.n_states,):
-            raise TypeError("FiniteChain transfer expects a state-value vector")
-        return np.linalg.matrix_power(spec.transition, steps) @ v
+        return spec._transfer(f, steps)
     f = _require_fourier(spec, f)
-    if steps == 0:
-        return f
-    if isinstance(spec, IIDLaw):
-        return constant_fn(f.constant)
-    if isinstance(spec, DoublingMap):
-        k = f.max_freq
-        step = 1 << steps
-        new_k = k // step
-        a = np.zeros(new_k)
-        b = np.zeros(new_k)
-        for j in range(1, new_k + 1):
-            a[j - 1] = f.cos_coeffs[j * step - 1]
-            b[j - 1] = f.sin_coeffs[j * step - 1]
-        return FourierFn(f.constant, a, b)
-    if isinstance(spec, CircleWalk):
-        k = f.max_freq
-        mult = np.array([spec.cos_step(j) ** steps for j in range(1, k + 1)])
-        return FourierFn(f.constant, f.cos_coeffs * mult, f.sin_coeffs * mult)
-    raise TypeError(f"unsupported process {type(spec).__name__}")
+    return f if steps == 0 else spec._transfer(f, steps)
 
 
 def resolvent_tail(spec: ProcessSpec, f: FourierFn, m: int = 1) -> FourierFn:
@@ -322,39 +444,15 @@ def resolvent_tail(spec: ProcessSpec, f: FourierFn, m: int = 1) -> FourierFn:
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    f = _require_fourier(spec, f)
-    if not f.centered:
-        raise PreconditionError("resolvent tail requires a centered observable")
-    if isinstance(spec, IIDLaw):
-        return constant_fn(0.0)
-    if isinstance(spec, DoublingMap):
-        out = constant_fn(0.0)
-        l = m
-        while f.max_freq >> l:
-            out = out + transfer(spec, f, l)
-            l += 1
-        return out
-    if isinstance(spec, CircleWalk):
-        k = f.max_freq
-        mult = np.zeros(k)
-        for j in range(1, k + 1):
-            if f.cos_coeffs[j - 1] == 0.0 and f.sin_coeffs[j - 1] == 0.0:
-                continue
-            denom = 2.0 * spec.sin_sq_half_step(j)  # = 1 - cos(2 pi j a)
-            if denom < 1e-24:
-                raise DivergenceError(
-                    f"resonance: cos(2*pi*{j}*a) = 1 within tolerance; tail diverges")
-            mult[j - 1] = spec.cos_step(j) ** m / denom
-        return FourierFn(0.0, f.cos_coeffs * mult, f.sin_coeffs * mult)
-    raise TypeError(f"unsupported process {type(spec).__name__}")
+    return spec._resolvent_tail(_require_fourier(spec, f, "resolvent tail"), m)
 
 
 def is_martingale(spec: ProcessSpec, f) -> bool:
     """True when the one-step conditional expectation of f vanishes."""
     kf = transfer(spec, f, 1)
-    if isinstance(spec, FiniteChain):
-        return bool(np.max(np.abs(kf), initial=0.0) < MARTINGALE_TOL)
-    return kf.is_zero(MARTINGALE_TOL)
+    if isinstance(kf, FourierFn):
+        return kf.is_zero(MARTINGALE_TOL)
+    return bool(np.max(np.abs(kf), initial=0.0) < MARTINGALE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -377,59 +475,10 @@ def long_run_variance(spec: ProcessSpec, f=None, cov_terms: int = 64) -> LongRun
     The circle walk uses the cotangent closed form per frequency; the
     doubling map's covariance series terminates once 2^n exceeds max_freq.
     """
-    if isinstance(spec, IIDLaw):
-        return LongRunVariance(spec.var, (spec.var,))
-    if isinstance(spec, FiniteChain):
-        if f is not None:
-            raise TypeError("FiniteChain carries its own state-value observable")
-        v = spec.values - float(spec.stationary @ spec.values)
-        pi = spec.stationary
-        var0 = float(pi @ (v * v))
-        n = spec.n_states
-        proj = np.outer(np.ones(n), pi)
-        fundamental = np.linalg.solve(np.eye(n) - spec.transition + proj, v)
-        sigma2 = var0 + 2.0 * float(pi @ (v * (fundamental - v)))
-        covs = [var0]
-        pv = v.copy()
-        for _ in range(1, cov_terms):
-            pv = spec.transition @ pv
-            covs.append(float(pi @ (v * pv)))
-        if sigma2 < _VARIANCE_FLOOR:
-            raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
-        return LongRunVariance(max(sigma2, 0.0), tuple(covs))
-    f = _require_fourier(spec, f)
-    if not f.centered:
-        raise PreconditionError("long_run_variance requires a centered observable")
-    if isinstance(spec, DoublingMap):
-        var0 = lebesgue_inner(f, f)
-        covs = [var0]
-        sigma2 = var0
-        n = 1
-        while f.max_freq >> n:
-            c = lebesgue_inner(f, transfer(spec, f, n))
-            covs.append(c)
-            sigma2 += 2.0 * c
-            n += 1
-        if sigma2 < _VARIANCE_FLOOR:
-            raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
-        return LongRunVariance(max(sigma2, 0.0), tuple(covs))
-    if isinstance(spec, CircleWalk):
-        sigma2 = 0.0
-        for j in range(1, f.max_freq + 1):
-            w = 0.5 * (f.cos_coeffs[j - 1] ** 2 + f.sin_coeffs[j - 1] ** 2)
-            if w == 0.0:
-                continue
-            frac = exact_frac(spec.a, j)
-            if min(frac, 1.0 - frac) < 1e-12:
-                raise DivergenceError(f"resonance at frequency {j}: variance series diverges")
-            sigma2 += w / math.tan(math.pi * frac) ** 2
-        covs = [lebesgue_inner(f, f)]
-        for n in range(1, cov_terms):
-            covs.append(lebesgue_inner(f, transfer(spec, f, n)))
-        if sigma2 < _VARIANCE_FLOOR:
-            raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
-        return LongRunVariance(max(sigma2, 0.0), tuple(covs))
-    raise TypeError(f"unsupported process {type(spec).__name__}")
+    sigma2, covs = spec._long_run_variance(f, cov_terms)
+    if sigma2 < _VARIANCE_FLOOR:
+        raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
+    return LongRunVariance(max(sigma2, 0.0), tuple(covs))
 
 
 # ---------------------------------------------------------------------------
@@ -470,79 +519,18 @@ def _row_bit_words(gen: np.random.Generator, n_words: int) -> np.ndarray:
     return gen.integers(0, (1 << 64) - 1, size=n_words, dtype=np.uint64, endpoint=True)
 
 
-def _simulate_block_doubling(f: FourierFn, n: int, checkpoints, gens) -> np.ndarray:
-    block = len(gens)
+def _draw_bit_paths(gens, n: int, head, dtype):
+    """Per replicate, draw head(g) and then n step bits packed low bit first.
+
+    Returns the heads and an iterator over the n per-step bit columns.
+    """
     n_words = (n + _BITS_PER_WORD - 1) // _BITS_PER_WORD
-    w = np.empty(block, dtype=np.uint64)
-    bits = np.empty((block, n_words), dtype=np.uint64)
+    heads = np.empty(len(gens), dtype=dtype)
+    bits = np.empty((len(gens), n_words), dtype=np.uint64)
     for r, g in enumerate(gens):
-        w[r] = _row_bit_words(g, 1)[0]
+        heads[r] = head(g)
         bits[r] = _row_bit_words(g, n_words)
-    out = np.empty((block, len(checkpoints)))
-    cp = {n_val: c for c, n_val in enumerate(checkpoints)}
-    s = np.zeros(block)
-    scale = 2.0 ** -64
-    for t in range(n):
-        b = (bits[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1)
-        # xi_{t+1} = (xi_t + B)/2, exactly, in 64-bit fixed point
-        w = (w >> np.uint64(1)) | (b << np.uint64(63))
-        s += f.eval(w.astype(np.float64) * scale)
-        if (t + 1) in cp:
-            out[:, cp[t + 1]] = s
-    return out
-
-
-def _simulate_block_circle(spec: CircleWalk, f: FourierFn, n: int, checkpoints, gens) -> np.ndarray:
-    block = len(gens)
-    n_words = (n + _BITS_PER_WORD - 1) // _BITS_PER_WORD
-    xi0 = np.empty(block)
-    bits = np.empty((block, n_words), dtype=np.uint64)
-    for r, g in enumerate(gens):
-        xi0[r] = g.random()
-        bits[r] = _row_bit_words(g, n_words)
-    out = np.empty((block, len(checkpoints)))
-    cp = {n_val: c for c, n_val in enumerate(checkpoints)}
-    s = np.zeros(block)
-    c = np.zeros(block, dtype=np.int64)
-    hi, lo = spec.a.hi, spec.a.lo
-    for t in range(n):
-        b = ((bits[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1)).astype(np.int64)
-        c += 2 * b - 1
-        pos = np.mod(xi0 + c * hi + c * lo, 1.0)
-        s += f.eval(pos)
-        if (t + 1) in cp:
-            out[:, cp[t + 1]] = s
-    return out
-
-
-def _simulate_block_chain(spec: FiniteChain, n: int, checkpoints, gens) -> np.ndarray:
-    block = len(gens)
-    u = np.empty((block, n + 1))
-    for r, g in enumerate(gens):
-        u[r] = g.random(n + 1)
-    pi_cum = np.cumsum(spec.stationary)
-    p_cum = np.cumsum(spec.transition, axis=1)
-    state = np.searchsorted(pi_cum, u[:, 0], side="right").clip(0, spec.n_states - 1)
-    out = np.empty((block, len(checkpoints)))
-    cp = {n_val: c for c, n_val in enumerate(checkpoints)}
-    s = np.zeros(block)
-    v = spec.values
-    for t in range(n):
-        rows = p_cum[state]
-        state = (rows < u[:, t + 1][:, None]).sum(axis=1).clip(0, spec.n_states - 1)
-        s += v[state]
-        if (t + 1) in cp:
-            out[:, cp[t + 1]] = s
-    return out
-
-
-def _simulate_block_iid(spec: IIDLaw, n: int, checkpoints, gens) -> np.ndarray:
-    out = np.empty((len(gens), len(checkpoints)))
-    idx = np.asarray(checkpoints, dtype=int) - 1
-    for r, g in enumerate(gens):
-        draws = np.asarray(spec.sampler(g, n), dtype=float)
-        out[r] = np.cumsum(draws)[idx]
-    return out
+    return heads, ((bits[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1) for t in range(n))
 
 
 def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
@@ -560,31 +548,22 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     checkpoints = tuple(sorted(set(int(c) for c in (checkpoints or [n]))))
     if checkpoints[0] < 1 or checkpoints[-1] > n:
         raise DomainError("checkpoints must lie in [1, n]")
-    if isinstance(spec, (DoublingMap, CircleWalk)):
-        f = _require_fourier(spec, f)
-        if not f.centered:
-            raise PreconditionError("simulate requires a centered observable")
-        sigma_ref = math.sqrt(long_run_variance(spec, f).sigma2)
-    elif isinstance(spec, IIDLaw):
-        sigma_ref = math.sqrt(spec.var)
-    elif isinstance(spec, FiniteChain):
-        sigma_ref = math.sqrt(long_run_variance(spec).sigma2)
+    if isinstance(spec, (FiniteChain, IIDLaw)):
+        f = None  # these families carry their own observable
     else:
-        raise TypeError(f"unsupported process {type(spec).__name__}")
+        f = _require_fourier(spec, f, "simulate")
+    sigma_ref = math.sqrt(long_run_variance(spec, f).sigma2)
 
-    rows = []
+    column = {c: i for i, c in enumerate(checkpoints)}
+    sums = np.empty((reps, len(checkpoints)))
     for start in range(0, reps, block_size):
         stop = min(start + block_size, reps)
         gens = [substream(seed, r).generator() for r in range(start, stop)]
-        if isinstance(spec, DoublingMap):
-            rows.append(_simulate_block_doubling(f, n, checkpoints, gens))
-        elif isinstance(spec, CircleWalk):
-            rows.append(_simulate_block_circle(spec, f, n, checkpoints, gens))
-        elif isinstance(spec, FiniteChain):
-            rows.append(_simulate_block_chain(spec, n, checkpoints, gens))
-        else:
-            rows.append(_simulate_block_iid(spec, n, checkpoints, gens))
-    sums = np.vstack(rows)
+        s = np.zeros(stop - start)
+        for t, x in enumerate(spec._simulate_block(f, n, gens), 1):
+            s += x
+            if t in column:
+                sums[start:stop, column[t]] = s
     sums.setflags(write=False)
     return PathEnsemble(n=n, reps=reps, checkpoints=checkpoints,
                         partial_sums=sums, sigma_ref=sigma_ref, seed=seed)
@@ -594,24 +573,14 @@ def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.
     """Marginal sample of the chain state at a fixed time (diagnostics only)."""
     if step < 0:
         raise DomainError("step must be nonnegative")
+    gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
-        out = np.empty(reps)
-        for r in range(reps):
-            g = substream(seed, r).generator()
-            w = int(_row_bit_words(g, 1)[0])
-            if step:
-                words = _row_bit_words(g, (step + 63) // 64)
-                for t in range(step):
-                    bit = (int(words[t >> 6]) >> (t & 63)) & 1
-                    w = (w >> 1) | (bit << 63)
-            out[r] = w * 2.0 ** -64
-        return out
+        w, bits = _draw_bit_paths(gens, step, lambda g: _row_bit_words(g, 1)[0], np.uint64)
+        for b in bits:
+            w = (w >> np.uint64(1)) | (b << np.uint64(63))
+        return w.astype(np.float64) * 2.0 ** -64
     if isinstance(spec, CircleWalk):
-        out = np.empty(reps)
-        for r in range(reps):
-            g = substream(seed, r).generator()
-            x = g.random()
-            c = int((2 * g.integers(0, 2, size=step) - 1).sum()) if step else 0
-            out[r] = (x + c * spec.a.hi + c * spec.a.lo) % 1.0
-        return out
+        x = np.array([g.random() for g in gens])
+        c = np.array([(2 * g.integers(0, 2, size=step) - 1).sum() for g in gens], dtype=np.int64)
+        return np.mod(x + c * spec.a.hi + c * spec.a.lo, 1.0)
     raise TypeError("sample_states supports the interval maps only")

@@ -31,6 +31,16 @@ class TestConfig:
             small_config(targets=("mystery",))
         with pytest.raises(DomainError):
             small_config(exact_pmf=True)
+        with pytest.raises(DomainError):
+            small_config(reps=0)
+        with pytest.raises(DomainError):
+            small_config(targets=("ks",), reps=10)
+        d = small_config().to_dict()
+        del d["reps"]
+        with pytest.raises(SchemaError, match="reps"):
+            ExperimentConfig.from_dict(d)
+        with pytest.raises(DomainError):
+            ExperimentConfig.from_dict(dict(d, reps=0, targets=["martingale_bound"]))
 
     def test_round_trip(self):
         cfg = small_config()
@@ -106,13 +116,6 @@ class TestRun:
         text = render_csv(rows)
         assert text.startswith("process,observable,n,")
         assert text.count("\n") == 4
-
-    def test_thread_cap_is_deterministic(self, monkeypatch):
-        base = run(small_config()).to_dict()
-        monkeypatch.setenv("MEANCLT_THREADS", "4")
-        threaded = run(small_config()).to_dict()
-        base.pop("timings"), threaded.pop("timings")
-        assert base == threaded
 
     def test_bound_report_csv_row(self):
         from meanclt.bounds import martingale_d1_bound
@@ -232,6 +235,17 @@ class TestCli:
                                    "targets": ["empirical_d1"]}))
         out = self._run("run", "--config", str(bad))
         assert out.returncode == 2
+
+    def test_reducible_chain_exit_code(self, tmp_path, capsys):
+        from meanclt.cli import main
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"process": {"type": "finite_chain",
+                                                "transition": [[1.0, 0.0], [0.0, 1.0]],
+                                                "values": [1.0, -1.0]},
+                                    "n_grid": [16, 64], "reps": 200, "seed": 1,
+                                    "targets": ["empirical_d1"]}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "reducible" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self):
         out = self._run("run", "--config", "/nonexistent/cfg.json")

@@ -7,7 +7,7 @@ from meanclt.errors import (DivergenceError, DomainError, PreconditionError)
 from meanclt.fourier import FourierFn, cosine, sine
 from meanclt.numerics import integrate_unit
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain,
-                               SplitReal, iid_rademacher, is_martingale,
+                               SplitReal, iid_gaussian, iid_rademacher, is_martingale,
                                long_run_variance, process_from_dict, resolvent_tail,
                                sample_states, simulate, sqrt2_minus_one, transfer)
 
@@ -24,6 +24,34 @@ def two_state_chain() -> FiniteChain:
 def kernel_average_oracle(f: FourierFn, x: np.ndarray) -> np.ndarray:
     """One transfer step for the doubling chain, from its two inverse branches."""
     return 0.5 * (f.eval(x / 2.0) + f.eval((x + 1.0) / 2.0))
+
+
+def replay_circle(g, n):
+    """Circle-walk kernel by hand: a uniform start, then packed +/-1 step bits."""
+    from meanclt.processes import _row_bit_words
+    x0 = g.random()
+    words = _row_bit_words(g, (n + 63) // 64)
+    c, xs = 0, []
+    for t in range(n):
+        c += 2 * ((int(words[t >> 6]) >> (t & 63)) & 1) - 1
+        xs.append(float(cosine(1).eval(np.mod(x0 + c * CW.a.hi + c * CW.a.lo, 1.0))))
+    return xs
+
+
+def replay_chain(g, n):
+    """Finite-chain kernel by hand: inverse-cdf draws from pi, then from row P[state]."""
+    fc = two_state_chain()
+    u = g.random(n + 1)
+    state = int(np.searchsorted(np.cumsum(fc.stationary), u[0], side="right"))
+    xs = []
+    for t in range(1, n + 1):
+        state = int((np.cumsum(fc.transition[state]) < u[t]).sum())
+        xs.append(float(fc.values[state]))
+    return xs
+
+
+def replay_iid(g, n):
+    return list(iid_gaussian(1.5).sampler(g, n))
 
 
 class TestSplitReal:
@@ -50,6 +78,17 @@ class TestTransfer:
         xs = np.linspace(0, 1, 301, endpoint=False)
         out = transfer(DM, f, 1)
         assert np.allclose(out.eval(xs), kernel_average_oracle(f, xs), atol=1e-12)
+
+    def test_doubling_matches_index_loop(self):
+        # reference: copy frequency j * 2^steps to j with Python integers, which
+        # cannot overflow; bound series call transfer with steps up to sqrt(2n)
+        gen = np.random.default_rng(3)
+        f = FourierFn(0.2, gen.normal(size=300), gen.normal(size=300))
+        for steps in (1, 2, 7, 8, 63, 64, 181):
+            step = 1 << steps
+            idx = [j * step - 1 for j in range(1, f.max_freq // step + 1)]
+            expect = FourierFn(0.2, f.cos_coeffs[idx], f.sin_coeffs[idx])
+            assert transfer(DM, f, steps).allclose(expect, 0.0)
 
     def test_circle_multiplier(self):
         out = transfer(CW, sine(1), 1)
@@ -150,6 +189,13 @@ class TestLongRunVariance:
         with pytest.raises(DivergenceError):
             long_run_variance(walk, cosine(3))
 
+    def test_reducible_chain_rejected(self):
+        # eigenvalue 1 is double, so pi is not unique and the fundamental matrix is singular
+        with pytest.raises(DomainError, match="reducible"):
+            FiniteChain(np.eye(2), [1.0, -1.0])
+        with pytest.raises(DomainError, match="reducible"):
+            FiniteChain(np.eye(2), [1.0, -1.0], stationary=np.array([0.5, 0.5]))
+
 
 class TestMartingale:
     def test_doubling_odd_frequency(self):
@@ -247,6 +293,19 @@ class TestSimulate:
                 w = (w >> 1) | (bit << 63)
                 s += float(f.eval(np.float64(w) * 2.0 ** -64))
             assert s == pytest.approx(float(ens.partial_sums[r, 0]), abs=1e-12)
+
+    @pytest.mark.parametrize("spec, f, replay", [
+        (CW, cosine(1), replay_circle),
+        (two_state_chain(), None, replay_chain),
+        (iid_gaussian(1.5), None, replay_iid)], ids=["circle", "chain", "iid"])
+    def test_kernel_replay(self, spec, f, replay):
+        # row r consumes substream(seed, r) only, in the order replayed here
+        from meanclt.numerics import substream
+        n, reps, seed = 75, 6, 314
+        ens = simulate(spec, f, n, reps, checkpoints=[1, 40, n], seed=seed, block_size=4)
+        for r in range(reps):
+            partial = np.cumsum(replay(substream(seed, r).generator(), n))
+            assert np.allclose(partial[[0, 39, n - 1]], ens.partial_sums[r], rtol=0, atol=1e-12)
 
     def test_finite_chain_states(self):
         fc = two_state_chain()
