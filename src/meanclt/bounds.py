@@ -259,9 +259,9 @@ class BoundReport:
                 "correction": self.correction}
 
     def csv_row(self) -> str:
-        return ",".join(repr(v) for v in
-                        (self.n, self.total, self.constant, self.log_term,
-                         float(sum(self.series)), self.correction))
+        return ",".join([str(self.n)] + [repr(float(v)) for v in
+                                         (self.total, self.constant, self.log_term,
+                                          sum(self.series), self.correction)])
 
 
 def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,

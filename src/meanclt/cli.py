@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import (AccuracyError, DomainError, MeancltError, PrecisionError,
                      PreconditionError, ResourceError, SchemaError)
 from .fourier import FourierFn
-from .harness import (ExperimentConfig, check_appendix, diagnose_conditions,
+from .harness import (CSV_COLUMNS, ExperimentConfig, check_appendix, diagnose_conditions,
                       merge_reports, preset_config, render_csv, run)
 from .processes import process_from_dict
 
@@ -117,7 +117,6 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .harness import CSV_COLUMNS
     rows = merge_reports(args.manifests)
     text = render_csv(rows, columns=tuple(CSV_COLUMNS) + ("seed",))
     if args.output:

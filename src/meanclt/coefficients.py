@@ -9,10 +9,12 @@ constant between breakpoints, so finite-law maximizations are exact).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -238,6 +240,20 @@ def _binomial_weights(steps: int) -> tuple[np.ndarray, np.ndarray]:
     return w, offsets
 
 
+def _theta_windows(i: int, j: int, gap: int, window: int) -> list:
+    """Distinct (past gaps, future gaps) pairs of the multiindices theta_coeff
+    ranges over, in first-seen order; by stationarity the norm depends on
+    nothing else."""
+    def diffs(t: tuple) -> tuple:
+        return tuple(b - a for a, b in zip(t, t[1:]))
+
+    span = range(window + 1)
+    return list(dict.fromkeys(
+        (diffs(past), (gap + fut[0],) + diffs(fut))
+        for past in itertools.combinations_with_replacement(span, i)
+        for fut in itertools.combinations_with_replacement(span, j - i)))
+
+
 def theta_coeff(spec: ProcessSpec, f: Optional[FourierFn], i: int, j: int,
                 gap: int, window: int,
                 tol: Tolerance = Tolerance(1e-10, 1e-10, 40)) -> float:
@@ -264,109 +280,88 @@ def theta_coeff(spec: ProcessSpec, f: Optional[FourierFn], i: int, j: int,
             raise DomainError("iid theta coefficients need gap >= 1")
         return 0.0
     if isinstance(spec, FiniteChain):
-        return _theta_finite_chain(spec, i, j, gap, window)
-    if not isinstance(f, FourierFn):
+        norm = _chain_theta_norm(spec, i)
+    elif isinstance(f, FourierFn):
+        norm = functools.partial(_map_theta_norm, spec, f, i, tol)
+    else:
         raise TypeError("interval-map theta coefficients need a FourierFn observable")
-
     best = 0.0
-    seen: set = set()
-    past_tuples = ([()] if i == 0 else
-                   [t for t in itertools.combinations_with_replacement(range(window + 1), i)])
-    future_tuples = [t for t in itertools.combinations_with_replacement(range(window + 1),
-                                                                        j - i)]
-    for past in past_tuples:
-        k_i = past[-1] if past else 0
-        past_gaps = tuple(int(d) for d in np.diff(past)) if i > 1 else ()
-        for fut in future_tuples:
-            ks = [k_i + gap + v for v in fut]
-            gaps = tuple([ks[0] - k_i] + [int(d) for d in np.diff(ks)])
-            # the norm depends only on the gap structure (stationarity)
-            key = (past_gaps, gaps)
-            if key in seen:
-                continue
-            seen.add(key)
-            h, _ = _nested_future_fn(spec, f, gaps, cap=1 << 14)
-            h0 = h.shift_constant(-h.constant)
-            if h0.is_zero(1e-300):
-                continue
-            if i == 0:
-                val = integrate_unit(lambda x: np.abs(h0.eval(x)), tol)
-            elif isinstance(spec, DoublingMap):
-                # earlier coordinates are deterministic doubling images of the
-                # latest one, so the whole product is a function of one state
-                dts = [k_i - k for k in past]
-
-                def integrand(x, dts=dts, h0=h0):
-                    out = np.abs(h0.eval(x))
-                    for d in dts:
-                        out = out * np.abs(f.eval(np.ldexp(1.0, d) * x))
-                    return out
-
-                val = integrate_unit(integrand, tol)
-            else:
-                # CircleWalk: the m-step kernel is a binomial average of shifts,
-                # so the nested conditional of |.|-products evaluates pointwise
-                a_val = spec.a.value
-                deltas = past_gaps
-
-                def chain_cond(x, t=0, h0=h0, deltas=deltas):
-                    if t == len(deltas):
-                        return np.abs(f.eval(x)) * np.abs(h0.eval(x))
-                    w, off = _binomial_weights(int(deltas[t]))
-                    out = np.zeros_like(x)
-                    for wt, o in zip(w, off):
-                        out += wt * chain_cond(np.mod(x + o * a_val, 1.0), t + 1)
-                    return np.abs(f.eval(x)) * out
-
-                val = integrate_unit(chain_cond, tol)
-            best = max(best, val)
+    for past_gaps, gaps in _theta_windows(i, j, gap, window):
+        best = max(best, norm(past_gaps, gaps))
     return best
 
 
-def _theta_finite_chain(spec: FiniteChain, i: int, j: int, gap: int, window: int) -> float:
+def _map_theta_norm(spec: ProcessSpec, f: FourierFn, i: int, tol: Tolerance,
+                    past_gaps: tuple, gaps: tuple) -> float:
+    h, _ = _nested_future_fn(spec, f, gaps, cap=1 << 14)
+    h0 = h.shift_constant(-h.constant)
+    if h0.is_zero(1e-300):
+        return 0.0
+    if i == 0:
+        return integrate_unit(lambda x: np.abs(h0.eval(x)), tol)
+    if isinstance(spec, DoublingMap):
+        # earlier coordinates are deterministic doubling images of the
+        # latest one, so the whole product is a function of one state
+        dts = [sum(past_gaps[t:]) for t in range(i)]
+
+        def integrand(x):
+            out = np.abs(h0.eval(x))
+            for d in dts:
+                out = out * np.abs(f.eval(np.ldexp(1.0, d) * x))
+            return out
+
+        return integrate_unit(integrand, tol)
+    # CircleWalk: the m-step kernel is a binomial average of shifts,
+    # so the nested conditional of |.|-products evaluates pointwise
+    a_val = spec.a.value
+
+    def chain_cond(x, t=0):
+        if t == len(past_gaps):
+            return np.abs(f.eval(x)) * np.abs(h0.eval(x))
+        w, off = _binomial_weights(past_gaps[t])
+        out = np.zeros_like(x)
+        for wt, o in zip(w, off):
+            out += wt * chain_cond(np.mod(x + o * a_val, 1.0), t + 1)
+        return np.abs(f.eval(x)) * out
+
+    return integrate_unit(chain_cond, tol)
+
+
+def _chain_theta_norm(spec: FiniteChain, i: int) -> Callable[[tuple, tuple], float]:
+    """The theta norm of a finite chain as a function of (past gaps, future
+    gaps): exact enumeration of the past states, from cached powers of P."""
     p = spec.transition
     pi = spec.stationary
-    v = spec.values
-    mean = float(pi @ v)
-    vc = v - mean
+    vc = spec.values - float(pi @ spec.values)
     n = spec.n_states
-    powers = {0: np.eye(n)}
+    powers = [np.eye(n)]
 
     def pk(k: int) -> np.ndarray:
-        if k not in powers:
-            powers[k] = pk(k - 1) @ p
+        while len(powers) <= k:
+            powers.append(powers[-1] @ p)
         return powers[k]
 
-    best = 0.0
-    past_tuples = ([()] if i == 0 else
-                   [t for t in itertools.combinations_with_replacement(range(window + 1), i)])
-    future_tuples = [t for t in itertools.combinations_with_replacement(range(window + 1),
-                                                                        j - i)]
-    for past in past_tuples:
-        k_i = past[-1] if past else 0
-        for fut in future_tuples:
-            ks = [k_i + gap + fut[0]] + [k_i + gap + v_ for v_ in fut[1:]]
-            gaps = [ks[0] - k_i] + list(np.diff(ks))
-            h = vc
-            for g in reversed(gaps[1:]):
-                h = vc * (pk(g) @ h)
-            h = pk(gaps[0]) @ h
-            h0 = h - float(pi @ h)
-            if i == 0:
-                val = float(pi @ np.abs(h0))
-            else:
-                # joint enumeration over past states s_1 .. s_i
-                val = 0.0
-                for states in itertools.product(range(n), repeat=i):
-                    prob = pi[states[0]]
-                    for t in range(1, i):
-                        prob *= pk(past[t] - past[t - 1])[states[t - 1], states[t]]
-                    if prob == 0.0:
-                        continue
-                    w = np.prod([vc[s] for s in states])
-                    val += prob * abs(w) * abs(h0[states[-1]])
-            best = max(best, val)
-    return best
+    def norm(past_gaps: tuple, gaps: tuple) -> float:
+        h = vc
+        for g in reversed(gaps[1:]):
+            h = vc * (pk(g) @ h)
+        h = pk(gaps[0]) @ h
+        h0 = h - float(pi @ h)
+        if i == 0:
+            return float(pi @ np.abs(h0))
+        # joint enumeration over past states s_1 .. s_i
+        val = 0.0
+        for states in itertools.product(range(n), repeat=i):
+            prob = pi[states[0]]
+            for g, a, b in zip(past_gaps, states, states[1:]):
+                prob *= pk(g)[a, b]
+            if prob == 0.0:
+                continue
+            w = np.prod([vc[s] for s in states])
+            val += prob * abs(w) * abs(h0[states[-1]])
+        return val
+
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +415,21 @@ def _alpha_doubling(indices: Sequence[int], grid: int) -> float:
     return min(best, 1.0)
 
 
+def _threshold_grid(coords: np.ndarray) -> np.ndarray:
+    """Midpoints between consecutive distinct values (the value itself when
+    there is only one): every distinct indicator column, once."""
+    uniq = np.unique(coords)
+    if uniq.size == 1:
+        return uniq
+    return 0.5 * (uniq[:-1] + uniq[1:])
+
+
 def _alpha_finite_chain(spec: FiniteChain, indices: Sequence[int], grid: int) -> float:
     n = spec.n_states
     p = spec.transition
     pi = spec.stationary
     vals = spec.values
-    order = np.argsort(vals)
-    sorted_vals = vals[order]
-    # exact threshold grid: midpoints between consecutive distinct values
-    uniq = np.unique(sorted_vals)
-    if uniq.size > 1:
-        thresholds = 0.5 * (uniq[:-1] + uniq[1:])
-    else:
-        thresholds = uniq
-    powers = []
-    prev = 0
-    mat = np.eye(n)
-    for t in indices:
-        mat = mat @ np.linalg.matrix_power(p, t - prev)
-        powers.append(mat.copy())
-        prev = t
+    thresholds = _threshold_grid(vals)
     steps = [np.linalg.matrix_power(p, indices[0])] + \
         [np.linalg.matrix_power(p, b - a) for a, b in zip(indices[:-1], indices[1:])]
     marg_cdf = {x: float(pi[vals <= x].sum()) for x in thresholds}
@@ -536,11 +526,7 @@ class JointPmf:
         return self.points.shape[1]
 
     def marginal(self, axis: int) -> FinitePmf:
-        vals = {}
-        for x, w in zip(self.points[:, axis], self.probs):
-            vals[float(x)] = vals.get(float(x), 0.0) + float(w)
-        atoms = np.array(sorted(vals))
-        return FinitePmf(atoms, np.array([vals[a] for a in atoms]))
+        return FinitePmf.from_weighted(self.points[:, axis], self.probs)
 
     @classmethod
     def from_dict(cls, d: dict) -> "JointPmf":
@@ -550,15 +536,24 @@ class JointPmf:
         return {"points": self.points.tolist(), "probs": self.probs.tolist()}
 
 
-def _marginal_quantile_steps(pmf: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints/values of q -> F^{-1}(q) = inf{x : F(x) >= q} on (0,1)."""
-    cum = np.cumsum(pmf.probs)
-    return cum[:-1], pmf.atoms
+def _step_values(edges: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The step function equal to vals[i] on [edges[i], edges[i+1]), at u."""
+    return vals[np.searchsorted(edges, u, side="right") - 1]
+
+
+def _tail_quantile_steps(values, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Q(u) = the smallest v with P(V > v) <= u, for V = values[i] with
+    probability probs[i], as (edges, values) steps on [0, 1)."""
+    law = FinitePmf.from_weighted(values, probs)
+    strict_tail = np.cumsum(law.probs[::-1])[::-1][1:]  # P(V > atom) but the last
+    edges = np.concatenate([[0.0], strict_tail[::-1], [1.0]])
+    return edges, law.atoms[::-1]
 
 
 def _dispersion_steps(pmf: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
-    """D(u) = (F^{-1}(1-u) - F^{-1}(u))_+ as a step function on (0, 1/2)."""
-    br, atoms = _marginal_quantile_steps(pmf)
+    """D(u) = (F^{-1}(1-u) - F^{-1}(u))_+ as a step function on (0, 1/2),
+    with F^{-1}(q) = inf{x : F(x) >= q}."""
+    br, atoms = np.cumsum(pmf.probs)[:-1], pmf.atoms
     cuts = np.unique(np.concatenate([br, 1.0 - br, [0.5]]))
     cuts = cuts[(cuts > 0.0) & (cuts < 0.5)]
     edges = np.concatenate([[0.0], cuts, [0.5]])
@@ -577,16 +572,12 @@ def _product_step_integral(step_fns: Sequence[tuple[np.ndarray, np.ndarray]],
     edges = edges[(edges >= 0.0) & (edges <= upper)]
     if edges[-1] < upper:
         edges = np.append(edges, upper)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        prod = 1.0
-        for e, v in step_fns:
-            prod *= float(v[np.searchsorted(e, mid, side="right") - 1])
-        total += prod * (hi - lo)
-    return total
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    prod = np.ones(mids.size)
+    for e, v in step_fns:
+        prod *= _step_values(e, v, mids)
+    # a running total from 0.0, interval by interval
+    return float(np.cumsum(np.concatenate([[0.0], prod * np.diff(edges)]))[-1])
 
 
 @dataclass(frozen=True)
@@ -597,46 +588,32 @@ class CovarianceBoundReport:
     holds: bool
 
 
-def _threshold_grid(coords: np.ndarray) -> np.ndarray:
-    uniq = np.unique(coords)
-    if uniq.size == 1:
-        return uniq
-    return 0.5 * (uniq[:-1] + uniq[1:])
-
-
-def _alpha_unconditional(j: JointPmf) -> float:
-    grids = [_threshold_grid(j.points[:, c]) for c in range(j.k)]
-    tails = [{float(x): float(j.probs[j.points[:, c] > x].sum()) for x in grids[c]}
-             for c in range(j.k)]
+def _alpha_joint(j: JointPmf, cond: Optional[int] = None) -> float:
+    """Largest |E prod_c (1_{X_c > x_c} - P(X_c > x_c))| over the threshold
+    grids, or with `cond` set, the L1 distance of its conditional mean given
+    X_cond from its mean, over the grids of the other coordinates."""
+    pts, pr = j.points, j.probs
+    columns = [[(pts[:, c] > x) - float(pr[pts[:, c] > x].sum())
+                for x in _threshold_grid(pts[:, c])]
+               for c in range(j.k) if c != cond]
+    groups = [] if cond is None else [
+        (mask, float(pr[mask].sum()))
+        for mask in (pts[:, cond] == v for v in np.unique(pts[:, cond]))]
     best = 0.0
-    for xs in itertools.product(*grids):
-        g = np.ones(j.points.shape[0])
-        for c, x in enumerate(xs):
-            g *= (j.points[:, c] > x) - tails[c][float(x)]
-        best = max(best, abs(float((g * j.probs).sum())))
-    return best
-
-
-def _alpha_conditional(j: JointPmf, cond: int) -> float:
-    others = [c for c in range(j.k) if c != cond]
-    grids = [_threshold_grid(j.points[:, c]) for c in others]
-    tails = [{float(x): float(j.probs[j.points[:, c] > x].sum()) for x in grids[i]}
-             for i, c in enumerate(others)]
-    cond_vals = np.unique(j.points[:, cond])
-    best = 0.0
-    for xs in itertools.product(*grids):
-        g = np.ones(j.points.shape[0])
-        for (i, c), x in zip(enumerate(others), xs):
-            g *= (j.points[:, c] > x) - tails[i][float(x)]
-        overall = float((g * j.probs).sum())
-        norm = 0.0
-        for v in cond_vals:
-            mask = j.points[:, cond] == v
-            pv = float(j.probs[mask].sum())
-            if pv == 0.0:
-                continue
-            cond_mean = float((g[mask] * j.probs[mask]).sum()) / pv
-            norm += pv * abs(cond_mean - overall)
+    for cols in itertools.product(*columns):
+        g = np.ones(pts.shape[0])
+        for col in cols:
+            g *= col
+        overall = float((g * pr).sum())
+        if cond is None:
+            norm = abs(overall)
+        else:
+            norm = 0.0
+            for mask, pv in groups:
+                if pv == 0.0:
+                    continue
+                cond_mean = float((g[mask] * pr[mask]).sum()) / pv
+                norm += pv * abs(cond_mean - overall)
         best = max(best, norm)
     return best
 
@@ -653,8 +630,7 @@ def covariance_bound_check(j: JointPmf, conditioning: Optional[int] = None
     pts, pr = j.points, j.probs
     means = pr @ pts
     lhs = abs(float((np.prod(pts - means, axis=1) * pr).sum()))
-    alpha = (_alpha_unconditional(j) if conditioning is None
-             else _alpha_conditional(j, conditioning))
+    alpha = _alpha_joint(j, conditioning)
     steps = [_dispersion_steps(j.marginal(c)) for c in range(j.k)]
     rhs = 2.0 * _product_step_integral(steps, alpha / 2.0)
     return CovarianceBoundReport(lhs=lhs, alpha=alpha, rhs=rhs,
@@ -672,29 +648,17 @@ def monotone_difference_bound_check(j: JointPmf, transforms) -> CovarianceBoundR
     if len(transforms) != j.k:
         raise DomainError("one transform pair per coordinate is required")
     pts, pr = j.points, j.probs
-    fvals = np.column_stack([np.asarray(g1(pts[:, c])) - np.asarray(g2(pts[:, c]))
-                             for c, (g1, g2) in enumerate(transforms)])
+    branches = [(np.asarray(g1(pts[:, c])), np.asarray(g2(pts[:, c])))
+                for c, (g1, g2) in enumerate(transforms)]
+    fvals = np.column_stack([b1 - b2 for b1, b2 in branches])
     means = pr @ fvals
     lhs = abs(float((np.prod(fvals - means, axis=1) * pr).sum()))
-    alpha = _alpha_unconditional(j)
-
-    def q_steps(c: int, which: int) -> tuple[np.ndarray, np.ndarray]:
-        # tail quantile of |g(X_c)|: Q(u) = smallest v with P(|g(X_c)| > v) <= u
-        g = transforms[c][which]
-        law = {}
-        for x, w in zip(pts[:, c], pr):
-            v = abs(float(np.asarray(g(np.array([x])))[0]))
-            law[v] = law.get(v, 0.0) + float(w)
-        atoms = np.array(sorted(law))
-        probs = np.array([law[v] for v in atoms])
-        strict_tail = np.concatenate([np.cumsum(probs[::-1])[::-1][1:], [0.0]])
-        edges = np.concatenate([[0.0], strict_tail[:-1][::-1], [1.0]])
-        vals = atoms[::-1]
-        return edges, vals
-
+    alpha = _alpha_joint(j)
+    # tail quantiles of |g(X_c)| for each coordinate's two branches
+    quantiles = [[_tail_quantile_steps(np.abs(b), pr) for b in pair] for pair in branches]
     rhs = 0.0
     for branch in itertools.product((0, 1), repeat=j.k):
-        steps = [q_steps(c, b) for c, b in enumerate(branch)]
+        steps = [quantiles[c][b] for c, b in enumerate(branch)]
         rhs += _product_step_integral(steps, alpha / 2.0)
     rhs *= 2.0 ** (j.k + 1)
     return CovarianceBoundReport(lhs=lhs, alpha=alpha, rhs=rhs, holds=lhs <= rhs + 1e-12)
@@ -708,28 +672,6 @@ def dispersion_check(marginal: FinitePmf) -> bool:
     median of the law.
     """
     atoms, probs = marginal.atoms, marginal.probs
-
-    def tail_quantile(transform) -> Callable[[np.ndarray], np.ndarray]:
-        law = {}
-        for x, w in zip(atoms, probs):
-            v = float(transform(x))
-            law[v] = law.get(v, 0.0) + float(w)
-        vs = np.array(sorted(law))
-        ps = np.array([law[v] for v in vs])
-        tail = np.concatenate([np.cumsum(ps[::-1])[::-1][1:], [0.0]])
-
-        def q(u: np.ndarray) -> np.ndarray:
-            out = np.empty_like(u)
-            for i, uu in enumerate(u):
-                idx = np.nonzero(tail <= uu)[0]
-                out[i] = vs[idx[0]]
-            return out
-
-        return q
-
-    q_plus = tail_quantile(lambda x: max(x, 0.0))
-    q_minus = tail_quantile(lambda x: max(-x, 0.0))
-    q_abs = tail_quantile(abs)
     edges, dvals = _dispersion_steps(marginal)
     cum = np.cumsum(probs)
     grid = np.unique(np.concatenate([edges, cum, 1.0 - cum,
@@ -739,8 +681,9 @@ def dispersion_check(marginal: FinitePmf) -> bool:
     # interval at its midpoint so step conventions at breakpoints don't bite
     mids = 0.5 * (grid[:-1] + grid[1:])
     mids = mids[(mids > 0.0) & (mids < 0.5)]
-    dv = np.array([dvals[np.searchsorted(edges, u, side="right") - 1] for u in mids])
-    qp, qm, qa = q_plus(mids), q_minus(mids), q_abs(mids)
+    dv = _step_values(edges, dvals, mids)
+    qp, qm, qa = (_step_values(*_tail_quantile_steps(v, probs), mids)
+                  for v in (np.maximum(atoms, 0.0), np.maximum(-atoms, 0.0), np.abs(atoms)))
     ok = (np.all(dv >= -1e-12)
           and np.all(dv <= qp + qm + 1e-12)
           and np.all(qp + qm <= 2.0 * qa + 1e-12))
@@ -769,7 +712,7 @@ def frac_part_sum(a: Union[SplitReal, float], n_octave: int, power: int) -> floa
         raise DomainError("octave index must lie in [0, 20]")
     if isinstance(a, float) and not isinstance(a, SplitReal):
         CircleWalk(SplitReal(float(a)))  # irrationality guard
-    fr = a.as_fraction() if isinstance(a, SplitReal) else __import__("fractions").Fraction(float(a))
+    fr = a.as_fraction() if isinstance(a, SplitReal) else Fraction(float(a))
     num, den = fr.numerator, fr.denominator
     total = 0.0
     for k in range(1 << n_octave, 1 << (n_octave + 1)):

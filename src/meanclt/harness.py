@@ -33,7 +33,7 @@ from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation,
                            quantile_from_sample, theta_coeff, weighted_tail_integral)
 from .errors import DomainError, SchemaError
 from .fourier import FourierFn, cosine
-from .numerics import Tolerance, substream
+from .numerics import Tolerance, gauss_cdf, substream
 from .processes import (DoublingMap, CircleWalk, FiniteChain, IIDLaw, ProcessSpec,
                         characteristic, is_martingale, iid_rademacher, long_run_variance,
                         process_from_dict, simulate, sqrt2_minus_one)
@@ -190,7 +190,6 @@ def _rademacher_pmf(n: int) -> FinitePmf:
 
 
 def _ks_pmf_gauss(p: FinitePmf, sigma: float) -> float:
-    from .numerics import gauss_cdf
     cum = np.cumsum(p.probs)
     phi = np.asarray(gauss_cdf(p.atoms / sigma), dtype=float)
     left = np.concatenate([[0.0], cum[:-1]])
@@ -284,7 +283,7 @@ def _csv_cell(v) -> str:
     if v == "" or v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy scalars repr as np.float64(...)
     return str(v)
 
 
@@ -546,28 +545,16 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
     theta = {}
     verdicts = {}
     for (p, q) in THETA_PAIRS:
-        values = []
-        partials = []
-        total = 0.0
-        for j in range(1, kmax + 1):
-            v = theta_coeff(spec, f, p, q, j, window)
-            values.append(v)
-            total += j * v
-            partials.append(total)
+        values = [theta_coeff(spec, f, p, q, j, window) for j in range(1, kmax + 1)]
+        partials = list(itertools.accumulate(j * v for j, v in enumerate(values, 1)))
         key = f"theta_{p}{q}"
         theta[key] = {"values": values, "weighted_partials": partials}
         verdicts[key] = _verdict(partials)
 
     jan = None
     if not isinstance(spec, FiniteChain) and (isinstance(spec, IIDLaw) or is_martingale(spec, f)):
-        values = []
-        partials = []
-        total = 0.0
-        for l in range(1, kmax + 1):
-            v = variance_l32_norm(spec, f, l)
-            values.append(v)
-            total += v
-            partials.append(total)
+        values = [variance_l32_norm(spec, f, l) for l in range(1, kmax + 1)]
+        partials = list(itertools.accumulate(values))
         jan = {"values": values, "partials": partials}
         verdicts["jan"] = _verdict(partials)
 

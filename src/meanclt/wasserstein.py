@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import (gauss_cdf, gauss_cdf_antideriv, gauss_pdf,
-                       gauss_quantile, gauss_sf, gauss_sf_antideriv)
+                       gauss_quantile, gauss_sf_antideriv)
 
 
 @dataclass(frozen=True, eq=False)

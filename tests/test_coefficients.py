@@ -175,24 +175,47 @@ class TestTheta:
         vc = fc.values - float(pi @ fc.values)
         window = 2
 
-        def tuple_norm(k1, k2):
-            # brute force over every state path from time k1 to k2
-            delta = k2 - k1
+        def paths(s, steps):
+            # every state path of the given length from s, with its probability
+            for path in itertools.product(range(2), repeat=steps):
+                prob, prev = 1.0, s
+                for t in path:
+                    prob *= p[prev, t]
+                    prev = t
+                yield (s,) + path, prob
+
+        def tuple_norm(past, k):
+            # E|prod_t X_{past_t} (E(X_k | past) - E X_k)|, brute force over
+            # every state path from time past[0] to k
             cond = np.zeros(2)
             for s in range(2):
-                for path in itertools.product(range(2), repeat=delta):
-                    prob = 1.0
-                    prev = s
-                    for t in path:
-                        prob *= p[prev, t]
-                        prev = t
-                    cond[s] += prob * vc[path[-1] if delta else s]
+                for path, prob in paths(s, k - past[-1]):
+                    cond[s] += prob * vc[path[-1]]
             overall = float(pi @ cond)
-            return float(pi @ np.abs(vc * (cond - overall)))
+            total = 0.0
+            for s in range(2):
+                for path, prob in paths(s, past[-1] - past[0]):
+                    states = [path[t - past[0]] for t in past]
+                    total += (pi[s] * prob * abs(np.prod(vc[states]))
+                              * abs(cond[states[-1]] - overall))
+            return total
 
-        oracle = max(tuple_norm(0, 1 + e) for e in range(window + 1))
+        oracle = max(tuple_norm((0,), 1 + e) for e in range(window + 1))
         got = theta_coeff(fc, None, 1, 2, 1, window)
         assert got == pytest.approx(oracle, abs=1e-12)
+        # two past coordinates: every 0 <= k1 <= k2 <= window, k3 - k2 in gap + [0, window]
+        gap = 1
+        oracle = max(tuple_norm((k1, k2), k2 + gap + e)
+                     for k1 in range(window + 1) for k2 in range(k1, window + 1)
+                     for e in range(window + 1))
+        got = theta_coeff(fc, None, 2, 3, gap, window)
+        assert got == pytest.approx(oracle, abs=1e-12)
+
+    def test_finite_chain_long_gap(self):
+        # P^gap is built by repeated products; a gap beyond the recursion
+        # limit must still work, and the chain has mixed by then
+        fc = FiniteChain(np.array([[0.8, 0.2], [0.3, 0.7]]), values=np.array([-1.0, 2.0]))
+        assert theta_coeff(fc, None, 0, 1, 1500, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -291,6 +314,46 @@ class TestCovarianceBound:
             except DomainError:
                 continue
             assert covariance_bound_check(j).holds
+
+
+class TestTailQuantileSteps:
+    def test_matches_the_definition_on_random_laws(self):
+        from meanclt.coefficients import _step_values, _tail_quantile_steps
+        gen = np.random.default_rng(8)
+        pool = np.array([-1.5, -0.0, 0.0, 0.25, 1.0, 3.0])
+        for _ in range(200):
+            values = gen.choice(pool, size=int(gen.integers(1, 9)))  # ties and +-0.0
+            # multiples of 1/16, often zero: every tail sum is exact, so the
+            # breakpoints themselves can be checked
+            probs = gen.multinomial(16, gen.dirichlet(np.ones(values.size))) / 16.0
+            edges, vals = _tail_quantile_steps(values, probs)
+            us = np.concatenate([edges[:-1], 0.5 * (edges[:-1] + edges[1:]), gen.random(8)])
+            for u, q in zip(us, _step_values(edges, vals, us)):
+                assert q == min(v for v in values if probs[values > v].sum() <= u)
+
+    def test_product_integral_matches_the_interval_loop(self):
+        from meanclt.coefficients import _product_step_integral, _tail_quantile_steps
+        gen = np.random.default_rng(9)
+        for _ in range(100):
+            steps = [_tail_quantile_steps(np.round(gen.normal(0, 1, 4), 1),
+                                          gen.dirichlet(np.ones(4))) for _ in range(3)]
+            upper = float(gen.uniform(0.0, 0.5))
+            edges = np.unique(np.concatenate([e for e, _ in steps] + [[0.0, upper]]))
+            edges = edges[edges <= upper]
+            total = 0.0
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                prod = 1.0
+                for e, v in steps:
+                    prod *= float(v[np.searchsorted(e, 0.5 * (lo + hi), side="right") - 1])
+                total += prod * (hi - lo)
+            assert _product_step_integral(steps, upper) == total
+
+    def test_marginal_drops_zero_probability_points(self):
+        j = JointPmf(np.array([[0.0, 1.0], [2.0, 1.0], [5.0, 3.0]]),
+                     np.array([0.5, 0.5, 0.0]))
+        m = j.marginal(0)
+        assert m.atoms.tolist() == [0.0, 2.0] and m.probs.tolist() == [0.5, 0.5]
+        assert j.marginal(1).atoms.tolist() == [1.0]
 
 
 class TestDispersion:

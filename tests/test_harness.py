@@ -227,10 +227,25 @@ class TestRun:
         assert text.count("\n") == 4
 
     def test_bound_report_csv_row(self):
-        from meanclt.bounds import martingale_d1_bound
-        row = martingale_d1_bound(DoublingMap(), cosine(1), 16).csv_row()
-        assert row.startswith("16,")
-        assert len(row.split(",")) == 6
+        # the circle walk's sigma^2 is a numpy scalar, whose repr names its type
+        from meanclt.bounds import martingale_d1_bound, projective_d1_bound
+        for row in (martingale_d1_bound(DoublingMap(), cosine(1), 16).csv_row(),
+                    projective_d1_bound(CircleWalk(sqrt2_minus_one()), cosine(1), 16).csv_row()):
+            assert row.startswith("16,")
+            assert len(row.split(",")) == 6
+            for cell in row.split(","):
+                float(cell)
+
+    def test_csv_numbers_parse_as_floats(self):
+        rows = run(small_config(process=CircleWalk(sqrt2_minus_one()), n_grid=(16, 64),
+                                targets=("empirical_d1", "ks", "projective_bound"))).csv_rows()
+        header, *lines = render_csv(rows).splitlines()
+        for line in lines:
+            cells = dict(zip(header.split(","), line.split(",")))
+            assert cells["bound_projective"] and cells["n"] in ("16", "64")
+            for name, cell in cells.items():
+                if name not in ("process", "observable", "d1_estimator") and cell:
+                    float(cell)
 
 
 class TestAppendixFuzz:
