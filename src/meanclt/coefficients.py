@@ -424,7 +424,7 @@ def _threshold_grid(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (uniq[:-1] + uniq[1:])
 
 
-def _alpha_finite_chain(spec: FiniteChain, indices: Sequence[int], grid: int) -> float:
+def _alpha_finite_chain(spec: FiniteChain, indices: Sequence[int]) -> float:
     n = spec.n_states
     p = spec.transition
     pi = spec.stationary
@@ -457,6 +457,8 @@ def alpha_exact(spec: ProcessSpec, indices: Sequence[int], grid: int = 10) -> fl
     tuples of || E(prod_j (1_{xi_{t_j} <= x_j} - P(xi <= x_j)) | present)
     - E(prod_j ...) ||_1.  Supports the doubling map (dyadic branch
     enumeration) and finite chains (exact); the result never exceeds 1.
+    `grid` is the doubling map's dyadic threshold level; a finite chain
+    searches every threshold between its distinct values instead.
     """
     indices = tuple(int(t) for t in indices)
     if len(indices) == 0 or len(indices) > 3:
@@ -473,9 +475,11 @@ def alpha_exact(spec: ProcessSpec, indices: Sequence[int], grid: int = 10) -> fl
             raise ResourceError("threshold grid too large for the requested indices")
         return _alpha_doubling(indices, grid)
     if isinstance(spec, FiniteChain):
-        if spec.n_states ** len(indices) * (1 << grid) > 1 << 30:
-            raise ResourceError("state/threshold enumeration too large")
-        return _alpha_finite_chain(spec, indices, grid)
+        # the threshold grid is exact, one threshold per distinct indicator, and
+        # `grid` is unused; the budget is what the default grid used to allow
+        if len(_threshold_grid(spec.values)) ** len(indices) > 1 << 20:
+            raise ResourceError("threshold enumeration too large: more than 2^20 tuples")
+        return _alpha_finite_chain(spec, indices)
     if isinstance(spec, IIDLaw):
         return 0.0
     raise TypeError("alpha_exact supports DoublingMap, FiniteChain and IIDLaw")

@@ -37,8 +37,8 @@ from .numerics import Tolerance, gauss_cdf, substream
 from .processes import (DoublingMap, CircleWalk, FiniteChain, IIDLaw, ProcessSpec,
                         characteristic, is_martingale, iid_rademacher, long_run_variance,
                         process_from_dict, simulate, sqrt2_minus_one)
-from .wasserstein import (EmpiricalSample, FinitePmf, ks_sample_gauss, w1_charfn_gauss,
-                          w1_pmf_gauss, w1_sample_gauss)
+from .wasserstein import (EmpiricalSample, FinitePmf, ks_sorted_gauss, sorted_gauss_tables,
+                          w1_charfn_gauss, w1_pmf_gauss, w1_sorted_gauss)
 
 SCHEMA_VERSION = "1"
 
@@ -196,16 +196,25 @@ def _ks_pmf_gauss(p: FinitePmf, sigma: float) -> float:
     return float(np.maximum(np.abs(cum - phi), np.abs(left - phi)).max())
 
 
-def _bootstrap_se(sample: np.ndarray, sigma: float, count: int, stream) -> float:
-    """Bootstrap standard error of the plug-in W1 over resampled replicates."""
+def _bootstrap_se(tables: tuple, sigma: float, count: int, stream) -> float:
+    """Bootstrap standard error of the plug-in W1 over resampled replicates.
+
+    `tables` is `sorted_gauss_tables(sample, sigma)`.  A resample draws
+    indices into the unsorted sample; its sorted values and their Gaussian
+    tables are the sorted ones, each repeated as often as the resample drew
+    it, so no resample is sorted or evaluated again.
+    """
     if count < 2:
         return 0.0
+    order, x, cdf, pdf = tables
     gen = stream.generator()
-    m = sample.size
+    m = x.size
+    positions = np.arange(m)
     vals = np.empty(count)
     for b in range(count):
-        idx = gen.integers(0, m, m)
-        vals[b] = w1_sample_gauss(EmpiricalSample(sample[idx]), sigma)
+        c = np.bincount(gen.integers(0, m, m), minlength=m)[order]
+        j = np.repeat(positions, c)  # one index and three gathers beat three np.repeat calls
+        vals[b] = w1_sorted_gauss(x[j], cdf[j], pdf[j], sigma)
     return float(vals.std(ddof=1))
 
 
@@ -344,9 +353,10 @@ def run(config: ExperimentConfig) -> RunManifest:
         exact_law = type(spec)._characteristic is not ProcessSpec._characteristic
         for gi, rec in enumerate(per_n):
             n = rec["n"]
-            sample = ens.normalized(n)
+            tables = sorted_gauss_tables(ens.normalized(n), sigma)
+            _, x, cdf, pdf = tables
             if "empirical_d1" in config.targets:
-                d1 = w1_sample_gauss(EmpiricalSample(sample), sigma)
+                d1 = w1_sorted_gauss(x, cdf, pdf, sigma)
                 if exact_law:
                     rec["d1_mc_normalized"] = d1
                     exact, rec["d1_exact_err"] = _exact_d1(spec, f, n, sigma, lrv.covariances)
@@ -354,10 +364,10 @@ def run(config: ExperimentConfig) -> RunManifest:
                     d1 = d1 if exact is None else exact
                 rec["d1_normalized"] = d1
                 rec["d1_unnormalized"] = math.sqrt(n) * d1
-                rec["d1_boot_se"] = _bootstrap_se(sample, sigma, config.bootstrap,
+                rec["d1_boot_se"] = _bootstrap_se(tables, sigma, config.bootstrap,
                                                   substream(config.seed, config.reps + gi))
             if "ks" in config.targets:
-                rec["ks"] = ks_sample_gauss(EmpiricalSample(sample), sigma)
+                rec["ks"] = ks_sorted_gauss(cdf)
         timings["distances"] = time.perf_counter() - t
 
     if {"martingale_bound", "projective_bound", "second_moment_terms"} & set(config.targets):

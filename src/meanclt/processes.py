@@ -178,7 +178,7 @@ class DoublingMap(ProcessSpec):
         return sigma2, covs
 
     def _simulate_block(self, f, n, gens):
-        w, bits = _draw_bit_paths(gens, n, lambda g: _row_bit_words(g, 1)[0], np.uint64)
+        w, bits = _draw_bit_paths(gens, n)
         for b in bits:
             # xi_{t+1} = (xi_t + B)/2, exactly, in 64-bit fixed point
             w = (w >> np.uint64(1)) | (b << np.uint64(63))
@@ -260,7 +260,8 @@ class CircleWalk(ProcessSpec):
         return sigma2, covs
 
     def _simulate_block(self, f, n, gens):
-        xi0, bits = _draw_bit_paths(gens, n, lambda g: g.random(), np.float64)
+        w0, bits = _draw_bit_paths(gens, n)
+        xi0 = (w0 >> np.uint64(11)) * 2.0 ** -53  # what Generator.random makes of w0
         c = np.zeros(len(gens), dtype=np.int64)
         for b in bits:
             c += 2 * b.astype(np.int64) - 1
@@ -677,22 +678,20 @@ class PathEnsemble:
 _BITS_PER_WORD = 64
 
 
-def _row_bit_words(gen: np.random.Generator, n_words: int) -> np.ndarray:
-    return gen.integers(0, (1 << 64) - 1, size=n_words, dtype=np.uint64, endpoint=True)
+def _draw_bit_paths(gens, n: int):
+    """Per replicate, one raw draw of 1 + ceil(n/64) 64-bit words: a head word,
+    then n step bits packed low bit first.
 
-
-def _draw_bit_paths(gens, n: int, head, dtype):
-    """Per replicate, draw head(g) and then n step bits packed low bit first.
-
-    Returns the heads and an iterator over the n per-step bit columns.
+    These are the words that a full-range uint64 `Generator.integers` call
+    returns, and `Generator.random` is (head >> 11) * 2^-53 of the head word.
+    Returns the head words and an iterator over the n per-step bit columns.
     """
     n_words = (n + _BITS_PER_WORD - 1) // _BITS_PER_WORD
-    heads = np.empty(len(gens), dtype=dtype)
-    bits = np.empty((len(gens), n_words), dtype=np.uint64)
+    words = np.empty((len(gens), 1 + n_words), dtype=np.uint64)
     for r, g in enumerate(gens):
-        heads[r] = head(g)
-        bits[r] = _row_bit_words(g, n_words)
-    return heads, ((bits[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1) for t in range(n))
+        words[r] = g.bit_generator.random_raw(1 + n_words)
+    bits = words[:, 1:]
+    return words[:, 0], ((bits[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1) for t in range(n))
 
 
 def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
@@ -737,7 +736,7 @@ def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.
         raise DomainError("step must be nonnegative")
     gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
-        w, bits = _draw_bit_paths(gens, step, lambda g: _row_bit_words(g, 1)[0], np.uint64)
+        w, bits = _draw_bit_paths(gens, step)
         for b in bits:
             w = (w >> np.uint64(1)) | (b << np.uint64(63))
         return w.astype(np.float64) * 2.0 ** -64

@@ -119,13 +119,34 @@ def w1_sample_gauss(s: EmpiricalSample, sigma: float) -> float:
     """
     sigma = _check_sigma(sigma)
     x = s.values
-    m = x.size
-    grid, g_grid = _slab_tables(m)
-    ustar = np.asarray(gauss_cdf(x / sigma), dtype=float).reshape(-1)
+    z = x / sigma
+    return w1_sorted_gauss(x, gauss_cdf(z), gauss_pdf(z), sigma)
+
+
+def sorted_gauss_tables(sample: np.ndarray, sigma: float) -> tuple:
+    """(order, x, Phi(x/sigma), phi(x/sigma)) for x = sample[order], the
+    sample sorted once (stably, so order depends on the sample alone)."""
+    sigma = _check_sigma(sigma)
+    order = np.argsort(sample, kind="stable")
+    x = sample[order]
+    if not np.all(np.isfinite(x)):
+        raise DomainError("sample values must be finite")
+    z = x / sigma
+    return order, x, gauss_cdf(z), gauss_pdf(z)
+
+
+def w1_sorted_gauss(x: np.ndarray, cdf: np.ndarray, pdf: np.ndarray, sigma: float) -> float:
+    """The slab sum of w1_sample_gauss for sorted x, given its Gaussian
+    tables cdf = Phi(x/sigma) and pdf = phi(x/sigma).
+
+    Every term is elementwise in (x, cdf, pdf) apart from the slab grid, so
+    a resample of a sorted sample can pass its tables repeated by counts
+    instead of re-evaluating them.
+    """
+    grid, g_grid = _slab_tables(x.size)
     a, b = grid[:-1], grid[1:]
-    u0 = np.clip(ustar, a, b)
-    g0 = np.where(u0 == ustar, gauss_pdf(x / sigma),
-                  np.where(u0 == a, g_grid[:-1], g_grid[1:]))
+    u0 = np.clip(cdf, a, b)
+    g0 = np.where(u0 == cdf, pdf, np.where(u0 == a, g_grid[:-1], g_grid[1:]))
     piece = x * (u0 - a) + sigma * (g0 - g_grid[:-1]) \
         + sigma * (g0 - g_grid[1:]) + x * (u0 - b)
     return float(piece.sum())
@@ -186,9 +207,13 @@ def w1_sample_sample(s1: EmpiricalSample, s2: EmpiricalSample) -> float:
 def ks_sample_gauss(s: EmpiricalSample, sigma: float) -> float:
     """Kolmogorov distance between the empirical law of s and N(0, sigma^2)."""
     sigma = _check_sigma(sigma)
-    x = s.values
-    m = x.size
-    cdf = np.asarray(gauss_cdf(x / sigma), dtype=float).reshape(-1)
+    return ks_sorted_gauss(gauss_cdf(s.values / sigma))
+
+
+def ks_sorted_gauss(cdf: np.ndarray) -> float:
+    """Kolmogorov distance of the empirical law of a sorted sample, given
+    its table cdf = Phi(x/sigma)."""
+    m = cdf.size
     i = np.arange(1, m + 1)
     return float(np.maximum(np.abs(i / m - cdf), np.abs((i - 1) / m - cdf)).max())
 

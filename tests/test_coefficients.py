@@ -259,6 +259,18 @@ class TestAlphaExact:
         with pytest.raises(ResourceError):
             alpha_exact(DM, (15,), grid=4)
 
+    def test_finite_chain_guard_counts_thresholds(self):
+        # a finite chain's thresholds are exact, so grid must not enter its guard
+        fc = FiniteChain(np.array([[0.95, 0.05], [0.05, 0.95]]), values=np.array([0.0, 1.0]))
+        assert alpha_exact(fc, (1, 2, 3), grid=28) == alpha_exact(fc, (1, 2, 3), grid=27) > 0.0
+        # 127 thresholds: three indices make 127^3 > 2^20 tuples, one makes 127
+        gen = np.random.default_rng(4)
+        p = gen.uniform(0.5, 1.0, (128, 128))
+        big = FiniteChain(p / p.sum(axis=1, keepdims=True), values=np.arange(128.0))
+        with pytest.raises(ResourceError):
+            alpha_exact(big, (1, 2, 3), grid=1)
+        assert 0.0 <= alpha_exact(big, (1,), grid=1) <= 1.0
+
     def test_never_exceeds_one(self):
         assert alpha_exact(DM, (1, 2), grid=4) <= 1.0
 

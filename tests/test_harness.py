@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from meanclt.harness import (ExperimentConfig, _bootstrap_se, check_appendix,
 from meanclt.numerics import substream
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, characteristic,
                                iid_gaussian, iid_rademacher, simulate, sqrt2_minus_one)
-from meanclt.wasserstein import EmpiricalSample, w1_charfn_gauss, w1_sample_gauss
+from meanclt.wasserstein import (EmpiricalSample, ks_sample_gauss, sorted_gauss_tables,
+                                 w1_charfn_gauss, w1_sample_gauss)
 
 MC_KEYS = {"n", "d1_normalized", "d1_unnormalized", "d1_boot_se", "ks"}
 
@@ -159,7 +162,8 @@ class TestRun:
             assert rec["d1_estimator"] == "exact"
             sample = ens.normalized(n)
             assert rec["d1_mc_normalized"] == w1_sample_gauss(EmpiricalSample(sample), sigma)
-            assert rec["d1_boot_se"] == _bootstrap_se(sample, sigma, cfg.bootstrap,
+            assert rec["d1_boot_se"] == _bootstrap_se(sorted_gauss_tables(sample, sigma), sigma,
+                                                      cfg.bootstrap,
                                                       substream(cfg.seed, cfg.reps + gi))
             d1, err = w1_charfn_gauss(
                 lambda t: characteristic(DoublingMap(), cosine(1), n, t / math.sqrt(n)), sigma)
@@ -248,6 +252,63 @@ class TestRun:
                     float(cell)
 
 
+def bootstrap_se_by_sorting(sample, sigma, count, stream):
+    """The bootstrap loop that sorts and evaluates every resample afresh."""
+    if count < 2:
+        return 0.0
+    gen = stream.generator()
+    m = sample.size
+    vals = np.empty(count)
+    for b in range(count):
+        idx = gen.integers(0, m, m)
+        vals[b] = w1_sample_gauss(EmpiricalSample(sample[idx]), sigma)
+    return float(vals.std(ddof=1))
+
+
+class TestBootstrap:
+    # resampling by counts must add the very arrays that sorting each resample
+    # gave, so the standard error is equal, not merely close
+
+    @pytest.mark.parametrize("m", [1, 2, 2048])
+    def test_matches_sorting_every_resample(self, m):
+        sample = substream(3, m).generator().normal(0.0, 0.7, m)
+        tables = sorted_gauss_tables(sample, 0.7)
+        for count in (2, 25):
+            assert _bootstrap_se(tables, 0.7, count, substream(5, m)) == \
+                bootstrap_se_by_sorting(sample, 0.7, count, substream(5, m))
+
+    def test_ties_and_signed_zeros(self):
+        base = np.array([0.0, -0.0, 1.5, -0.0, 1.5, -2.0, 0.0, 1.5, 3.25, -2.0, -40.0, 9.0])
+        sample = substream(1, 0).generator().permutation(np.repeat(base, 25))
+        got = _bootstrap_se(sorted_gauss_tables(sample, 1.3), 1.3, 40, substream(2, 0))
+        assert got == bootstrap_se_by_sorting(sample, 1.3, 40, substream(2, 0)) > 0.0
+
+    def test_fewer_than_two_resamples(self):
+        tables = sorted_gauss_tables(np.array([0.5, -1.0, 2.0]), 1.0)
+        for count in (0, 1):
+            assert _bootstrap_se(tables, 1.0, count, substream(0, 0)) == 0.0
+
+    def test_run_reads_one_sorted_view(self):
+        # a family without an exact law: every distance column is the sample's
+        cfg = small_config(process=CircleWalk(sqrt2_minus_one()), n_grid=(16, 64), bootstrap=20,
+                           targets=("empirical_d1", "ks"))
+        m = run(cfg)
+        ens = simulate(cfg.process, cfg.observable, 64, cfg.reps, checkpoints=(16, 64),
+                       seed=cfg.seed)
+        for gi, rec in enumerate(m.per_n):
+            sample = ens.normalized(rec["n"])
+            assert rec["d1_normalized"] == w1_sample_gauss(EmpiricalSample(sample), m.sigma)
+            assert rec["ks"] == ks_sample_gauss(EmpiricalSample(sample), m.sigma)
+            assert rec["d1_boot_se"] == bootstrap_se_by_sorting(
+                sample, m.sigma, cfg.bootstrap, substream(cfg.seed, cfg.reps + gi))
+
+    def test_zero_variance_is_a_domain_error(self):
+        flat = FiniteChain(np.array([[0.5, 0.5], [0.5, 0.5]]), values=np.array([1.0, 1.0]))
+        for targets in (("empirical_d1",), ("ks",)):
+            with pytest.raises(DomainError):
+                run(ExperimentConfig(flat, None, (1, 2), reps=100, seed=1, targets=targets))
+
+
 class TestAppendixFuzz:
     def test_small_fuzz_all_pass(self):
         rep = check_appendix(60, seed=5)
@@ -325,8 +386,13 @@ class TestReportMerge:
 
 class TestCli:
     def _run(self, *args):
+        # the child imports the meanclt under test, whether pytest found it
+        # through PYTHONPATH, the pytest pythonpath setting or an install
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-m", "meanclt.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     def test_preset_exact(self, tmp_path):
         out = self._run("preset", "iid-rademacher-exact", "--n-max", "128",

@@ -27,16 +27,24 @@ def kernel_average_oracle(f: FourierFn, x: np.ndarray) -> np.ndarray:
     return 0.5 * (f.eval(x / 2.0) + f.eval((x + 1.0) / 2.0))
 
 
+def row_bit_words(g, n_words):
+    """n_words full-range uint64 draws through Generator.integers: the words
+    the interval maps take, one raw word each."""
+    return g.integers(0, (1 << 64) - 1, size=n_words, dtype=np.uint64, endpoint=True)
+
+
+def step_bits(words, n):
+    return [(int(words[t >> 6]) >> (t & 63)) & 1 for t in range(n)]
+
+
 def replay_circle(g, n):
     """Circle-walk kernel by hand: a uniform start, then packed +/-1 step bits."""
-    from meanclt.processes import _row_bit_words
     x0 = g.random()
-    words = _row_bit_words(g, (n + 63) // 64)
     c, xs = 0, []
-    for t in range(n):
-        c += 2 * ((int(words[t >> 6]) >> (t & 63)) & 1) - 1
-        xs.append(float(cosine(1).eval(np.mod(x0 + c * CW.a.hi + c * CW.a.lo, 1.0))))
-    return xs
+    for bit in step_bits(row_bit_words(g, (n + 63) // 64), n):
+        c += 2 * bit - 1
+        xs.append(np.mod(x0 + c * CW.a.hi + c * CW.a.lo, 1.0))
+    return cosine(1).eval(np.array(xs))
 
 
 def replay_chain(g, n):
@@ -52,7 +60,7 @@ def replay_chain(g, n):
 
 
 def replay_iid(g, n):
-    return list(iid_gaussian(1.5).sampler(g, n))
+    return iid_gaussian(1.5).sampler(g, n)
 
 
 class TestSplitReal:
@@ -313,6 +321,11 @@ class TestSimulate:
         a = simulate(CW, cosine(1), 100, 257, seed=6, block_size=4096)
         b = simulate(CW, cosine(1), 100, 257, seed=6, block_size=31)
         assert np.array_equal(a.partial_sums, b.partial_sums)
+        for spec, f in ((DM, cosine(1)), (CW, FourierFn(0.0, [1.0, 0.5], [0.0, 0.3])),
+                        (two_state_chain(), None), (iid_rademacher(), None)):
+            sums = [simulate(spec, f, 130, 23, checkpoints=[1, 64, 65, 130], seed=8,
+                             block_size=bs).partial_sums for bs in (1, 7, 4096)]
+            assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
 
     def test_doubling_mds_mean_and_variance(self):
         reps, n = 10_000, 1000
@@ -354,20 +367,34 @@ class TestSimulate:
         # bit-exact contract: row r consumes substream(seed, r) as one word for
         # the initial state followed by packed step bits, low bit first
         from meanclt.numerics import substream
-        from meanclt.processes import _row_bit_words
         f = cosine(1)
         n, reps, seed = 75, 6, 314
         ens = simulate(DM, f, n, reps, checkpoints=[n], seed=seed)
         for r in range(reps):
             g = substream(seed, r).generator()
-            w = int(_row_bit_words(g, 1)[0])
-            words = _row_bit_words(g, (n + 63) // 64)
+            w = int(row_bit_words(g, 1)[0])
             s = 0.0
-            for t in range(n):
-                bit = (int(words[t >> 6]) >> (t & 63)) & 1
+            for bit in step_bits(row_bit_words(g, (n + 63) // 64), n):
                 w = (w >> 1) | (bit << 63)
                 s += float(f.eval(np.float64(w) * 2.0 ** -64))
-            assert s == pytest.approx(float(ens.partial_sums[r, 0]), abs=1e-12)
+            assert s == ens.partial_sums[r, 0]
+
+    @pytest.mark.parametrize("step", [0, 1, 64, 100])
+    def test_sample_states_replay(self, step):
+        # states are exact arithmetic on the drawn words, so equality is exact
+        from meanclt.numerics import substream
+        reps, seed = 9, 27
+        dm, cw = sample_states(DM, step, reps, seed), sample_states(CW, step, reps, seed)
+        for r in range(reps):
+            g = substream(seed, r).generator()
+            w = int(row_bit_words(g, 1)[0])
+            for bit in step_bits(row_bit_words(g, (step + 63) // 64), step):
+                w = (w >> 1) | (bit << 63)
+            assert dm[r] == np.float64(w) * 2.0 ** -64
+            g = substream(seed, r).generator()
+            x0 = g.random()
+            c = int((2 * g.integers(0, 2, size=step) - 1).sum())
+            assert cw[r] == np.mod(x0 + c * CW.a.hi + c * CW.a.lo, 1.0)
 
     @pytest.mark.parametrize("spec, f, replay", [
         (CW, cosine(1), replay_circle),
@@ -380,7 +407,7 @@ class TestSimulate:
         ens = simulate(spec, f, n, reps, checkpoints=[1, 40, n], seed=seed, block_size=4)
         for r in range(reps):
             partial = np.cumsum(replay(substream(seed, r).generator(), n))
-            assert np.allclose(partial[[0, 39, n - 1]], ens.partial_sums[r], rtol=0, atol=1e-12)
+            assert np.array_equal(partial[[0, 39, n - 1]], ens.partial_sums[r])
 
     def test_finite_chain_states(self):
         fc = two_state_chain()

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from meanclt.errors import DomainError
 from meanclt.fourier import cosine
-from meanclt.numerics import Tolerance, gauss_cdf, gauss_quantile, integrate_interval
+from meanclt.numerics import (Tolerance, gauss_cdf, gauss_pdf, gauss_quantile,
+                              integrate_interval)
 from meanclt.processes import DoublingMap, characteristic
 from meanclt.wasserstein import (EmpiricalSample, FinitePmf, ks_sample_gauss,
-                                 sample_from_csv, w1_charfn_gauss, w1_pmf_gauss,
-                                 w1_sample_gauss, w1_sample_sample)
+                                 sample_from_csv, sorted_gauss_tables, w1_charfn_gauss,
+                                 w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -268,6 +269,22 @@ class TestKolmogorov:
         m = 10_000
         s = EmpiricalSample(gen.normal(0.0, 1.0, m))
         assert ks_sample_gauss(s, 1.0) < 1.63 / math.sqrt(m)
+
+
+class TestSortedGaussTables:
+    def test_tables_of_the_sorted_sample(self):
+        sample = np.array([0.3, -1.2, 0.3, 2.5, -0.0, 0.0, -1.2])
+        order, x, cdf, pdf = sorted_gauss_tables(sample, 0.8)
+        assert np.array_equal(order, np.argsort(sample, kind="stable"))
+        assert np.array_equal(x, EmpiricalSample(sample).values)
+        assert np.array_equal(cdf, gauss_cdf(x / 0.8))
+        assert np.array_equal(pdf, gauss_pdf(x / 0.8))
+
+    def test_rejects_what_empirical_sample_rejects(self):
+        with pytest.raises(DomainError):
+            sorted_gauss_tables(np.array([0.0, np.nan]), 1.0)
+        with pytest.raises(DomainError):
+            sorted_gauss_tables(np.array([0.0, 1.0]), 0.0)
 
 
 class TestCsv:
