@@ -91,38 +91,29 @@ def _weighted_l1(f: FourierFn, g: FourierFn, tol: Tolerance = _NORM_TOL) -> floa
     return integrate_unit(lambda x: np.abs(f.eval(x) * g.eval(x)), tol)
 
 
-class _DriftSeries:
-    """Incremental partial sums sum_{k=1}^m K^k z for a centered z.
+def _partial_sums(spec: ProcessSpec, z: FourierFn, count: int) -> list:
+    """[R_0, ..., R_count] with R_j = sum_{d<=j} K^d z and R_0 = 0.
 
-    Detects stabilization (increments below 1e-16 in coefficient l1) so that
-    long bound series reuse cached norms instead of re-integrating.
+    Once an increment falls to 1e-16 of the sum in coefficient l1 it is
+    dropped, and every later entry is the same object as the last one.
     """
+    sums = [constant_fn(0.0)]
+    term = z
+    for _ in range(count):
+        term = transfer(spec, term, 1)
+        if term.coeff_l1() <= _STABLE_EPS * (1.0 + sums[-1].coeff_l1()):
+            return sums + [sums[-1]] * (count + 1 - len(sums))
+        sums.append(sums[-1] + term)
+    return sums
 
-    def __init__(self, spec: ProcessSpec, z: FourierFn):
-        self.spec = spec
-        self.current = z  # K^m z once advanced
-        self.partial = constant_fn(0.0)
-        self.stable = False
 
-    def advance(self) -> FourierFn:
-        """Move to m+1; returns the partial sum sum_{k<=m} K^k z."""
-        if not self.stable:
-            self.current = transfer(self.spec, self.current, 1)
-            if self.current.coeff_l1() <= _STABLE_EPS * (1.0 + self.partial.coeff_l1()):
-                self.stable = True
-            else:
-                self.partial = self.partial + self.current
-        return self.partial
-
-    def norms(self, count: int, norm):
-        """Yield norm(partial sum) for m = 1..count; once stable, the last
-        computed value is reused."""
-        for _ in range(count):
-            was_stable = self.stable
-            partial = self.advance()
-            if not was_stable:
-                value = norm(partial)
-            yield value
+def _norms(sums: Sequence[FourierFn], norm) -> list:
+    """[norm(s) for s in sums], evaluating norm once per distinct object."""
+    cache = {}
+    for s in sums:
+        if id(s) not in cache:
+            cache[id(s)] = norm(s)
+    return [cache[id(s)] for s in sums]
 
 
 def _variance_compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
@@ -147,9 +138,7 @@ def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
         raise DomainError("m must be >= 1")
     if isinstance(spec, IIDLaw):
         return (0.0, 0.0)
-    series = _DriftSeries(spec, compensator(spec, f))
-    for _ in range(m):
-        w = series.advance()
+    w = _partial_sums(spec, compensator(spec, f), m)[-1]
     return (_l1_norm(w, tol), _weighted_l1(f, w, tol))
 
 
@@ -217,7 +206,8 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
     one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
     drift_terms = []
     second = 0.0
-    norms = _DriftSeries(spec, f).norms(n, lambda s_m: _l1_norm(product(one_plus, s_m)[0], tol))
+    norms = _norms(_partial_sums(spec, f, n)[1:],
+                   lambda s_m: _l1_norm(product(one_plus, s_m)[0], tol))
     for m, norm in enumerate(norms, 1):
         term = norm / (2.0 * m)
         drift_terms.append(term)
@@ -280,8 +270,8 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
     if isinstance(spec, IIDLaw):
         series = [0.0] * cutoff
     else:
-        norms = _DriftSeries(spec, compensator(spec, f)).norms(
-            cutoff, lambda w: (_l1_norm(w, tol), _weighted_l1(f, w, tol)))
+        norms = _norms(_partial_sums(spec, compensator(spec, f), cutoff)[1:],
+                       lambda w: (_l1_norm(w, tol), _weighted_l1(f, w, tol)))
         series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
                   for m, (l1, wl1) in enumerate(norms, 1)]
         if corrected:
@@ -320,8 +310,9 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
                         tol: Tolerance = _NORM_TOL) -> tuple[float, float]:
     """(||E_0(S_m^2) - m sigma^2||_1, ||E_0(J_m)||_1) for bounded observables.
 
-    E_0(S_m^2) expands into transfer images of f^2 and of the lagged products
-    f * K^(l-k) f; J_m is the m-step smoothing of the resolvent limit.
+    With R_j = sum_{d<=j} K^d f, the lagged products collapse to one sum:
+    E_0(S_m^2) = sum_{k<=m} K^k (f^2 + 2 f R_{m-k}).  J_m is the m-step
+    smoothing of the resolvent limit.
     """
     if m < 1:
         raise DomainError("m must be >= 1")
@@ -329,16 +320,10 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
         return (0.0, 0.0)
     mom = moments(spec, f)
     f2, _ = product(f, f)
+    sums = _partial_sums(spec, f, m)
     total = constant_fn(-m * mom.sigma2)
-    lag_fn = {}
     for k in range(1, m + 1):
-        total = total + transfer(spec, f2, k)
-    for k in range(1, m + 1):
-        for l in range(k + 1, m + 1):
-            d = l - k
-            if d not in lag_fn:
-                lag_fn[d], _ = product(f, transfer(spec, f, d))
-            total = total + 2.0 * transfer(spec, lag_fn[d], k)
+        total = total + transfer(spec, f2 + 2.0 * product(f, sums[m - k])[0], k)
     g_tail = resolvent_tail(spec, f, 1)
     j_m = transfer(spec, g_tail, m)
     return (_l1_norm(total, tol), _l1_norm(j_m, tol))
@@ -364,6 +349,8 @@ def cubic_moment_sum(spec: ProcessSpec, f: Optional[FourierFn], l: int,
         E(X0^3) + 3 sum_{i<=l} E(X0 X_i^2 + X0^2 X_i)
                 + 6 sum_{i<=l} sum_{j<i} E(X0 X_j X_i).
 
+    With R_j = sum_{d<=j} K^d f this is the single sum
+    E f^3 + 3 <f^2, R_l> + sum_{i<=l} <f, K^i (3 f^2 + 6 f R_{l-i})>.
     Stabilizes exactly for the doubling map once 2^l exceeds max_freq.
     """
     if l < 0:
@@ -372,13 +359,10 @@ def cubic_moment_sum(spec: ProcessSpec, f: Optional[FourierFn], l: int,
         return spec.third
     f2, _ = product(f, f)
     f3, _ = product(f2, f)
-    total = f3.mean
+    sums = _partial_sums(spec, f, l)
+    total = f3.mean + 3.0 * lebesgue_inner(f2, sums[l])
     for i in range(1, l + 1):
-        total += 3.0 * lebesgue_inner(f, transfer(spec, f2, i))
-        total += 3.0 * lebesgue_inner(f2, transfer(spec, f, i))
-        for j in range(1, i):
-            inner, _ = product(f, transfer(spec, f, i - j))
-            total += 6.0 * lebesgue_inner(f, transfer(spec, inner, j))
+        total += lebesgue_inner(f, transfer(spec, 3.0 * f2 + 6.0 * product(f, sums[l - i])[0], i))
     return total
 
 

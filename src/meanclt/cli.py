@@ -10,8 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (AccuracyError, DomainError, MeancltError, PrecisionError,
-                     PreconditionError, ResourceError, SchemaError)
+from .errors import AccuracyError, MeancltError, PrecisionError, ResourceError
 from .fourier import FourierFn
 from .harness import (CSV_COLUMNS, ExperimentConfig, check_appendix, diagnose_conditions,
                       merge_reports, preset_config, render_csv, run)
@@ -137,8 +136,7 @@ def main(argv=None) -> int:
     except (ResourceError, AccuracyError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (DomainError, PreconditionError, SchemaError, MeancltError, TypeError,
-            FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (MeancltError, ValueError, TypeError, FileNotFoundError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

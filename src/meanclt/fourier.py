@@ -14,7 +14,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -133,6 +133,8 @@ class FourierFn:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FourierFn":
+        if not isinstance(d, dict):
+            raise SchemaError(f"an observable must be an object, got {d!r} (field: observable)")
         return cls(float(d.get("constant", 0.0)), d.get("cos", []), d.get("sin", []))
 
     def to_json(self) -> str:

@@ -87,6 +87,8 @@ class ExperimentConfig:
                 raise DomainError(f"unknown target {t!r}; valid: {TARGETS}")
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
+        if self.bootstrap < 2:
+            raise DomainError("bootstrap must be >= 2")
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
             raise DomainError("empirical targets require reps >= 100")
         if self.exact_pmf and not (isinstance(self.process, IIDLaw)
@@ -112,6 +114,8 @@ class ExperimentConfig:
         if "reps" not in d:
             raise SchemaError("config is missing the required field 'reps' (field: reps)")
         tol = d.get("tolerance") or {}
+        if not isinstance(tol, dict):
+            raise SchemaError(f"tolerance must be an object, got {tol!r} (field: tolerance)")
         return cls(process=process_from_dict(d["process"]),
                    observable=FourierFn.from_dict(d["observable"]) if d.get("observable") else None,
                    n_grid=tuple(d["n_grid"]),

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DegenerateVarianceError, DivergenceError, DomainError, PreconditionError
+from .errors import (DegenerateVarianceError, DivergenceError, DomainError,
+                     PreconditionError, SchemaError)
 from .fourier import FourierFn, constant_fn, lebesgue_inner
 from .numerics import bessel_j, substream
 
@@ -406,6 +407,8 @@ _IID_FACTORIES = {"rademacher": iid_rademacher, "gaussian": iid_gaussian}
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
+    if not isinstance(d, dict):
+        raise SchemaError(f"a process must be an object, got {d!r} (field: process)")
     kind = d.get("type")
     if kind == "doubling_map":
         return DoublingMap()

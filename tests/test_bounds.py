@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from meanclt.bounds import (cubic_moment_sum, martingale_d1_bound, moments,
+from meanclt.bounds import (_l1_norm, _norms, _partial_sums, cubic_moment_sum,
+                            martingale_d1_bound, moments,
                             nonadapted_correction, projective_d1_bound,
                             projective_drift_norms, rate_fit, second_moment_norms,
                             three_moment_distribution, variance_drift_norms,
                             variance_l32_norm, zolotarev_bound)
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError
-from meanclt.fourier import FourierFn, cosine, product
+from meanclt.fourier import FourierFn, constant_fn, cosine, lebesgue_inner, product
 from meanclt.numerics import substream
 from meanclt.processes import (DoublingMap, CircleWalk, iid_rademacher,
                                long_run_variance, resolvent_tail, sqrt2_minus_one,
@@ -185,6 +186,70 @@ class TestSecondMomentNorms:
         assert drift == pytest.approx(riemann_l1(total.eval), abs=1e-6)
         g = resolvent_tail(DM, f, 1)
         assert smooth == pytest.approx(riemann_l1(transfer(DM, g, m).eval), abs=1e-6)
+
+
+# pairwise reference loops: every lag product f * K^(l-k) f and window triple
+# (j < i) transferred and summed on its own
+def _second_moment_pairwise(spec, f, m):
+    f2 = product(f, f).fn
+    total = constant_fn(-m * long_run_variance(spec, f).sigma2)
+    for k in range(1, m + 1):
+        total = total + transfer(spec, f2, k)
+    for k in range(1, m + 1):
+        for l in range(k + 1, m + 1):
+            total = total + 2.0 * transfer(spec, product(f, transfer(spec, f, l - k)).fn, k)
+    return _l1_norm(total)
+
+
+def _cubic_pairwise(spec, f, l):
+    f2 = product(f, f).fn
+    total = product(f2, f).fn.mean
+    for i in range(1, l + 1):
+        total += 3.0 * lebesgue_inner(f, transfer(spec, f2, i))
+        total += 3.0 * lebesgue_inner(f2, transfer(spec, f, i))
+        for j in range(1, i):
+            inner = product(f, transfer(spec, f, i - j)).fn
+            total += 6.0 * lebesgue_inner(f, transfer(spec, inner, j))
+    return total
+
+
+ORACLE_CASES = [
+    (DM, cosine(2)),
+    (DM, FourierFn(0.0, [0.3, 1.0, 0.2], [0.0, 0.5, 0.0])),
+    (CW, cosine(1)),
+    (CW, FourierFn(0.0, [1.0, 0.5], [0.0, 0.3])),
+]
+
+
+class TestSingleSumOracle:
+    @pytest.mark.parametrize("spec,f", ORACLE_CASES)
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+    def test_second_moment_matches_pairwise(self, spec, f, m):
+        drift, _ = second_moment_norms(spec, f, m)
+        assert drift == pytest.approx(_second_moment_pairwise(spec, f, m), rel=1e-12)
+
+    @pytest.mark.parametrize("spec,f", ORACLE_CASES)
+    @pytest.mark.parametrize("l", [1, 2, 3, 7, 20])
+    def test_cubic_matches_pairwise(self, spec, f, l):
+        assert cubic_moment_sum(spec, f, l) == \
+            pytest.approx(_cubic_pairwise(spec, f, l), rel=1e-12, abs=1e-15)
+
+    def test_partial_sums_share_the_stable_object(self):
+        # K^d cos2 vanishes from d = 2 on, so R_1 = cos1 is the final sum
+        sums = _partial_sums(DM, cosine(2), 6)
+        assert len(sums) == 7 and sums[0].is_zero()
+        assert sums[1].allclose(cosine(1))
+        assert all(s is sums[1] for s in sums[2:])
+        # the circle walk decays geometrically and stabilizes much later
+        cw = _partial_sums(CW, cosine(1), 5)
+        assert len({id(s) for s in cw}) == 6
+
+    def test_norms_once_per_distinct_sum(self):
+        sums = _partial_sums(DM, cosine(4), 9)
+        calls = []
+        values = _norms(sums, lambda s: calls.append(s) or s.coeff_l1())
+        assert len(calls) == len({id(s) for s in sums}) == 3
+        assert values == [s.coeff_l1() for s in sums]
 
 
 class TestVarianceL32:

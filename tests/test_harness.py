@@ -45,6 +45,9 @@ class TestConfig:
             small_config(reps=0)
         with pytest.raises(DomainError):
             small_config(targets=("ks",), reps=10)
+        for count in (1, 0, -5):
+            with pytest.raises(DomainError, match="bootstrap"):
+                small_config(bootstrap=count)
         d = small_config().to_dict()
         del d["reps"]
         with pytest.raises(SchemaError, match="reps"):
@@ -436,6 +439,31 @@ class TestCli:
                                     "targets": ["empirical_d1"]}))
         assert main(["run", "--config", str(path)]) == 2
         assert "reducible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,value", [(("reps",), "many"),
+                                            (("observable", "cos"), ["x"]),
+                                            (("process", "a_hi"), "q"),
+                                            (("process",), "x"),
+                                            (("tolerance",), ["x"])])
+    def test_malformed_field_exit_code(self, tmp_path, capsys, path, value):
+        from meanclt.cli import main
+        cfg = {"process": {"type": "circle_walk", "a_hi": 0.41421356237309503},
+               "observable": {"constant": 0.0, "cos": [1.0], "sin": []},
+               "n_grid": [16, 64], "reps": 200, "seed": 1, "targets": ["empirical_d1"]}
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_diagnose_malformed_observable_exit_code(self, tmp_path):
+        from meanclt.cli import main
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"process": {"type": "doubling_map"}, "observable": "x"}))
+        assert main(["diagnose", "--config", str(bad)]) == 2
 
     def test_missing_config_exit_code(self):
         out = self._run("run", "--config", "/nonexistent/cfg.json")
