@@ -9,7 +9,7 @@ statistical error.  I.i.d. inputs short-circuit to their exact closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -243,10 +243,7 @@ class BoundReport:
                 "series": float(sum(self.series)), "correction": self.correction}
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": self.n, "total": self.total,
-                "constant": self.constant, "log_term": self.log_term,
-                "series": list(self.series), "m_cutoff": self.m_cutoff,
-                "correction": self.correction}
+        return dict(asdict(self), series=list(self.series))
 
     def csv_row(self) -> str:
         return ",".join([str(self.n)] + [repr(float(v)) for v in

@@ -6,14 +6,15 @@ Exit codes: 0 success, 2 validation failure, 3 resource or accuracy failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from .errors import AccuracyError, MeancltError, PrecisionError, ResourceError
 from .fourier import FourierFn
-from .harness import (CSV_COLUMNS, ExperimentConfig, check_appendix, diagnose_conditions,
-                      merge_reports, preset_config, render_csv, run)
+from .harness import (CSV_COLUMNS, PRESETS, ExperimentConfig, check_appendix,
+                      diagnose_conditions, merge_reports, preset_config, render_csv, run)
 from .processes import process_from_dict
 
 EXIT_OK = 0
@@ -31,8 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output", help="output path prefix (overrides config)")
 
     p_preset = sub.add_parser("preset", help="run a built-in experiment preset")
-    p_preset.add_argument("name", help="mds-doubling | circle-walk | "
-                                       "iid-rademacher-exact | doubling-nonadapted")
+    p_preset.add_argument("name", help=" | ".join(PRESETS))
     p_preset.add_argument("--n-max", type=int, default=None)
     p_preset.add_argument("--reps", type=int, default=None)
     p_preset.add_argument("--seed", type=int, default=None)
@@ -58,9 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
     if args.output:
-        d = config.to_dict()
-        d["output"] = args.output
-        config = ExperimentConfig.from_dict(d)
+        config = dataclasses.replace(config, output=args.output)
     manifest = run(config)
     if not config.output:
         print(manifest.to_json())

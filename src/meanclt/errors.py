@@ -35,6 +35,13 @@ class SchemaError(MeancltError, ValueError):
     """Serialized artifacts disagree on schema; lists the offending fields."""
 
 
+def reject_unknown_keys(d: dict, allowed, field: str) -> None:
+    """Raise SchemaError naming the first key of `d` outside `allowed`."""
+    for key in d:
+        if key not in allowed:
+            raise SchemaError(f"unknown key {key!r} (field: {field}); valid: {', '.join(allowed)}")
+
+
 class AccuracyError(MeancltError):
     """Adaptive quadrature failed to converge within the recursion budget.
 

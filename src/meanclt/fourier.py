@@ -14,7 +14,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, SchemaError
+from .errors import DomainError, SchemaError, reject_unknown_keys
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -135,6 +135,7 @@ class FourierFn:
     def from_dict(cls, d: dict) -> "FourierFn":
         if not isinstance(d, dict):
             raise SchemaError(f"an observable must be an object, got {d!r} (field: observable)")
+        reject_unknown_keys(d, ("constant", "cos", "sin"), "observable")
         return cls(float(d.get("constant", 0.0)), d.get("cos", []), d.get("sin", []))
 
     def to_json(self) -> str:

@@ -18,7 +18,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,12 +31,11 @@ from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation,
                            covariance_bound_check, dispersion_check, JointPmf,
                            mixing_integral, monotone_difference_bound_check,
                            quantile_from_sample, theta_coeff, weighted_tail_integral)
-from .errors import DomainError, SchemaError
-from .fourier import FourierFn, cosine
+from .errors import DomainError, SchemaError, reject_unknown_keys
+from .fourier import FourierFn
 from .numerics import Tolerance, gauss_cdf, substream
-from .processes import (DoublingMap, CircleWalk, FiniteChain, IIDLaw, ProcessSpec,
-                        characteristic, is_martingale, iid_rademacher, long_run_variance,
-                        process_from_dict, simulate, sqrt2_minus_one)
+from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, characteristic,
+                        is_martingale, long_run_variance, process_from_dict, simulate)
 from .wasserstein import (EmpiricalSample, FinitePmf, ks_sorted_gauss, sorted_gauss_tables,
                           w1_charfn_gauss, w1_pmf_gauss, w1_sorted_gauss)
 
@@ -89,6 +88,9 @@ class ExperimentConfig:
             raise DomainError("reps must be >= 1")
         if self.bootstrap < 2:
             raise DomainError("bootstrap must be >= 2")
+        if self.output is not None and not isinstance(self.output, str):
+            raise SchemaError(f"output must be a path string or null, got {self.output!r} "
+                              "(field: output)")
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
             raise DomainError("empirical targets require reps >= 100")
         if self.exact_pmf and not (isinstance(self.process, IIDLaw)
@@ -102,9 +104,7 @@ class ExperimentConfig:
                 "reps": self.reps,
                 "seed": self.seed,
                 "targets": list(self.targets),
-                "tolerance": {"abs_tol": self.tolerance.abs_tol,
-                              "rel_tol": self.tolerance.rel_tol,
-                              "max_depth": self.tolerance.max_depth},
+                "tolerance": asdict(self.tolerance),
                 "output": self.output,
                 "exact_pmf": self.exact_pmf,
                 "bootstrap": self.bootstrap}
@@ -113,17 +113,18 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if "reps" not in d:
             raise SchemaError("config is missing the required field 'reps' (field: reps)")
+        reject_unknown_keys(d, [f.name for f in fields(cls)], "config")
         tol = d.get("tolerance") or {}
         if not isinstance(tol, dict):
             raise SchemaError(f"tolerance must be an object, got {tol!r} (field: tolerance)")
+        reject_unknown_keys(tol, [f.name for f in fields(Tolerance)], "tolerance")
         return cls(process=process_from_dict(d["process"]),
                    observable=FourierFn.from_dict(d["observable"]) if d.get("observable") else None,
                    n_grid=tuple(d["n_grid"]),
                    reps=int(d["reps"]),
                    seed=int(d.get("seed", 0)),
                    targets=tuple(d.get("targets", ("empirical_d1", "rate_fit"))),
-                   tolerance=Tolerance(tol.get("abs_tol", 1e-11), tol.get("rel_tol", 1e-11),
-                                       tol.get("max_depth", 44)),
+                   tolerance=Tolerance(**tol),
                    output=d.get("output"),
                    exact_pmf=bool(d.get("exact_pmf", False)),
                    bootstrap=int(d.get("bootstrap", 100)))
@@ -133,48 +134,42 @@ class ExperimentConfig:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
+# Built-in one-command experiments: each is a config dict, as `run --config` reads it.
+PRESETS = {
+    "mds-doubling": {"process": {"type": "doubling_map"}, "observable": {"cos": [1.0]},
+                     "n_grid": [64, 256, 1024, 4096, 16384], "reps": 20000, "seed": 1,
+                     "targets": ["empirical_d1", "ks", "martingale_bound", "rate_fit",
+                                 "zolotarev"]},
+    "circle-walk": {"process": {"type": "circle_walk", "a": "sqrt2_minus_one"},
+                    "observable": {"cos": [1.0]}, "n_grid": [64, 256, 1024, 4096, 16384],
+                    "reps": 10000, "seed": 1,
+                    "targets": ["empirical_d1", "ks", "projective_bound", "rate_fit"]},
+    "iid-rademacher-exact": {"process": {"type": "iid", "law": "rademacher"}, "observable": None,
+                             "n_grid": [64, 128, 256, 512, 1024, 2048, 4096], "reps": 1,
+                             "seed": 1, "exact_pmf": True,
+                             "targets": ["empirical_d1", "ks", "rate_fit", "zolotarev"]},
+    "doubling-nonadapted": {"process": {"type": "doubling_map"}, "observable": {"cos": [0.0, 1.0]},
+                            "n_grid": [64, 256, 1024], "reps": 5000, "seed": 1,
+                            "targets": ["empirical_d1", "projective_bound",
+                                        "second_moment_terms", "rate_fit"]},
+}
+
+
 def preset_config(name: str, n_max: Optional[int] = None, reps: Optional[int] = None,
                   seed: Optional[int] = None, output: Optional[str] = None
                   ) -> ExperimentConfig:
-    """Built-in one-command experiment configurations."""
-    if name == "mds-doubling":
-        cfg = ExperimentConfig(DoublingMap(), cosine(1), (64, 256, 1024, 4096, 16384),
-                               reps=20000, seed=1,
-                               targets=("empirical_d1", "ks", "martingale_bound",
-                                        "rate_fit", "zolotarev"))
-    elif name == "circle-walk":
-        cfg = ExperimentConfig(CircleWalk(sqrt2_minus_one()), cosine(1),
-                               (64, 256, 1024, 4096, 16384), reps=10000, seed=1,
-                               targets=("empirical_d1", "ks", "projective_bound",
-                                        "rate_fit"))
-    elif name == "iid-rademacher-exact":
-        cfg = ExperimentConfig(iid_rademacher(), None, (64, 128, 256, 512, 1024, 2048, 4096),
-                               reps=1, seed=1, exact_pmf=True,
-                               targets=("empirical_d1", "ks", "rate_fit", "zolotarev"))
-    elif name == "doubling-nonadapted":
-        cfg = ExperimentConfig(DoublingMap(), cosine(2), (64, 256, 1024), reps=5000, seed=1,
-                               targets=("empirical_d1", "projective_bound",
-                                        "second_moment_terms", "rate_fit"))
-    else:
-        raise DomainError(f"unknown preset {name!r}; available: mds-doubling, circle-walk, "
-                          "iid-rademacher-exact, doubling-nonadapted")
-    updates = {}
+    """The config of PRESETS[name], its grid cut at n_max and the other
+    arguments that are not None set over its values."""
+    if name not in PRESETS:
+        raise DomainError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
+    d = dict(PRESETS[name])
     if n_max is not None:
-        grid = tuple(n for n in cfg.n_grid if n <= n_max)
-        if not grid:
+        d["n_grid"] = [n for n in d["n_grid"] if n <= n_max]
+        if not d["n_grid"]:
             raise DomainError(f"--n-max {n_max} removes every grid point")
-        updates["n_grid"] = grid
-    if reps is not None:
-        updates["reps"] = reps
-    if seed is not None:
-        updates["seed"] = seed
-    if output is not None:
-        updates["output"] = output
-    if updates:
-        d = cfg.to_dict()
-        d.update({k: (list(v) if isinstance(v, tuple) else v) for k, v in updates.items()})
-        cfg = ExperimentConfig.from_dict(d)
-    return cfg
+    d.update((k, v) for k, v in (("reps", reps), ("seed", seed), ("output", output))
+             if v is not None)
+    return ExperimentConfig.from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -236,44 +231,13 @@ class RunManifest:
     timings: dict
 
     def to_dict(self) -> dict:
-        return {"schema_version": self.schema_version,
-                "library_version": self.library_version,
-                "config": self.config,
-                "sigma2": self.sigma2,
-                "sigma": self.sigma,
-                "per_n": list(self.per_n),
-                "fit": self.fit,
-                "zolotarev": self.zolotarev,
-                "seed_provenance": self.seed_provenance,
-                "timings": self.timings}
+        return dict(asdict(self), per_n=list(self.per_n))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def csv_rows(self) -> list:
-        label_p = self.config["process"]["type"]
-        obs = self.config.get("observable")
-        label_f = FourierFn.from_dict(obs).describe() if obs else "identity"
-        slope = self.fit["slope"] if self.fit else ""
-        rows = []
-        for rec in self.per_n:
-            row = {"process": label_p, "observable": label_f, "n": rec["n"],
-                   "reps": self.config["reps"],
-                   "d1_normalized": rec.get("d1_normalized", ""),
-                   "d1_unnormalized": rec.get("d1_unnormalized", ""),
-                   "d1_boot_se": rec.get("d1_boot_se", ""),
-                   "ks": rec.get("ks", ""),
-                   "bound_martingale": (rec.get("bound_martingale") or {}).get("total", ""),
-                   "bound_projective": (rec.get("bound_projective") or {}).get("total", ""),
-                   "second_moment_drift": rec.get("second_moment_drift", ""),
-                   "resolvent_smoothing": rec.get("resolvent_smoothing", ""),
-                   "zolotarev": self.zolotarev if self.zolotarev is not None else "",
-                   "slope": slope,
-                   "d1_estimator": rec.get("d1_estimator", ""),
-                   "d1_exact_err": rec.get("d1_exact_err", ""),
-                   "d1_mc_normalized": rec.get("d1_mc_normalized", "")}
-            rows.append(row)
-        return rows
+        return _csv_rows(self.to_dict())
 
     def write(self, prefix) -> tuple:
         prefix = Path(prefix)
@@ -283,6 +247,25 @@ class RunManifest:
         manifest_path = Path(str(prefix) + ".manifest.json")
         manifest_path.write_text(self.to_json() + "\n")
         return csv_path, manifest_path
+
+
+def _csv_rows(manifest: dict) -> list:
+    """One CSV row per n of a manifest dict; cells its record lacks stay empty."""
+    config = manifest["config"]
+    obs = config.get("observable")
+    fit, zolo = manifest.get("fit"), manifest.get("zolotarev")
+    run_cells = {"process": config["process"]["type"],
+                 "observable": FourierFn.from_dict(obs).describe() if obs else "identity",
+                 "reps": config["reps"], "slope": fit["slope"] if fit else "",
+                 "zolotarev": zolo if zolo is not None else ""}
+    rows = []
+    for rec in manifest["per_n"]:
+        row = {c: rec.get(c, "") for c in CSV_COLUMNS}
+        row.update(run_cells)
+        for key in ("bound_martingale", "bound_projective"):
+            row[key] = (rec.get(key) or {}).get("total", "")
+        rows.append(row)
+    return rows
 
 
 def render_csv(rows: Sequence[dict], columns: Sequence[str] = CSV_COLUMNS) -> str:
@@ -435,13 +418,7 @@ class AppendixReport:
                 and not self.failures)
 
     def to_dict(self) -> dict:
-        return {"total": self.total,
-                "covariance_passes": self.covariance_passes,
-                "corollary_passes": self.corollary_passes,
-                "dispersion_passes": self.dispersion_passes,
-                "equality_case": self.equality_case,
-                "failures": list(self.failures),
-                "all_pass": self.all_pass}
+        return dict(asdict(self), failures=list(self.failures), all_pass=self.all_pass)
 
 
 def _random_joint(gen) -> JointPmf:
@@ -538,8 +515,7 @@ class DiagnosisReport:
     verdicts: dict
 
     def to_dict(self) -> dict:
-        return {"theta": self.theta, "jan": self.jan, "mixing": self.mixing,
-                "verdicts": self.verdicts}
+        return asdict(self)
 
 
 def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
@@ -611,14 +587,7 @@ def merge_reports(paths: Sequence) -> list:
         elif d["schema_version"] != seen_version:
             raise SchemaError(f"{path}: schema_version {d['schema_version']!r} "
                               f"!= {seen_version!r} (field: schema_version)")
-        manifest = RunManifest(schema_version=d["schema_version"],
-                               library_version=d.get("library_version", ""),
-                               config=d["config"], sigma2=d.get("sigma2", 0.0),
-                               sigma=d.get("sigma", 0.0), per_n=tuple(d["per_n"]),
-                               fit=d.get("fit"), zolotarev=d.get("zolotarev"),
-                               seed_provenance=d.get("seed_provenance", {}),
-                               timings=d.get("timings", {}))
-        for row in manifest.csv_rows():
-            row["seed"] = manifest.config.get("seed")
+        for row in _csv_rows(d):
+            row["seed"] = d["config"].get("seed")
             rows.append(row)
     return rows

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (DegenerateVarianceError, DivergenceError, DomainError,
-                     PreconditionError, SchemaError)
+                     PreconditionError, SchemaError, reject_unknown_keys)
 from .fourier import FourierFn, constant_fn, lebesgue_inner
 from .numerics import bessel_j, substream
 
@@ -411,16 +411,20 @@ def process_from_dict(d: dict) -> ProcessSpec:
         raise SchemaError(f"a process must be an object, got {d!r} (field: process)")
     kind = d.get("type")
     if kind == "doubling_map":
+        reject_unknown_keys(d, ("type",), "process")
         return DoublingMap()
     if kind == "circle_walk":
+        reject_unknown_keys(d, ("type", "a", "a_hi", "a_lo"), "process")
         if d.get("a") == "sqrt2_minus_one":
             return CircleWalk(sqrt2_minus_one())
         return CircleWalk(SplitReal(float(d["a_hi"]), float(d.get("a_lo", 0.0))))
     if kind == "finite_chain":
+        reject_unknown_keys(d, ("type", "transition", "values", "stationary"), "process")
         return FiniteChain(np.array(d["transition"], dtype=float),
                            np.array(d["values"], dtype=float),
                            np.array(d["stationary"], dtype=float) if "stationary" in d else None)
     if kind == "iid":
+        reject_unknown_keys(d, ("type", "law"), "process")
         law = d.get("law", "rademacher")
         base = law.split(":", 1)
         if base[0] not in _IID_FACTORIES:

@@ -72,20 +72,17 @@ class FinitePmf:
         p.setflags(write=False)
 
     @classmethod
-    def from_weighted(cls, atoms, probs, merge_tol: float = 0.0) -> "FinitePmf":
-        """Build from unsorted atoms, merging duplicates and zero-prob entries."""
+    def from_weighted(cls, atoms, probs) -> "FinitePmf":
+        """Build from unsorted atoms, dropping zero-prob entries and merging duplicates
+        into their first occurrence (a merged +-0 keeps its first sign); np.unique is
+        slower on the few-atom laws that the coefficient checks build by the thousand."""
         a = np.asarray(atoms, dtype=float).reshape(-1)
         p = np.asarray(probs, dtype=float).reshape(-1)
         order = np.argsort(a, kind="stable")
         a, p = a[order], p[order]
-        keep_a, keep_p = [], []
-        for x, w in zip(a, p):
-            if keep_a and x - keep_a[-1] <= merge_tol:
-                keep_p[-1] += w
-            else:
-                keep_a.append(x)
-                keep_p.append(w)
-        a, p = np.array(keep_a), np.array(keep_p)
+        first = np.ones(a.size, dtype=bool)
+        first[1:] = a[1:] != a[:-1]
+        a, p = a[first], np.bincount(np.cumsum(first) - 1, weights=p)
         nz = p > 0.0
         return cls(a[nz], p[nz])
 

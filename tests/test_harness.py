@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from meanclt.errors import DomainError, SchemaError
 from meanclt import harness
 from meanclt.fourier import FourierFn, cosine
-from meanclt.harness import (ExperimentConfig, _bootstrap_se, check_appendix,
+from meanclt.harness import (PRESETS, ExperimentConfig, _bootstrap_se, check_appendix,
                              diagnose_conditions, merge_reports, preset_config, render_csv,
                              run)
 from meanclt.numerics import substream
@@ -105,6 +106,16 @@ class TestConfig:
         cfg = preset_config("mds-doubling", n_max=1024, reps=500, seed=11)
         assert cfg.n_grid == (64, 256, 1024)
         assert cfg.reps == 500 and cfg.seed == 11
+
+    def test_preset_names_match_readme_and_help(self, capsys, monkeypatch):
+        from meanclt.cli import main
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = set(re.findall(r"^meanclt preset ([\w-]+)", readme, re.M))
+        monkeypatch.setenv("COLUMNS", "200")  # keep the help line unwrapped
+        with pytest.raises(SystemExit):
+            main(["preset", "--help"])
+        line = re.search(r"^\s+name\s+(.+)$", capsys.readouterr().out, re.M).group(1)
+        assert documented == set(line.split(" | ")) == set(PRESETS)
 
 
 class TestRun:
@@ -458,6 +469,66 @@ class TestCli:
         bad.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(bad)]) == 2
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path,key", [((), "target"), (("tolerance",), "abs_tolerance"),
+                                          (("observable",), "coss"), (("process",), "a_high")])
+    def test_misspelt_key_exit_code(self, tmp_path, capsys, path, key):
+        from meanclt.cli import main
+        cfg = {"process": {"type": "circle_walk", "a": "sqrt2_minus_one"},
+               "observable": {"cos": [1.0]}, "n_grid": [16, 64], "reps": 200,
+               "targets": ["empirical_d1", "rate_fit"], "tolerance": {},
+               "output": str(tmp_path / "out")}
+        target = cfg
+        for step in path:
+            target = target[step]
+        target[key] = 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("spec,key", [({"type": "doubling_map", "a": 0.5}, "a"),
+                                          ({"type": "finite_chain", "transition": [[1.0]],
+                                            "values": [0.0], "stationay": [1.0]}, "stationay"),
+                                          ({"type": "iid", "laws": "gaussian"}, "laws")])
+    def test_process_keys_its_type_does_not_read(self, spec, key):
+        from meanclt.processes import process_from_dict
+        with pytest.raises(SchemaError, match=f"unknown key {key!r}"):
+            process_from_dict(spec)
+
+    @pytest.mark.parametrize("output", [2.5, True, ["x"]])
+    def test_output_type_checked_before_any_work(self, tmp_path, capsys, monkeypatch, output):
+        from meanclt.cli import main
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulate ran before the config was checked")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        cfg = small_config(n_grid=(16, 64), targets=("empirical_d1",)).to_dict()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(cfg, output=output)))
+        assert main(["run", "--config", str(bad)]) == 2
+        assert "output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(PRESETS))
+    def test_preset_is_its_config(self, tmp_path, name):
+        from meanclt.cli import main
+        small = [] if name == "iid-rademacher-exact" else ["--n-max", "256", "--reps", "200"]
+        assert main(["preset", name, *small, "--output", str(tmp_path / "p")]) == 0
+        d = dict(PRESETS[name])
+        if small:
+            d.update(n_grid=[n for n in d["n_grid"] if n <= 256], reps=200)
+        (tmp_path / "cfg.json").write_text(json.dumps(d))
+        assert main(["run", "--config", str(tmp_path / "cfg.json"),
+                     "--output", str(tmp_path / "r")]) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "r.csv").read_bytes()
+        manifests = []
+        for prefix in ("p", "r"):
+            m = json.loads((tmp_path / f"{prefix}.manifest.json").read_text())
+            m.pop("timings"), m["config"].pop("output")
+            manifests.append(m)
+        assert manifests[0] == manifests[1]
 
     def test_diagnose_malformed_observable_exit_code(self, tmp_path):
         from meanclt.cli import main

@@ -131,6 +131,35 @@ class TestPmfGauss:
         s = EmpiricalSample(vals)
         assert w1_pmf_gauss(p, 0.8) == pytest.approx(w1_sample_gauss(s, 0.8), abs=1e-12)
 
+    def test_from_weighted_matches_the_merge_loop(self):
+        def merge_loop(atoms, probs):
+            """Sort stably, then add each atom's weight to an equal predecessor."""
+            order = np.argsort(atoms, kind="stable")
+            keep_a, keep_p = [], []
+            for x, w in zip(atoms[order], probs[order]):
+                if keep_a and x - keep_a[-1] <= 0.0:
+                    keep_p[-1] += w
+                else:
+                    keep_a.append(x)
+                    keep_p.append(w)
+            a, p = np.array(keep_a), np.array(keep_p)
+            return a[p > 0.0], p[p > 0.0]
+
+        gen = np.random.default_rng(5)
+        pool = np.array([-1.5, -0.3, -0.0, 0.0, 0.25, 1.0, 2.0])
+        for _ in range(3000):
+            k = int(gen.integers(1, 13))
+            atoms = gen.choice(pool, size=k)
+            probs = np.zeros(k)
+            live = gen.random(k) < 0.8
+            live[int(gen.integers(k))] = True
+            probs[live] = gen.dirichlet(np.ones(int(live.sum())))
+            want_a, want_p = merge_loop(atoms, probs)
+            got = FinitePmf.from_weighted(atoms, probs)
+            assert np.array_equal(got.atoms, want_a)
+            assert np.array_equal(np.signbit(got.atoms), np.signbit(want_a))
+            assert np.array_equal(got.probs, want_p)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             FinitePmf(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
