@@ -111,6 +111,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise SchemaError("config must be a JSON object")
         if "reps" not in d:
             raise SchemaError("config is missing the required field 'reps' (field: reps)")
         reject_unknown_keys(d, [f.name for f in fields(cls)], "config")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -48,8 +49,8 @@ _SIMPLE_EIGENVALUE_TOL = 1e-9
 class SplitReal:
     """A real number stored as an exact double pair hi + lo with |lo| <= ulp(hi).
 
-    Keeps fractional parts {k*a} accurate for k up to ~2^20, which plain
-    double arithmetic cannot do.
+    The pair is a dyadic rational, so `exact_frac` gives {k*a} of it exactly
+    for every k; plain double arithmetic loses ulp(k*a) there.
     """
 
     hi: float
@@ -61,6 +62,10 @@ class SplitReal:
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.hi) + Fraction(self.lo)
+
+    @cached_property
+    def ratio(self) -> tuple:  # hi + lo as (numerator, denominator), computed once
+        return self.as_fraction().as_integer_ratio()
 
     @classmethod
     def from_fraction(cls, fr: Fraction) -> "SplitReal":
@@ -97,9 +102,8 @@ def _continued_fraction_guard(a: float, max_den: int = 10 ** 6, tol: float = 1e-
 
 def exact_frac(a: Union[SplitReal, float], k: int) -> float:
     """Exact fractional part {k*a}, rounded once to double at the end."""
-    fr = a.as_fraction() if isinstance(a, SplitReal) else Fraction(float(a))
-    num, den = fr.numerator, fr.denominator
-    return float(Fraction((k * num) % den, den))
+    num, den = a.ratio if isinstance(a, SplitReal) else float(a).as_integer_ratio()
+    return (k * num) % den / den  # int / int rounds correctly
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +265,26 @@ class CircleWalk(ProcessSpec):
         return sigma2, covs
 
     def _simulate_block(self, f, n, gens):
+        # x_t = x0 + k_t a: per frequency j, the angle-sum rule on 2 pi j x0 and 2 pi {j k_t a}
         w0, bits = _draw_bit_paths(gens, n)
-        xi0 = (w0 >> np.uint64(11)) * 2.0 ** -53  # what Generator.random makes of w0
-        c = np.zeros(len(gens), dtype=np.int64)
+        x0 = (w0 >> np.uint64(11)) * 2.0 ** -53  # what Generator.random makes of w0
+        num, den = self.a.ratio
+        terms = []
+        for j in np.flatnonzero((f.cos_coeffs != 0.0) | (f.sin_coeffs != 0.0)) + 1:
+            th = 2.0 * math.pi * np.fromiter(  # exact_frac(a, j k) at row n + k, |k| <= n
+                (jk * num % den / den for jk in range(-n * j, n * j + 1, j)), float, 2 * n + 1)
+            cx, sx = np.cos((2.0 * math.pi * j) * x0), np.sin((2.0 * math.pi * j) * x0)
+            parts = ((f.cos_coeffs[j - 1], cx, sx), (f.sin_coeffs[j - 1], sx, -cx))
+            terms.append((np.cos(th), np.sin(th), [p for p in parts if p[0] != 0.0]))
+        row = np.full(len(gens), n)
         for b in bits:
-            c += 2 * b.astype(np.int64) - 1
-            yield f.eval(np.mod(xi0 + c * self.a.hi + c * self.a.lo, 1.0))
+            row += 2 * b.view(np.int64) - 1
+            x = f.constant  # FourierFn.eval's order of terms
+            for cos_t, sin_t, parts in terms:
+                c, s = cos_t.take(row), sin_t.take(row)
+                for coef, p, q in parts:  # a_j (cx c - sx s), then b_j (sx c + cx s)
+                    x = x + coef * (p * c - q * s)
+            yield x
 
 
 @dataclass(frozen=True, eq=False)
@@ -683,22 +701,30 @@ class PathEnsemble:
 
 
 _BITS_PER_WORD = 64
+_CHUNK_WORDS = 16  # step words per replicate and raw call: a block holds reps * 16 at a time
 
 
 def _draw_bit_paths(gens, n: int):
-    """Per replicate, one raw draw of 1 + ceil(n/64) 64-bit words: a head word,
-    then n step bits packed low bit first.
-
-    These are the words that a full-range uint64 `Generator.integers` call
-    returns, and `Generator.random` is (head >> 11) * 2^-53 of the head word.
-    Returns the head words and an iterator over the n per-step bit columns.
-    """
+    """Per replicate, 1 + ceil(n/64) raw 64-bit words, _CHUNK_WORDS per call as the
+    steps reach them: a head word (in the first call), then n step bits packed low
+    bit first.  They are the words of a full-range uint64 `Generator.integers` call,
+    and `Generator.random` is (head >> 11) * 2^-53 of the head word.  Returns the
+    head words and an iterator over the n per-step bit columns."""
     n_words = (n + _BITS_PER_WORD - 1) // _BITS_PER_WORD
-    words = np.empty((len(gens), 1 + n_words), dtype=np.uint64)
+    words = np.empty((1 + min(_CHUNK_WORDS, n_words), len(gens)), dtype=np.uint64)
     for r, g in enumerate(gens):
-        words[r] = g.bit_generator.random_raw(1 + n_words)
-    bits = words[:, 1:]
-    return words[:, 0], ((bits[:, t >> 6] >> np.uint64(t & 63)) & np.uint64(1) for t in range(n))
+        words[:, r] = g.bit_generator.random_raw(len(words))
+
+    def bits(chunk):
+        for w in range(n_words):
+            if w and w % _CHUNK_WORDS == 0:
+                chunk = chunk[:n_words - w]
+                for r, g in enumerate(gens):
+                    chunk[:, r] = g.bit_generator.random_raw(len(chunk))
+            for s in range(min(_BITS_PER_WORD, n - w * _BITS_PER_WORD)):
+                yield (chunk[w % _CHUNK_WORDS] >> np.uint64(s)) & np.uint64(1)
+
+    return words[0], bits(words[1:])
 
 
 def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
@@ -709,7 +735,7 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     Replicate r consumes substream(seed, r) only, so ensembles are
     reproducible bit for bit and independent of block scheduling.  The
     doubling map runs in 64-bit fixed point (the map (x+B)/2 is exact there);
-    the circle walk tracks positions through the split representation of a.
+    the circle walk reads (cos, sin)(2 pi {j k a}), {j k a} exact, from tables at its walk k.
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")

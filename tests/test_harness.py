@@ -488,6 +488,16 @@ class TestCli:
         assert repr(key) in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("text", ['["reps"]', "[]", '"x"', "3"])
+    def test_config_not_an_object_exit_code(self, tmp_path, capsys, command, text):
+        from meanclt.cli import main
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main([command, "--config", str(bad), "--output", str(tmp_path / "out")]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
     @pytest.mark.parametrize("spec,key", [({"type": "doubling_map", "a": 0.5}, "a"),
                                           ({"type": "finite_chain", "transition": [[1.0]],
                                             "values": [0.0], "stationay": [1.0]}, "stationay"),

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from meanclt.errors import (DivergenceError, DomainError, PreconditionError)
 from meanclt.fourier import FourierFn, cosine, sine
 from meanclt.numerics import bessel_j, integrate_unit
-from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain,
-                               SplitReal, characteristic, iid_gaussian, iid_rademacher,
-                               is_martingale, long_run_variance, process_from_dict,
-                               resolvent_tail, sample_states, simulate, sqrt2_minus_one,
-                               transfer)
+from meanclt.processes import (_CHUNK_WORDS, CircleWalk, DoublingMap, FiniteChain, SplitReal,
+                               _draw_bit_paths, characteristic, exact_frac, iid_gaussian,
+                               iid_rademacher, is_martingale, long_run_variance,
+                               process_from_dict, resolvent_tail, sample_states, simulate,
+                               sqrt2_minus_one, transfer)
 
 DM = DoublingMap()
 CW = CircleWalk(sqrt2_minus_one())
@@ -37,14 +38,62 @@ def step_bits(words, n):
     return [(int(words[t >> 6]) >> (t & 63)) & 1 for t in range(n)]
 
 
-def replay_circle(g, n):
-    """Circle-walk kernel by hand: a uniform start, then packed +/-1 step bits."""
+def circle_start_and_walk(g, n):
+    """A uniform start x0, then the walk k_1..k_n of packed +/-1 step bits."""
     x0 = g.random()
-    c, xs = 0, []
-    for bit in step_bits(row_bit_words(g, (n + 63) // 64), n):
-        c += 2 * bit - 1
-        xs.append(np.mod(x0 + c * CW.a.hi + c * CW.a.lo, 1.0))
-    return cosine(1).eval(np.array(xs))
+    return x0, np.cumsum(2 * np.array(step_bits(row_bit_words(g, (n + 63) // 64), n)) - 1)
+
+
+def replay_circle(g, n, f=cosine(1)):
+    """Circle-walk kernel by hand: f(x0 + k a) per frequency j by the angle-sum
+    rule on (cos, sin)(2 pi j x0) and on tables of (cos, sin)(2 pi {j k a}),
+    |k| <= n, built from exact_frac."""
+    x0, k = circle_start_and_walk(g, n)
+    xs = np.full(n, f.constant)
+    for j in range(1, f.max_freq + 1):
+        a, b = f.cos_coeffs[j - 1], f.sin_coeffs[j - 1]
+        if a == 0.0 and b == 0.0:
+            continue
+        th = 2.0 * math.pi * np.array([exact_frac(CW.a, j * i) for i in range(-n, n + 1)])
+        c, s = np.cos(th)[n + k], np.sin(th)[n + k]
+        th0 = (2.0 * math.pi * j) * np.array([x0])
+        cx, sx = np.cos(th0)[0], np.sin(th0)[0]
+        if a != 0.0:
+            xs = xs + a * (cx * c - sx * s)
+        if b != 0.0:
+            xs = xs + b * (sx * c + cx * s)
+    return xs
+
+
+def replay_circle_split(g, n, f=cosine(1)):
+    """The circle-walk kernel before the phase tables: f at x0 + k*a.hi + k*a.lo
+    mod 1, whose rounding grows with ulp(k*a)."""
+    x0, k = circle_start_and_walk(g, n)
+    return f.eval(np.mod(x0 + k * CW.a.hi + k * CW.a.lo, 1.0))
+
+
+class FixedWords:
+    """A stand-in generator whose raw words are `head`, then `fill` for ever."""
+
+    def __init__(self, head, fill):
+        self.bit_generator, self.head, self.fill = self, head, fill
+
+    def random_raw(self, size):
+        out = np.full(size, self.fill, dtype=np.uint64)
+        if self.head is not None:
+            out[0], self.head = self.head, None
+        return out
+
+
+class CountingGenerator:
+    """Wraps a Generator's bit generator and counts its random_raw calls."""
+
+    def __init__(self, g):
+        self.bit_generator, self.raw, self.calls = self, g.bit_generator, 0
+
+    def random_raw(self, size):
+        self.calls += 1
+        return self.raw.random_raw(size)
 
 
 def replay_chain(g, n):
@@ -71,6 +120,13 @@ class TestSplitReal:
         # the pair satisfies a^2 + 2a = 1 far beyond double precision
         fr = a.as_fraction()
         assert abs(float(fr * fr + 2 * fr - 1)) < 1e-30
+
+    @pytest.mark.parametrize("a", [sqrt2_minus_one(), (math.sqrt(5.0) - 1.0) / 2.0],
+                             ids=["split", "float"])
+    def test_exact_frac_matches_fraction_form(self, a):
+        fr = a.as_fraction() if isinstance(a, SplitReal) else Fraction(a)
+        for k in range(-4099, 4100, 7):
+            assert exact_frac(a, k) == float(k * fr % 1)
 
 
 class TestTransfer:
@@ -408,6 +464,74 @@ class TestSimulate:
         for r in range(reps):
             partial = np.cumsum(replay(substream(seed, r).generator(), n))
             assert np.array_equal(partial[[0, 39, n - 1]], ens.partial_sums[r])
+
+    def test_circle_kernel_near_split_formula(self):
+        # per step the split formula loses up to ulp(k a) ~ 1e-14 in the position at
+        # |k| < 256, so S_n may move by up to n * 2 pi * 1e-14 ~ 1e-9 at n = 16384
+        from meanclt.numerics import substream
+        n, reps, seed = 16384, 4, 11
+        ens = simulate(CW, cosine(1), n, reps, seed=seed)
+        for r in range(reps):
+            old = replay_circle_split(substream(seed, r).generator(), n).sum()
+            assert abs(old - ens.partial_sums[r, 0]) <= 1e-9
+
+    def test_circle_kernel_per_step_accuracy(self):
+        # with all step bits 1 (or 0) the walk is k_t = t (or -t), so X_t = cos 2 pi (x0 + k_t a)
+        # is checked at |k| up to 4096 against 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        n, head = 4096, 0x9E3779B97F4A7C15
+        gens = [FixedWords(head, (1 << 64) - 1), FixedWords(head, 0)]
+        xs = np.array(list(CW._simulate_block(cosine(1), n, gens)))
+        x0 = (head >> 11) * 2.0 ** -53
+        table_err, split_err = 0.0, 0.0
+        for col, sign in ((0, 1), (1, -1)):
+            for t in range(1, n + 1):
+                k = sign * t
+                pos = Fraction(x0) + k * CW.a.as_fraction()
+                exact = mpmath.cos(2 * mpmath.pi * mpmath.mpf(pos.numerator) / pos.denominator)
+                split = math.cos(2.0 * math.pi * np.mod(x0 + k * CW.a.hi + k * CW.a.lo, 1.0))
+                table_err = max(table_err, abs(float(xs[t - 1, col] - exact)))
+                split_err = max(split_err, abs(float(split - exact)))
+        assert table_err <= 8 * 2.0 ** -52
+        assert split_err > 100 * table_err
+
+    def test_circle_kernel_replay_mixed_observable(self):
+        # a constant, cosines at j = 1 and 3 and a sine at j = 3, step by step
+        from meanclt.numerics import substream
+        f = FourierFn(0.25, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
+        n, reps, seed = 200, 5, 17
+        xs = np.array(list(CW._simulate_block(
+            f, n, [substream(seed, r).generator() for r in range(reps)])))
+        for r in range(reps):
+            assert np.array_equal(xs[:, r], replay_circle(substream(seed, r).generator(), n, f))
+
+    @pytest.mark.parametrize("n", [64 * _CHUNK_WORDS - 1, 64 * _CHUNK_WORDS,
+                                   64 * _CHUNK_WORDS + 1, 1000])
+    def test_chunk_boundaries_and_block_sizes(self, n):
+        from meanclt.numerics import substream
+        reps, seed = 9, 23
+        for spec in (DM, CW):
+            sums = [simulate(spec, cosine(1), n, reps, checkpoints=[1, 63, 64, 65, n], seed=seed,
+                             block_size=bs).partial_sums for bs in (1, 7, 4096)]
+            assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
+        for r in (0, reps - 1):
+            partial = np.cumsum(replay_circle(substream(seed, r).generator(), n))
+            assert np.array_equal(partial[[0, 62, 63, 64, n - 1]], sums[0][r])
+
+    @pytest.mark.parametrize("n", [0, 1, 64 * _CHUNK_WORDS - 1, 64 * _CHUNK_WORDS,
+                                   64 * _CHUNK_WORDS + 1, 3 * 64 * _CHUNK_WORDS + 100])
+    def test_chunked_draws_are_one_raw_draw(self, n):
+        from meanclt.numerics import substream
+        reps, seed, n_words = 3, 5, (n + 63) // 64
+        gens = [CountingGenerator(substream(seed, r).generator()) for r in range(reps)]
+        head, bits = _draw_bit_paths(gens, n)
+        cols = np.array(list(bits), dtype=np.uint64).reshape(n, reps)
+        for r, g in enumerate(gens):
+            words = substream(seed, r).generator().bit_generator.random_raw(1 + n_words)
+            assert head[r] == words[0]
+            assert cols[:, r].tolist() == step_bits(words[1:], n)
+            assert g.calls == max(1, -(-n_words // _CHUNK_WORDS))
 
     def test_finite_chain_states(self):
         fc = two_state_chain()
