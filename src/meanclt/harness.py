@@ -203,7 +203,8 @@ def _bootstrap_se(tables: tuple, sigma: float, count: int, stream) -> float:
     `tables` is `sorted_gauss_tables(sample, sigma)`.  A resample draws
     indices into the unsorted sample; its sorted values and their Gaussian
     tables are the sorted ones, each repeated as often as the resample drew
-    it, so no resample is sorted or evaluated again.
+    it, so no resample is sorted or evaluated again.  The gathers and the
+    slab sum write into buffers allocated once.
     """
     if count < 2:
         return 0.0
@@ -211,11 +212,17 @@ def _bootstrap_se(tables: tuple, sigma: float, count: int, stream) -> float:
     gen = stream.generator()
     m = x.size
     positions = np.arange(m)
+    # five arrays the size of the temporaries they replace, not one (5, m)
+    # block, which is mapped fresh and raised the peak RSS
+    xs, cs, ps, u0, g0 = (np.empty(m) for _ in range(5))
+    scratch = (u0, g0, np.empty(m, dtype=bool))
     vals = np.empty(count)
     for b in range(count):
         c = np.bincount(gen.integers(0, m, m), minlength=m)[order]
         j = np.repeat(positions, c)  # one index and three gathers beat three np.repeat calls
-        vals[b] = w1_sorted_gauss(x[j], cdf[j], pdf[j], sigma)
+        for table, out in ((x, xs), (cdf, cs), (pdf, ps)):
+            np.take(table, j, out=out, mode="clip")  # j is in range: clip skips buffering
+        vals[b] = w1_sorted_gauss(xs, cs, ps, sigma, scratch)
     return float(vals.std(ddof=1))
 
 

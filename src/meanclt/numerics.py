@@ -9,11 +9,13 @@ near-equal quantities.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import AccuracyError, DomainError
 
@@ -53,10 +55,37 @@ DEFAULT_TOLERANCE = Tolerance()
 _U64 = (1 << 64) - 1
 
 
+class _KeyHandover(ISeedSequence):
+    """Hands one Philox key to the next Philox built from it, then forgets it.
+
+    Given a seed sequence, Philox takes its key from generate_state(2, uint64)
+    and draws no OS entropy; Philox(key=...) first draws a SeedSequence() only
+    to override it.  One instance under a lock serves every stream, so no
+    generator keeps a holder of its own.  The key is a list of two Python
+    ints, which Philox reads word by word as it would an array.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.lock = threading.Lock()
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        key, self.key = self.key, None
+        if key is None:
+            raise RuntimeError("a Philox key can be handed over only once")
+        return key
+
+
+_KEY_HANDOVER = _KeyHandover()
+
+
 @dataclass(frozen=True)
 class RandomStream:
-    """A (seed, stream_index) pair naming one Philox counter-based stream.
+    """A (seed, stream_index) pair naming one Philox4x64 stream.
 
+    The stream is Philox4x64 with key (seed mod 2^64, stream_index mod 2^64)
+    and counter 0, the words of Generator(Philox(key=k)) for that key k as a
+    uint64 array, built without an OS-entropy draw.
     Distinct pairs give statistically independent streams; equal pairs
     reproduce identical output bit for bit.  A stream value is cheap to
     create and should be consumed by exactly one consumer.
@@ -66,8 +95,10 @@ class RandomStream:
     stream_index: int
 
     def generator(self) -> Generator:
-        key = np.array([self.seed & _U64, self.stream_index & _U64], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        h = _KEY_HANDOVER
+        with h.lock:
+            h.key = [self.seed & _U64, self.stream_index & _U64]
+            return Generator(Philox(h))
 
 
 def substream(seed: int, index: int) -> RandomStream:

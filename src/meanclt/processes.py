@@ -739,6 +739,8 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")
+    if block_size < 1:
+        raise DomainError("block_size must be >= 1")
     checkpoints = tuple(sorted(set(int(c) for c in (checkpoints or [n]))))
     if checkpoints[0] < 1 or checkpoints[-1] > n:
         raise DomainError("checkpoints must lie in [1, n]")
@@ -767,6 +769,8 @@ def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.
     """Marginal sample of the chain state at a fixed time (diagnostics only)."""
     if step < 0:
         raise DomainError("step must be nonnegative")
+    if reps < 1:
+        raise DomainError("reps must be >= 1")
     gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
         w, bits = _draw_bit_paths(gens, step)

@@ -132,20 +132,37 @@ def sorted_gauss_tables(sample: np.ndarray, sigma: float) -> tuple:
     return order, x, gauss_cdf(z), gauss_pdf(z)
 
 
-def w1_sorted_gauss(x: np.ndarray, cdf: np.ndarray, pdf: np.ndarray, sigma: float) -> float:
+def w1_sorted_gauss(x: np.ndarray, cdf: np.ndarray, pdf: np.ndarray, sigma: float,
+                    scratch: Optional[tuple] = None) -> float:
     """The slab sum of w1_sample_gauss for sorted x, given its Gaussian
     tables cdf = Phi(x/sigma) and pdf = phi(x/sigma).
 
     Every term is elementwise in (x, cdf, pdf) apart from the slab grid, so
     a resample of a sorted sample can pass its tables repeated by counts
-    instead of re-evaluating them.
+    instead of re-evaluating them.  With `scratch`, a tuple (u0, g0, mask)
+    of two float arrays and a bool array of x.size, the sum allocates no
+    array: it overwrites the scratch, and also cdf and pdf, which it reuses
+    once read.  Either way it adds the same terms in the same order.
     """
     grid, g_grid = _slab_tables(x.size)
     a, b = grid[:-1], grid[1:]
-    u0 = np.clip(cdf, a, b)
-    g0 = np.where(u0 == cdf, pdf, np.where(u0 == a, g_grid[:-1], g_grid[1:]))
-    piece = x * (u0 - a) + sigma * (g0 - g_grid[:-1]) \
-        + sigma * (g0 - g_grid[1:]) + x * (u0 - b)
+    ga, gb = g_grid[:-1], g_grid[1:]
+    if scratch is None:
+        cdf, pdf = cdf.copy(), pdf.copy()
+        scratch = (np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool))
+    u0, g0, mask = scratch
+    np.clip(cdf, a, b, out=u0)
+    # g0 = pdf where u0 == cdf, else ga where u0 == a, else gb
+    np.copyto(g0, gb)
+    np.copyto(g0, ga, where=np.equal(u0, a, out=mask))
+    np.copyto(g0, pdf, where=np.equal(u0, cdf, out=mask))
+    # piece = x (u0 - a) + sigma (g0 - ga) + sigma (g0 - gb) + x (u0 - b),
+    # added left to right in cdf, each term built in pdf
+    piece, term = cdf, pdf
+    np.multiply(x, np.subtract(u0, a, out=piece), out=piece)
+    piece += np.multiply(sigma, np.subtract(g0, ga, out=term), out=term)
+    piece += np.multiply(sigma, np.subtract(g0, gb, out=term), out=term)
+    piece += np.multiply(x, np.subtract(u0, b, out=term), out=term)
     return float(piece.sum())
 
 

@@ -283,7 +283,7 @@ class TestBootstrap:
     # resampling by counts must add the very arrays that sorting each resample
     # gave, so the standard error is equal, not merely close
 
-    @pytest.mark.parametrize("m", [1, 2, 2048])
+    @pytest.mark.parametrize("m", [1, 2, 2048, 20_000])
     def test_matches_sorting_every_resample(self, m):
         sample = substream(3, m).generator().normal(0.0, 0.7, m)
         tables = sorted_gauss_tables(sample, 0.7)

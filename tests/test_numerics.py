@@ -1,9 +1,16 @@
+import gc
 import math
+import os
+import random
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from meanclt.errors import AccuracyError, DomainError
 from meanclt.numerics import (Tolerance, bessel_j, gauss_cdf, gauss_cdf_antideriv,
@@ -186,3 +193,81 @@ class TestRandomStream:
     def test_negative_seed_allowed(self):
         g = substream(-5, -7).generator()
         assert 0.0 <= g.random() < 1.0
+
+    @pytest.mark.parametrize("seed, index", [
+        (0, 0), (42, 7), (-5, -7), (-1, 3), (9, -(1 << 64)),
+        (1 << 64, 5), ((1 << 64) + 3, (1 << 70) + 9), (-(1 << 65) - 1, (1 << 64) - 1)])
+    def test_stream_is_philox_keyed_by_the_pair(self, seed, index):
+        u64 = (1 << 64) - 1
+        got = substream(seed, index).generator()
+        # a uint64 array: Philox(key=list) casts a list holding a word >= 2^63 through float
+        want = Generator(Philox(key=np.array([seed & u64, index & u64], dtype=np.uint64)))
+        state = got.bit_generator.state["state"]
+        assert state["key"].tolist() == [seed & u64, index & u64]
+        assert state["counter"].tolist() == [0, 0, 0, 0]
+        assert np.array_equal(got.bit_generator.random_raw(9), want.bit_generator.random_raw(9))
+        assert np.array_equal(got.random(7), want.random(7))
+        assert np.array_equal(got.integers(0, 10**9, 7), want.integers(0, 10**9, 7))
+        assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+
+    def test_generator_draws_no_os_entropy(self, monkeypatch):
+        def no_entropy(size):
+            raise OSError("no OS entropy in this test")
+        monkeypatch.setattr(os, "urandom", no_entropy)
+        monkeypatch.setattr(random, "_urandom", no_entropy)  # what secrets.randbits reads
+        with pytest.raises(OSError):
+            Philox(key=[1, 2])  # the patch does block an entropy draw
+        g = substream(1, 2).generator()
+        assert np.array_equal(g.bit_generator.random_raw(4),
+                              substream(1, 2).generator().bit_generator.random_raw(4))
+
+    def test_concurrent_generators_keep_their_keys(self):
+        # every stream hands its key over through one shared holder; threads
+        # building generators at once must each get their own key
+        count, threads = 400, 4
+        want = {(t, i): substream(t, i).generator().bit_generator.random_raw()
+                for t in range(threads) for i in range(count)}
+        got, errors = {}, []
+
+        def build(t):
+            try:
+                for i in range(count):
+                    got[t, i] = substream(t, i).generator().bit_generator.random_raw()
+            except Exception as e:  # reported below: a thread's exception is otherwise lost
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(t,)) for t in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == [] and got == want
+
+    def test_generator_retains_no_more_than_keyed_philox(self):
+        # memory held by 4096 more live generators, so fixed one-off
+        # allocations cancel; a key holder per generator would add about 80 B
+        def traced_bytes(make, count):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                gens = [make(i) for i in range(count)]
+                after = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(gens) == count
+            return after - before
+
+        def retained_per_generator(make):
+            return (traced_bytes(make, 8192) - traced_bytes(make, 4096)) / 4096
+
+        ours = retained_per_generator(lambda i: substream(7, i).generator())
+        keyed = retained_per_generator(
+            lambda i: Generator(Philox(key=np.array([7, i], dtype=np.uint64))))
+        assert ours <= keyed, (ours, keyed)

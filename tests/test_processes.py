@@ -419,6 +419,18 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(DM, cosine(1), 10, 5, checkpoints=[20], seed=0)
 
+    @pytest.mark.parametrize("block_size", [0, -3])
+    def test_block_size_validation(self, block_size):
+        # -3 used to return sums read from uninitialised memory, 0 a bare ValueError
+        with pytest.raises(DomainError, match="block_size"):
+            simulate(DM, cosine(1), 10, 5, seed=0, block_size=block_size)
+
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_sample_states_reps_validation(self, reps):
+        for spec in (DM, CW):
+            with pytest.raises(DomainError, match="reps"):
+                sample_states(spec, 3, reps, seed=0)
+
     def test_doubling_fixed_point_replay(self):
         # bit-exact contract: row r consumes substream(seed, r) as one word for
         # the initial state followed by packed step bits, low bit first

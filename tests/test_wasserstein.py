@@ -11,8 +11,9 @@ from meanclt.numerics import (Tolerance, gauss_cdf, gauss_pdf, gauss_quantile,
                               integrate_interval)
 from meanclt.processes import DoublingMap, characteristic
 from meanclt.wasserstein import (EmpiricalSample, FinitePmf, ks_sample_gauss,
-                                 sample_from_csv, sorted_gauss_tables, w1_charfn_gauss,
-                                 w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
+                                 _slab_tables, sample_from_csv, sorted_gauss_tables,
+                                 w1_charfn_gauss, w1_pmf_gauss, w1_sample_gauss,
+                                 w1_sample_sample, w1_sorted_gauss)
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -314,6 +315,50 @@ class TestSortedGaussTables:
             sorted_gauss_tables(np.array([0.0, np.nan]), 1.0)
         with pytest.raises(DomainError):
             sorted_gauss_tables(np.array([0.0, 1.0]), 0.0)
+
+
+def slab_sum_by_where(x, cdf, pdf, sigma):
+    """The slab sum as one expression of fresh arrays, with nested np.where."""
+    grid, g_grid = _slab_tables(x.size)
+    a, b = grid[:-1], grid[1:]
+    u0 = np.clip(cdf, a, b)
+    g0 = np.where(u0 == cdf, pdf, np.where(u0 == a, g_grid[:-1], g_grid[1:]))
+    piece = x * (u0 - a) + sigma * (g0 - g_grid[:-1]) \
+        + sigma * (g0 - g_grid[1:]) + x * (u0 - b)
+    return float(piece.sum())
+
+
+class TestSortedScratch:
+    # the in-place slab sum must add the very terms of the expression form,
+    # whatever the scratch held before
+
+    @staticmethod
+    def samples():
+        gen = np.random.default_rng(17)
+        yield 1.1, np.array([0.7])
+        yield 1.1, np.array([-0.0, 0.0])
+        yield 0.9, np.array([2.5, -1.0])
+        base = np.array([0.0, -0.0, 1.5, -0.0, 1.5, -2.0, 0.0, 1.5, 3.25, -2.0, -40.0, 9.0])
+        yield 1.3, np.repeat(base, 25)
+        yield 0.7, gen.normal(0.0, 0.7, 20_000)
+        ties = np.round(gen.normal(0.0, 1.0, 20_000), 1)
+        yield 1.0, np.where(gen.random(20_000) < 0.5, -ties, ties)  # ties and signed zeros
+
+    def test_nan_scratch_equals_fresh(self):
+        for sigma, sample in self.samples():
+            _, x, cdf, pdf = sorted_gauss_tables(sample, sigma)
+            fresh = w1_sorted_gauss(x, cdf, pdf, sigma)
+            m = x.size
+            scratch = (np.full(m, np.nan), np.full(m, np.nan), np.ones(m, dtype=bool))
+            got = w1_sorted_gauss(x, cdf.copy(), pdf.copy(), sigma, scratch)
+            assert got == fresh == slab_sum_by_where(x, cdf, pdf, sigma), (m, got, fresh)
+            assert fresh == w1_sample_gauss(EmpiricalSample(sample), sigma)
+
+    def test_fresh_scratch_leaves_tables(self):
+        _, x, cdf, pdf = sorted_gauss_tables(np.array([0.3, -1.2, 0.3, 2.5]), 0.8)
+        kept = cdf.copy(), pdf.copy()
+        w1_sorted_gauss(x, cdf, pdf, 0.8)
+        assert np.array_equal(cdf, kept[0]) and np.array_equal(pdf, kept[1])
 
 
 class TestCsv:
