@@ -11,7 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AccuracyError, MeancltError, PrecisionError, ResourceError, SchemaError
+from .errors import (AccuracyError, MeancltError, PrecisionError, ResourceError, SchemaError,
+                     reject_unknown_keys)
 from .fourier import FourierFn
 from .harness import (CSV_COLUMNS, PRESETS, ExperimentConfig, check_appendix,
                       diagnose_conditions, merge_reports, preset_config, render_csv, run)
@@ -104,6 +105,8 @@ def _cmd_diagnose(args) -> int:
     d = json.loads(Path(args.config).read_text())
     if not isinstance(d, dict):
         raise SchemaError("config must be a JSON object")
+    # a run config diagnoses as it is; keys no run reads are misspellings
+    reject_unknown_keys(d, [f.name for f in dataclasses.fields(ExperimentConfig)], "config")
     spec = process_from_dict(d["process"])
     obs = FourierFn.from_dict(d["observable"]) if d.get("observable") else None
     report = diagnose_conditions(spec, obs, kmax=args.kmax, window=args.window)

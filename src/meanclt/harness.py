@@ -62,6 +62,18 @@ EXACT_REL_ERR = 0.01
 # ---------------------------------------------------------------------------
 
 
+_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", dict: "an object or null"}
+
+
+def _json_typed(value, kind: type, field: str):
+    """value, after checking it has the JSON type `kind` (an object may also be
+    null, and a boolean is no integer)."""
+    if (kind is dict and value is None) or (
+            isinstance(value, kind) and (kind is bool or not isinstance(value, bool))):
+        return value
+    raise SchemaError(f"{field} must be {_JSON_TYPE_NAMES[kind]}, got {value!r} (field: {field})")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     process: ProcessSpec
@@ -116,20 +128,22 @@ class ExperimentConfig:
         if "reps" not in d:
             raise SchemaError("config is missing the required field 'reps' (field: reps)")
         reject_unknown_keys(d, [f.name for f in fields(cls)], "config")
-        tol = d.get("tolerance") or {}
-        if not isinstance(tol, dict):
-            raise SchemaError(f"tolerance must be an object, got {tol!r} (field: tolerance)")
+        tol = _json_typed(d.get("tolerance"), dict, "tolerance") or {}
         reject_unknown_keys(tol, [f.name for f in fields(Tolerance)], "tolerance")
+        if "max_depth" in tol:
+            _json_typed(tol["max_depth"], int, "tolerance.max_depth")
+        obs = _json_typed(d.get("observable"), dict, "observable")
         return cls(process=process_from_dict(d["process"]),
-                   observable=FourierFn.from_dict(d["observable"]) if d.get("observable") else None,
-                   n_grid=tuple(d["n_grid"]),
-                   reps=int(d["reps"]),
-                   seed=int(d.get("seed", 0)),
+                   observable=FourierFn.from_dict(obs) if obs else None,
+                   n_grid=tuple(_json_typed(n, int, f"n_grid[{i}]")
+                                for i, n in enumerate(d["n_grid"])),
+                   reps=_json_typed(d["reps"], int, "reps"),
+                   seed=_json_typed(d.get("seed", 0), int, "seed"),
                    targets=tuple(d.get("targets", ("empirical_d1", "rate_fit"))),
                    tolerance=Tolerance(**tol),
                    output=d.get("output"),
-                   exact_pmf=bool(d.get("exact_pmf", False)),
-                   bootstrap=int(d.get("bootstrap", 100)))
+                   exact_pmf=_json_typed(d.get("exact_pmf", False), bool, "exact_pmf"),
+                   bootstrap=_json_typed(d.get("bootstrap", 100), int, "bootstrap"))
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

@@ -223,57 +223,6 @@ def gaussian(kind: str, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind
-# ---------------------------------------------------------------------------
-
-_BESSEL_RESCALE = 1e250
-
-
-def bessel_j(m_max: int, tau: ArrayLike) -> np.ndarray:
-    """J_0(tau), ..., J_{m_max}(tau) as an array of shape (m_max + 1,) + shape(tau).
-
-    Miller's downward recurrence J_{m-1} = (2m/x) J_m - J_{m+1}, started well
-    above max(m_max, |tau|) and normalized by J_0 + 2 sum_k J_{2k} = 1.  The
-    downward direction is the stable one, so small orders of small arguments
-    keep their relative accuracy.  Negative arguments use J_m(-x) = (-1)^m J_m(x).
-    """
-    if m_max < 0:
-        raise DomainError("m_max must be nonnegative")
-    tau = np.asarray(tau, dtype=float)
-    x = np.abs(tau).reshape(-1)
-    top = max(m_max, int(math.ceil(x.max(initial=0.0))))
-    start = 2 * ((top + int(math.sqrt(160.0 * (top + 1))) + 20) // 2)
-    safe = np.where(x > 0.0, x, 1.0)
-    out = np.zeros((m_max + 1, x.size))
-    stored_at = np.zeros((m_max + 1, x.size))  # rescales done when out[m] was stored
-    rescales = np.zeros(x.size)
-    upper = np.zeros(x.size)            # J_{m+1}, up to a common scale
-    cur = np.full(x.size, 1e-300)       # J_m
-    norm = np.zeros(x.size)
-    for m in range(start, 0, -1):
-        upper, cur = cur, (2.0 * m / safe) * cur - upper   # cur is now J_{m-1}
-        if m - 1 <= m_max:
-            out[m - 1] = cur
-            stored_at[m - 1] = rescales
-        if (m - 1) % 2 == 0 and m > 1:
-            norm += 2.0 * cur
-        big = np.abs(cur) > _BESSEL_RESCALE
-        if big.any():
-            scale = np.where(big, 1.0 / _BESSEL_RESCALE, 1.0)
-            upper *= scale
-            cur *= scale
-            norm *= scale
-            rescales += big
-    out *= (1.0 / _BESSEL_RESCALE) ** (rescales - stored_at)
-    out /= norm + cur
-    out[:, x == 0.0] = 0.0
-    out[0, x == 0.0] = 1.0
-    odd = np.arange(m_max + 1) % 2 == 1
-    out[np.ix_(odd, tau.reshape(-1) < 0.0)] *= -1.0
-    return out.reshape((m_max + 1,) + tau.shape)
-
-
-# ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod 7-15 quadrature on [0, 1]
 # ---------------------------------------------------------------------------
 

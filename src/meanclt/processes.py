@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (DegenerateVarianceError, DivergenceError, DomainError,
                      PreconditionError, SchemaError, reject_unknown_keys)
 from .fourier import FourierFn, constant_fn, lebesgue_inner
-from .numerics import bessel_j, substream
+from .numerics import substream
 
 MARTINGALE_TOL = 1e-14
 # l1 mass allowed in the dropped Bessel coefficients of exp(i tau f), per step of S_n
@@ -190,9 +190,10 @@ class DoublingMap(ProcessSpec):
             yield f.eval(w.astype(np.float64) * 2.0 ** -64)
 
     def _characteristic(self, f, n, taus):
-        # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), truncated to its Bessel
-        # band |k| <= B; bound: |g_B| <= 1 + eps and K contracts sup norms, so the
-        # n-fold product moves by at most (1 + eps)^n - 1
+        # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
+        # |k| <= B from the FFT of its samples; bound: truncation plus aliasing
+        # leave |g_B| <= 1 + eps and K contracts sup norms, so the n-fold product
+        # moves by at most (1 + eps)^n - 1
         flat = taus.reshape(-1)
         order = np.argsort(np.abs(flat), kind="stable")
         batches = [order[s:s + _TAU_BATCH] for s in range(0, flat.size, _TAU_BATCH)]
@@ -466,9 +467,6 @@ class Characteristic(NamedTuple):
     bound: np.ndarray
 
 
-_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
-
-
 def _bessel_cut(x: np.ndarray, tail: float) -> tuple:
     """Smallest order M with sum_{|m|>M} |J_m(x)| <= tail at every x, and that
     sum's bound at each x, from |J_m(x)| <= (x/2)^m / m!; past m the terms
@@ -486,39 +484,33 @@ def _bessel_cut(x: np.ndarray, tail: float) -> tuple:
     return cut, tail_bound(0.5 * x, cut)
 
 
-def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise linear convolution of two batches of centered coefficient rows."""
-    if a.shape[1] == 1:
-        return a * b
-    width = a.shape[1] + b.shape[1] - 1
-    size = 1 << (width - 1).bit_length()
-    return np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(b, size))[:, :width]
-
-
 def _exp_i_tau_f(f: FourierFn, taus: np.ndarray, batches: list, tail: float) -> tuple:
     """Coefficients of exp(i tau f), per batch of taus one array with a row per
-    tau on the batch's frequencies -B..B, and per tau a bound on the l1 mass
-    the truncation drops.
+    tau on the batch's frequencies -B..B, and per tau a bound on their l1 error.
 
-    Jacobi-Anger, per frequency j of f written as r cos(2 pi j x - phase):
-    exp(i tau r cos(2 pi j x - phase)) = sum_m i^|m| J_|m|(tau r) e^{-i m phase}
-    e^{2 pi i m j x}, cut at |m| <= M for each batch; the frequencies of f
-    multiply by convolution.
+    The coefficients are the DFT of exp(i tau f) sampled at 2^k > 2B + 1 points.
+    By Jacobi-Anger, frequency j of f contributes the factor sum_m i^|m| J_|m|
+    e^{2 pi i m j x} (up to phases); cutting it at |m| <= c_j, where the dropped
+    mass d_j falls below tail, gives B = sum_j j c_j.  As sum_m J_m^2 = 1 the
+    kept part has l1 mass at most a_j = sqrt(2 c_j + 1), so the coefficients
+    beyond B carry at most delta = prod(a_j + d_j) - prod(a_j).  Dropping them
+    and their aliases onto -B..B each move the result by at most delta.
     """
-    gs = [np.exp(1j * f.constant * taus[rows])[:, None] for rows in batches]
-    eps = np.zeros(taus.size)
-    for j in np.flatnonzero(np.hypot(f.cos_coeffs, f.sin_coeffs)) + 1:
-        a, b = f.cos_coeffs[j - 1], f.sin_coeffs[j - 1]
-        r, phase = math.hypot(a, b), math.atan2(b, a)
-        cuts = [_bessel_cut(r * np.abs(taus[rows]), tail) for rows in batches]
-        jm = bessel_j(max((cut for cut, _ in cuts), default=0), r * taus)
-        for i, (rows, (cut, drop)) in enumerate(zip(batches, cuts)):
-            m = np.arange(-cut, cut + 1)
-            factor = np.zeros((rows.size, 2 * j * cut + 1), dtype=complex)
-            factor[:, ::j] = (_I_POWERS[np.abs(m) % 4] * jm[np.abs(m)][:, rows].T
-                              * np.exp(-1j * m * phase))
-            gs[i] = _convolve_rows(gs[i], factor)
-            eps[rows] += drop + eps[rows] * drop
+    radii = np.hypot(f.cos_coeffs, f.sin_coeffs)
+    gs, eps = [], np.zeros(taus.size)
+    for rows in batches:
+        band, delta, kept = 0, 0.0, 1.0
+        for j in (np.flatnonzero(radii) + 1).tolist():
+            cut, drop = _bessel_cut(radii[j - 1] * np.abs(taus[rows]), tail)
+            band += j * cut
+            # one factor at a time: the product difference would round d ~ 1e-18 away
+            a = math.sqrt(2 * cut + 1)
+            delta = delta * (a + drop) + kept * drop
+            kept *= a
+        eps[rows] = 2.0 * delta
+        points = 1 << (2 * band + 1).bit_length()
+        samples = np.exp(1j * np.outer(taus[rows], f.eval(np.arange(points) / points)))
+        gs.append(np.fft.fft(samples)[:, np.arange(-band, band + 1) % points] / points)
     return gs, eps
 
 

@@ -22,6 +22,8 @@ from meanclt.wasserstein import (EmpiricalSample, ks_sample_gauss, sorted_gauss_
                                  w1_charfn_gauss, w1_sample_gauss)
 
 MC_KEYS = {"n", "d1_normalized", "d1_unnormalized", "d1_boot_se", "ks"}
+CIRCLE = {"type": "circle_walk", "a": "sqrt2_minus_one"}
+CHAIN = {"type": "finite_chain", "transition": [[0.9, 0.1], [0.2, 0.8]], "values": [1.0, -1.0]}
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -455,7 +457,20 @@ class TestCli:
                                             (("observable", "cos"), ["x"]),
                                             (("process", "a_hi"), "q"),
                                             (("process",), "x"),
-                                            (("tolerance",), ["x"])])
+                                            (("tolerance",), ["x"]),
+                                            (("exact_pmf",), "false"),
+                                            (("reps",), 150.7),
+                                            (("reps",), True),
+                                            (("seed",), 3.9),
+                                            (("bootstrap",), 20.5),
+                                            (("n_grid",), [16, 64.0]),
+                                            (("tolerance",), {"max_depth": 2.5}),
+                                            (("tolerance",), []),
+                                            (("tolerance",), 0),
+                                            (("tolerance",), ""),
+                                            (("observable",), []),
+                                            (("observable",), 0),
+                                            (("observable",), "")])
     def test_malformed_field_exit_code(self, tmp_path, capsys, path, value):
         from meanclt.cli import main
         cfg = {"process": {"type": "circle_walk", "a_hi": 0.41421356237309503},
@@ -468,23 +483,35 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(bad)]) == 2
-        assert "invalid input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid input" in err
+        if len(path) == 1:   # a malformed top-level field is named
+            assert f"(field: {path[0]}" in err
 
-    @pytest.mark.parametrize("path,key", [((), "target"), (("tolerance",), "abs_tolerance"),
-                                          (("observable",), "coss"), (("process",), "a_high")])
-    def test_misspelt_key_exit_code(self, tmp_path, capsys, path, key):
+    @pytest.mark.parametrize("command,process,path,key", [
+        *(pytest.param("run", CIRCLE, path, key, id=f"path{i}-{key}") for i, (path, key) in
+          enumerate([((), "target"), (("tolerance",), "abs_tolerance"),
+                     (("observable",), "coss"), (("process",), "a_high")])),
+        pytest.param("diagnose", CHAIN, (), "observabel", id="diagnose-chain-observabel"),
+        pytest.param("diagnose", {"type": "doubling_map"}, (), "observabel",
+                     id="diagnose-doubling-observabel"),
+        *(pytest.param("diagnose", CIRCLE, path, key, id=f"diagnose-{key}")
+          for path, key in [((), "target"), (("observable",), "coss"), (("process",), "a_high")])])
+    def test_misspelt_key_exit_code(self, tmp_path, capsys, command, process, path, key):
         from meanclt.cli import main
-        cfg = {"process": {"type": "circle_walk", "a": "sqrt2_minus_one"},
-               "observable": {"cos": [1.0]}, "n_grid": [16, 64], "reps": 200,
+        cfg = {"process": dict(process), "n_grid": [16, 64], "reps": 200,
                "targets": ["empirical_d1", "rate_fit"], "tolerance": {},
                "output": str(tmp_path / "out")}
+        if key != "observabel":
+            cfg["observable"] = {"cos": [1.0]}
         target = cfg
         for step in path:
             target = target[step]
         target[key] = 1.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(bad)]) == 2
+        argv = ["--output", str(tmp_path / "out.json")] if command == "diagnose" else []
+        assert main([command, "--config", str(bad), *argv]) == 2
         assert repr(key) in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 

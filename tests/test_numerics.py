@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from meanclt.errors import AccuracyError, DomainError
-from meanclt.numerics import (Tolerance, bessel_j, gauss_cdf, gauss_cdf_antideriv,
+from meanclt.numerics import (Tolerance, gauss_cdf, gauss_cdf_antideriv,
                               gauss_quantile, gaussian, integrate_interval,
                               integrate_unit, phi_deriv_l1, substream)
 
@@ -143,32 +143,6 @@ class TestPhiDerivL1:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi_deriv_l1(4)
-
-
-class TestBessel:
-    def test_matches_mpmath(self):
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
-        taus = np.concatenate([[0.0, 1e-9, 1e-3], np.linspace(0.05, 20.0, 40)])
-        got = bessel_j(40, taus)
-        for i, tau in enumerate(taus):
-            for m in range(41):
-                want = float(mp.besselj(m, mp.mpf(float(tau))))
-                assert abs(got[m, i] - want) <= 2e-16 + 1e-12 * abs(want), (m, tau)
-
-    def test_parseval_identity(self):
-        # J_0^2 + 2 sum_{m>=1} J_m^2 = 1 for every argument
-        taus = np.linspace(-60.0, 60.0, 241)
-        j = bessel_j(120, taus)
-        assert np.max(np.abs(j[0] ** 2 + 2.0 * (j[1:] ** 2).sum(axis=0) - 1.0)) < 1e-14
-
-    def test_shape_and_odd_orders_flip_sign(self):
-        j = bessel_j(5, np.array([[1.5, -1.5]]))
-        assert j.shape == (6, 1, 2)
-        assert np.allclose(j[:, 0, 1], j[:, 0, 0] * (-1.0) ** np.arange(6), rtol=0, atol=0)
-        assert bessel_j(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
-        with pytest.raises(DomainError):
-            bessel_j(-1, 1.0)
 
 
 class TestRandomStream:

@@ -6,10 +6,10 @@ import pytest
 
 from meanclt.errors import (DivergenceError, DomainError, PreconditionError)
 from meanclt.fourier import FourierFn, cosine, sine
-from meanclt.numerics import bessel_j, integrate_unit
+from meanclt.numerics import integrate_unit
 from meanclt.processes import (_CHUNK_WORDS, CircleWalk, DoublingMap, FiniteChain, SplitReal,
-                               _draw_bit_paths, characteristic, exact_frac, iid_gaussian,
-                               iid_rademacher, is_martingale, long_run_variance,
+                               _draw_bit_paths, _exp_i_tau_f, characteristic, exact_frac,
+                               iid_gaussian, iid_rademacher, is_martingale, long_run_variance,
                                process_from_dict, resolvent_tail, sample_states, simulate,
                                sqrt2_minus_one, transfer)
 
@@ -289,10 +289,32 @@ def twisted_loop(f: FourierFn, n: int, tau: float, band: int) -> complex:
 
 class TestCharacteristic:
     def test_one_step_is_bessel_j0(self):
+        mp = pytest.importorskip("mpmath")
         taus = np.linspace(-25.0, 25.0, 101)
         law = characteristic(DM, cosine(1), 1, taus)
-        assert np.max(np.abs(law.values - bessel_j(0, taus)[0])) < 1e-15
+        want = np.array([float(mp.besselj(0, float(t))) for t in taus])
+        assert np.max(np.abs(law.values - want)) < 1e-15
         assert np.all(law.bound <= 1e-16)
+
+    def test_coefficient_bound_holds_at_loose_tails(self):
+        # the partial Fourier sum of exp(i tau f) stays within eps of it everywhere,
+        # where truncation and aliasing are far above rounding; the phase tau f(x)
+        # itself is rounded to about |tau| ulp, which the 1e-14 (1 + |tau|) allows
+        x = np.arange(8192) / 8192
+        taus = np.linspace(-40.0, 40.0, 81)
+        order = np.argsort(np.abs(taus), kind="stable")
+        batches = [order[s:s + 16] for s in range(0, taus.size, 16)]
+        for f in (cosine(1), cosine(2), FourierFn(0.2, [0.0, -0.7], [0.4])):
+            for tail in (1e-2, 1e-4, 1e-8):
+                gs, eps = _exp_i_tau_f(f, taus, batches, tail)
+                for rows, g in zip(batches, gs):
+                    band = (g.shape[1] - 1) // 2
+                    spread = np.zeros((rows.size, x.size), dtype=complex)
+                    spread[:, np.arange(-band, band + 1) % x.size] = g
+                    err = np.abs(np.fft.ifft(spread) * x.size
+                                 - np.exp(1j * np.outer(taus[rows], f.eval(x))))
+                    slack = 1e-14 * (1.0 + np.abs(taus[rows]))
+                    assert np.all(err.max(axis=1) <= eps[rows] + slack), (f.describe(), tail)
 
     def test_matches_direct_quadrature(self):
         taus = np.array([-2.5, 0.0, 0.3, 1.0, 4.0])
