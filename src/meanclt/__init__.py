@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .errors import (AccuracyError, DegenerateVarianceError, DivergenceError,
                      DomainError, MeancltError, PrecisionError, PreconditionError,
                      ResourceError, SchemaError)
-from .numerics import (DEFAULT_TOLERANCE, RandomStream, Tolerance, gaussian,
+from .numerics import (DEFAULT_TOLERANCE, RandomStream, Tolerance,
                        gauss_cdf, gauss_cdf_antideriv, gauss_pdf, gauss_quantile,
                        integrate_interval, integrate_unit, phi_deriv_l1, substream)
 from .fourier import FourierFn, ProductResult, constant_fn, cosine, lebesgue_inner, product, sine
@@ -20,8 +20,8 @@ from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, LongRunVar
                         iid_rademacher, is_martingale, long_run_variance,
                         process_from_dict, resolvent_tail, sample_states, simulate,
                         sqrt2_minus_one, transfer)
-from .wasserstein import (EmpiricalSample, FinitePmf, ks_sample_gauss, sample_from_csv,
-                          w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
+from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
+                          sample_from_csv, w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
 from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, KernelDecaySum,
                            MixingIntegralReport, QuantileSeq, alpha_exact, alpha_inverse,
                            alpha_tabulation, covariance_bound_check, dispersion_check,

@@ -238,17 +238,8 @@ class BoundReport:
     m_cutoff: int
     correction: float = 0.0
 
-    def terms(self) -> dict:
-        return {"constant": self.constant, "log": self.log_term,
-                "series": float(sum(self.series)), "correction": self.correction}
-
     def to_dict(self) -> dict:
         return dict(asdict(self), series=list(self.series))
-
-    def csv_row(self) -> str:
-        return ",".join([str(self.n)] + [repr(float(v)) for v in
-                                         (self.total, self.constant, self.log_term,
-                                          sum(self.series), self.correction)])
 
 
 def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,

@@ -11,12 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (AccuracyError, MeancltError, PrecisionError, ResourceError, SchemaError,
-                     reject_unknown_keys)
-from .fourier import FourierFn
+from .errors import AccuracyError, MeancltError, PrecisionError, ResourceError
 from .harness import (CSV_COLUMNS, PRESETS, ExperimentConfig, check_appendix,
-                      diagnose_conditions, merge_reports, preset_config, render_csv, run)
-from .processes import process_from_dict
+                      diagnose_conditions, merge_reports, preset_config, read_process,
+                      render_csv, run)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -57,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_json_file(args.config)
+    config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     if args.output:
         config = dataclasses.replace(config, output=args.output)
     manifest = run(config)
@@ -102,13 +100,8 @@ def _cmd_check_appendix(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    d = json.loads(Path(args.config).read_text())
-    if not isinstance(d, dict):
-        raise SchemaError("config must be a JSON object")
     # a run config diagnoses as it is; keys no run reads are misspellings
-    reject_unknown_keys(d, [f.name for f in dataclasses.fields(ExperimentConfig)], "config")
-    spec = process_from_dict(d["process"])
-    obs = FourierFn.from_dict(d["observable"]) if d.get("observable") else None
+    spec, obs = read_process(json.loads(Path(args.config).read_text()))
     report = diagnose_conditions(spec, obs, kmax=args.kmax, window=args.window)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.output:

@@ -33,11 +33,11 @@ from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation,
                            quantile_from_sample, theta_coeff, weighted_tail_integral)
 from .errors import DomainError, SchemaError, reject_unknown_keys
 from .fourier import FourierFn
-from .numerics import Tolerance, gauss_cdf, substream
+from .numerics import Tolerance, substream
 from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, characteristic,
                         is_martingale, long_run_variance, process_from_dict, simulate)
-from .wasserstein import (EmpiricalSample, FinitePmf, ks_sorted_gauss, sorted_gauss_tables,
-                          w1_charfn_gauss, w1_pmf_gauss, w1_sorted_gauss)
+from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sorted_gauss,
+                          sorted_gauss_tables, w1_charfn_gauss, w1_pmf_gauss, w1_sorted_gauss)
 
 SCHEMA_VERSION = "1"
 
@@ -62,7 +62,8 @@ EXACT_REL_ERR = 0.01
 # ---------------------------------------------------------------------------
 
 
-_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", dict: "an object or null"}
+_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", list: "a list",
+                    dict: "an object or null"}
 
 
 def _json_typed(value, kind: type, field: str):
@@ -84,7 +85,7 @@ class ExperimentConfig:
     targets: tuple
     tolerance: Tolerance = Tolerance()
     output: Optional[str] = None
-    exact_pmf: bool = False
+    exact_pmf: Optional[bool] = None  # None: the process decides
     bootstrap: int = 100
 
     def __post_init__(self):
@@ -95,7 +96,7 @@ class ExperimentConfig:
         object.__setattr__(self, "targets", tuple(self.targets))
         for t in self.targets:
             if t not in TARGETS:
-                raise DomainError(f"unknown target {t!r}; valid: {TARGETS}")
+                raise DomainError(f"unknown target {t!r}; valid: {TARGETS} (field: targets)")
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
         if self.bootstrap < 2:
@@ -103,11 +104,13 @@ class ExperimentConfig:
         if self.output is not None and not isinstance(self.output, str):
             raise SchemaError(f"output must be a path string or null, got {self.output!r} "
                               "(field: output)")
+        rademacher = isinstance(self.process, IIDLaw) and self.process.name == "rademacher"
+        if self.exact_pmf is None:  # only the Rademacher law's S_n has a known exact pmf
+            object.__setattr__(self, "exact_pmf", rademacher)
+        elif self.exact_pmf != rademacher:
+            raise DomainError(f"exact_pmf must be {str(rademacher).lower()} (field: exact_pmf)")
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
             raise DomainError("empirical targets require reps >= 100")
-        if self.exact_pmf and not (isinstance(self.process, IIDLaw)
-                                   and self.process.name == "rademacher"):
-            raise DomainError("exact-pmf mode is available for the Rademacher iid law only")
 
     def to_dict(self) -> dict:
         return {"process": self.process.to_dict(),
@@ -123,31 +126,34 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise SchemaError("config must be a JSON object")
+        process, observable = read_process(d)
         if "reps" not in d:
             raise SchemaError("config is missing the required field 'reps' (field: reps)")
-        reject_unknown_keys(d, [f.name for f in fields(cls)], "config")
         tol = _json_typed(d.get("tolerance"), dict, "tolerance") or {}
         reject_unknown_keys(tol, [f.name for f in fields(Tolerance)], "tolerance")
         if "max_depth" in tol:
             _json_typed(tol["max_depth"], int, "tolerance.max_depth")
-        obs = _json_typed(d.get("observable"), dict, "observable")
-        return cls(process=process_from_dict(d["process"]),
-                   observable=FourierFn.from_dict(obs) if obs else None,
+        return cls(process=process, observable=observable,
                    n_grid=tuple(_json_typed(n, int, f"n_grid[{i}]")
-                                for i, n in enumerate(d["n_grid"])),
+                                for i, n in enumerate(_json_typed(d["n_grid"], list, "n_grid"))),
                    reps=_json_typed(d["reps"], int, "reps"),
                    seed=_json_typed(d.get("seed", 0), int, "seed"),
-                   targets=tuple(d.get("targets", ("empirical_d1", "rate_fit"))),
+                   targets=tuple(_json_typed(d.get("targets", ["empirical_d1", "rate_fit"]),
+                                             list, "targets")),
                    tolerance=Tolerance(**tol),
                    output=d.get("output"),
-                   exact_pmf=_json_typed(d.get("exact_pmf", False), bool, "exact_pmf"),
+                   exact_pmf=(_json_typed(d["exact_pmf"], bool, "exact_pmf")
+                              if "exact_pmf" in d else None),
                    bootstrap=_json_typed(d.get("bootstrap", 100), int, "bootstrap"))
 
-    @classmethod
-    def from_json_file(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+
+def read_process(d: dict) -> tuple:
+    """(process, observable) of a config dict: what `diagnose` reads, and `run` first."""
+    if not isinstance(d, dict):
+        raise SchemaError("config must be a JSON object")
+    reject_unknown_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
+    obs = _json_typed(d.get("observable"), dict, "observable")
+    return process_from_dict(d.get("process")), FourierFn.from_dict(obs) if obs else None
 
 
 # Built-in one-command experiments: each is a config dict, as `run --config` reads it.
@@ -162,8 +168,7 @@ PRESETS = {
                     "targets": ["empirical_d1", "ks", "projective_bound", "rate_fit"]},
     "iid-rademacher-exact": {"process": {"type": "iid", "law": "rademacher"}, "observable": None,
                              "n_grid": [64, 128, 256, 512, 1024, 2048, 4096], "reps": 1,
-                             "seed": 1, "exact_pmf": True,
-                             "targets": ["empirical_d1", "ks", "rate_fit", "zolotarev"]},
+                             "seed": 1, "targets": ["empirical_d1", "ks", "rate_fit", "zolotarev"]},
     "doubling-nonadapted": {"process": {"type": "doubling_map"}, "observable": {"cos": [0.0, 1.0]},
                             "n_grid": [64, 256, 1024], "reps": 5000, "seed": 1,
                             "targets": ["empirical_d1", "projective_bound",
@@ -202,13 +207,6 @@ def _rademacher_pmf(n: int) -> FinitePmf:
     atoms = (2.0 * k - n) / math.sqrt(n)
     keep = probs > 0.0
     return FinitePmf(atoms[keep], probs[keep])
-
-
-def _ks_pmf_gauss(p: FinitePmf, sigma: float) -> float:
-    cum = np.cumsum(p.probs)
-    phi = np.asarray(gauss_cdf(p.atoms / sigma), dtype=float)
-    left = np.concatenate([[0.0], cum[:-1]])
-    return float(np.maximum(np.abs(cum - phi), np.abs(left - phi)).max())
 
 
 def _bootstrap_se(tables: tuple, sigma: float, count: int, stream) -> float:
@@ -352,7 +350,7 @@ def run(config: ExperimentConfig) -> RunManifest:
             rec["d1_normalized"] = d1
             rec["d1_unnormalized"] = math.sqrt(rec["n"]) * d1
             if "ks" in config.targets:
-                rec["ks"] = _ks_pmf_gauss(pmf, sigma)
+                rec["ks"] = ks_pmf_gauss(pmf, sigma)
         timings["exact_pmf"] = time.perf_counter() - t
     elif "empirical_d1" in config.targets or "ks" in config.targets:
         t = time.perf_counter()

@@ -206,22 +206,6 @@ def gauss_quantile(u: ArrayLike) -> ArrayLike:
     return q.reshape(arr.shape) if arr.ndim else float(q[0])
 
 
-def gaussian(kind: str, x: float) -> float:
-    """Scalar facade over the standard normal functions.
-
-    kind is one of pdf, cdf, quantile, cdf_antideriv.
-    """
-    if kind == "pdf":
-        return float(gauss_pdf(float(x)))
-    if kind == "cdf":
-        return float(gauss_cdf(float(x)))
-    if kind == "quantile":
-        return float(gauss_quantile(float(x)))
-    if kind == "cdf_antideriv":
-        return float(gauss_cdf_antideriv(float(x)))
-    raise DomainError(f"unknown gaussian kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Adaptive Gauss-Kronrod 7-15 quadrature on [0, 1]
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ from .fourier import FourierFn, constant_fn, lebesgue_inner
 from .numerics import substream
 
 MARTINGALE_TOL = 1e-14
-# l1 mass allowed in the dropped Bessel coefficients of exp(i tau f), per step of S_n
-_BESSEL_TAIL = 1e-17
+# l1 mass the band of exp(i tau f) may drop from the Jacobi-Anger tails, per step of S_n
+_BAND_TAIL = 1e-17
 # characteristic-function points handled in one batch of the twisted operator
 _TAU_BATCH = 32
 _VARIANCE_FLOOR = -1e-12
+_COV_TERMS = 64  # lambda(f K^n f), n < _COV_TERMS, that long_run_variance reports
 _SIMPLE_EIGENVALUE_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
@@ -133,7 +134,7 @@ class ProcessSpec:
         """sum_{l>=m} K^l f for a centered FourierFn f and m >= 1."""
         raise NotImplementedError
 
-    def _long_run_variance(self, f, cov_terms: int) -> tuple:
+    def _long_run_variance(self, f) -> tuple:
         """(sigma2, covariances) before the sign check; validates f itself."""
         raise NotImplementedError
 
@@ -169,7 +170,7 @@ class DoublingMap(ProcessSpec):
             l += 1
         return out
 
-    def _long_run_variance(self, f, cov_terms):
+    def _long_run_variance(self, f):
         # the covariance series ends once 2^n exceeds max_freq
         f = _require_fourier(self, f, "long_run_variance")
         covs = [lebesgue_inner(f, f)]
@@ -183,21 +184,18 @@ class DoublingMap(ProcessSpec):
         return sigma2, covs
 
     def _simulate_block(self, f, n, gens):
-        w, bits = _draw_bit_paths(gens, n)
-        for b in bits:
-            # xi_{t+1} = (xi_t + B)/2, exactly, in 64-bit fixed point
-            w = (w >> np.uint64(1)) | (b << np.uint64(63))
+        for w in _doubling_states(*_draw_bit_paths(gens, n)):
             yield f.eval(w.astype(np.float64) * 2.0 ** -64)
 
     def _characteristic(self, f, n, taus):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
-        # |k| <= B from the FFT of its samples; bound: truncation plus aliasing
-        # leave |g_B| <= 1 + eps and K contracts sup norms, so the n-fold product
+        # |k| <= B from the FFT of its samples; bound: truncation, aliasing and
+        # rounding leave |g_B| <= 1 + eps and K contracts sup norms, so the n-fold product
         # moves by at most (1 + eps)^n - 1
         flat = taus.reshape(-1)
         order = np.argsort(np.abs(flat), kind="stable")
         batches = [order[s:s + _TAU_BATCH] for s in range(0, flat.size, _TAU_BATCH)]
-        gs, eps = _exp_i_tau_f(f, flat, batches, _BESSEL_TAIL / n)
+        gs, eps = _exp_i_tau_f(f, flat, batches, _BAND_TAIL / n)
         even = not f.sin_coeffs.any()
         values = np.empty(flat.size, dtype=complex)
         for rows, g in zip(batches, gs):
@@ -248,7 +246,7 @@ class CircleWalk(ProcessSpec):
             mult[j - 1] = self.cos_step(j) ** m / denom
         return FourierFn(0.0, f.cos_coeffs * mult, f.sin_coeffs * mult)
 
-    def _long_run_variance(self, f, cov_terms):
+    def _long_run_variance(self, f):
         # cotangent closed form per frequency
         f = _require_fourier(self, f, "long_run_variance")
         sigma2 = 0.0
@@ -261,7 +259,7 @@ class CircleWalk(ProcessSpec):
                 raise DivergenceError(f"resonance at frequency {j}: variance series diverges")
             sigma2 += w / math.tan(math.pi * frac) ** 2
         covs = [lebesgue_inner(f, f)]
-        for n in range(1, cov_terms):
+        for n in range(1, _COV_TERMS):
             covs.append(lebesgue_inner(f, transfer(self, f, n)))
         return sigma2, covs
 
@@ -342,7 +340,7 @@ class FiniteChain(ProcessSpec):
             raise TypeError("FiniteChain transfer expects a state-value vector")
         return np.linalg.matrix_power(self.transition, steps) @ v
 
-    def _long_run_variance(self, f, cov_terms):
+    def _long_run_variance(self, f):
         if f is not None:
             raise TypeError("FiniteChain carries its own state-value observable")
         pi = self.stationary
@@ -353,7 +351,7 @@ class FiniteChain(ProcessSpec):
         sigma2 = var0 + 2.0 * float(pi @ (v * (fundamental - v)))
         covs = [var0]
         pv = v.copy()
-        for _ in range(1, cov_terms):
+        for _ in range(1, _COV_TERMS):
             pv = self.transition @ pv
             covs.append(float(pi @ (v * pv)))
         return sigma2, covs
@@ -399,7 +397,7 @@ class IIDLaw(ProcessSpec):
     def _resolvent_tail(self, f, m):
         return constant_fn(0.0)
 
-    def _long_run_variance(self, f, cov_terms):
+    def _long_run_variance(self, f):
         return self.var, (self.var,)
 
     def _simulate_block(self, f, n, gens):
@@ -415,14 +413,11 @@ def iid_rademacher() -> IIDLaw:
 
 
 def iid_gaussian(scale: float = 1.0) -> IIDLaw:
-    if scale <= 0.0:
-        raise DomainError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"scale must be a positive finite real, got {scale!r}")
     return IIDLaw(sampler=lambda g, n: scale * g.standard_normal(n),
                   var=scale ** 2, abs3=scale ** 3 * math.sqrt(8.0 / math.pi),
                   third=0.0, sup=math.inf, name=f"gaussian:{scale:g}")
-
-
-_IID_FACTORIES = {"rademacher": iid_rademacher, "gaussian": iid_gaussian}
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
@@ -434,9 +429,10 @@ def process_from_dict(d: dict) -> ProcessSpec:
         return DoublingMap()
     if kind == "circle_walk":
         reject_unknown_keys(d, ("type", "a", "a_hi", "a_lo"), "process")
-        if d.get("a") == "sqrt2_minus_one":
-            return CircleWalk(sqrt2_minus_one())
-        return CircleWalk(SplitReal(float(d["a_hi"]), float(d.get("a_lo", 0.0))))
+        if "a" in d and (d["a"] != "sqrt2_minus_one" or "a_hi" in d or "a_lo" in d):
+            raise DomainError(f"a must be 'sqrt2_minus_one', with no a_hi or a_lo: {d} (field: process.a)")
+        return CircleWalk(sqrt2_minus_one() if "a" in d else
+                          SplitReal(float(d["a_hi"]), float(d.get("a_lo", 0.0))))
     if kind == "finite_chain":
         reject_unknown_keys(d, ("type", "transition", "values", "stationary"), "process")
         return FiniteChain(np.array(d["transition"], dtype=float),
@@ -445,12 +441,15 @@ def process_from_dict(d: dict) -> ProcessSpec:
     if kind == "iid":
         reject_unknown_keys(d, ("type", "law"), "process")
         law = d.get("law", "rademacher")
-        base = law.split(":", 1)
-        if base[0] not in _IID_FACTORIES:
-            raise DomainError(f"unknown iid law {law!r}")
-        if base[0] == "gaussian" and len(base) == 2:
-            return iid_gaussian(float(base[1]))
-        return _IID_FACTORIES[base[0]]()
+        if law == "rademacher":
+            return iid_rademacher()
+        if not isinstance(law, str) or law.partition(":")[0] != "gaussian":
+            raise DomainError(f"unknown iid law {law!r}; valid: rademacher, gaussian[:<scale>] "
+                              "(field: process.law)")
+        try:
+            return iid_gaussian(1.0 if law == "gaussian" else float(law[len("gaussian:"):]))
+        except ValueError as exc:
+            raise DomainError(f"{exc} (field: process.law)") from None
     raise DomainError(f"unknown process type {kind!r}")
 
 
@@ -460,14 +459,14 @@ def process_from_dict(d: dict) -> ProcessSpec:
 
 
 class Characteristic(NamedTuple):
-    """phi_n(tau) = E exp(i tau S_n) at the requested points, and per point a
-    bound on the error the coefficient truncation leaves in it."""
+    """phi_n(tau) = E exp(i tau S_n) at the requested points, and per point a bound
+    on the error the truncation and rounding of the coefficients leave in it."""
 
     values: np.ndarray
     bound: np.ndarray
 
 
-def _bessel_cut(x: np.ndarray, tail: float) -> tuple:
+def _jacobi_anger_cut(x: np.ndarray, tail: float) -> tuple:
     """Smallest order M with sum_{|m|>M} |J_m(x)| <= tail at every x, and that
     sum's bound at each x, from |J_m(x)| <= (x/2)^m / m!; past m the terms
     fall at least by the ratio (x/2) / (m + 2) < 1."""
@@ -486,7 +485,8 @@ def _bessel_cut(x: np.ndarray, tail: float) -> tuple:
 
 def _exp_i_tau_f(f: FourierFn, taus: np.ndarray, batches: list, tail: float) -> tuple:
     """Coefficients of exp(i tau f), per batch of taus one array with a row per
-    tau on the batch's frequencies -B..B, and per tau a bound on their l1 error.
+    tau on the batch's frequencies -B..B, and per tau a bound eps on the sup
+    norm of the error of their trigonometric polynomial.
 
     The coefficients are the DFT of exp(i tau f) sampled at 2^k > 2B + 1 points.
     By Jacobi-Anger, frequency j of f contributes the factor sum_m i^|m| J_|m|
@@ -495,20 +495,33 @@ def _exp_i_tau_f(f: FourierFn, taus: np.ndarray, batches: list, tail: float) -> 
     kept part has l1 mass at most a_j = sqrt(2 c_j + 1), so the coefficients
     beyond B carry at most delta = prod(a_j + d_j) - prod(a_j).  Dropping them
     and their aliases onto -B..B each move the result by at most delta.
+
+    Rounding (u = 2^-53; numpy's cos, sin, exp within 4 ulp): f.eval's term k is
+    off by (2.4 u 2 pi k + 5 u)(|a_k| + |b_k|) and each of its m sums by u L, L =
+    f.coeff_l1(), and tau f adds u |tau| L, so a sample is off by at most
+    s = |tau| u (3 D + (6 + m) L) + 6 u, D = f.derivative_sup_bound().  By
+    Parseval the coefficients then err by at most s in 2-norm, and an FFT of 2^t
+    points adds t 7u (1 + 6u) < 8 u t (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 24.2); the 2B + 1 kept ones err by sqrt(2B + 1)
+    times that in l1 mass, which is what rounding adds to eps.
     """
     radii = np.hypot(f.cos_coeffs, f.sin_coeffs)
+    u = 2.0 ** -53
+    terms = np.count_nonzero(f.cos_coeffs) + np.count_nonzero(f.sin_coeffs)
+    sample_err = u * (3.0 * f.derivative_sup_bound() + (6 + terms) * f.coeff_l1())
     gs, eps = [], np.zeros(taus.size)
     for rows in batches:
         band, delta, kept = 0, 0.0, 1.0
         for j in (np.flatnonzero(radii) + 1).tolist():
-            cut, drop = _bessel_cut(radii[j - 1] * np.abs(taus[rows]), tail)
+            cut, drop = _jacobi_anger_cut(radii[j - 1] * np.abs(taus[rows]), tail)
             band += j * cut
             # one factor at a time: the product difference would round d ~ 1e-18 away
             a = math.sqrt(2 * cut + 1)
             delta = delta * (a + drop) + kept * drop
             kept *= a
-        eps[rows] = 2.0 * delta
         points = 1 << (2 * band + 1).bit_length()
+        rounding = np.abs(taus[rows]) * sample_err + 6.0 * u + 8.0 * u * math.log2(points)
+        eps[rows] = 2.0 * delta + math.sqrt(2 * band + 1) * rounding
         samples = np.exp(1j * np.outer(taus[rows], f.eval(np.arange(points) / points)))
         gs.append(np.fft.fft(samples)[:, np.arange(-band, band + 1) % points] / points)
     return gs, eps
@@ -623,7 +636,7 @@ def is_martingale(spec: ProcessSpec, f) -> bool:
 def characteristic(spec: ProcessSpec, f, n: int, taus) -> Optional[Characteristic]:
     """phi_n(tau) = E exp(i tau S_n) of the stationary partial sum S_n, exactly.
 
-    Returns the values with a bound on each one's truncation error, or None
+    Returns the values with a bound on each one's error, or None
     where the family has no exact law.  The doubling map iterates the twisted
     transfer operator h -> exp(i tau f) K(h) (Nagaev-Guivarc'h) on Fourier
     coefficients: phi_n = integral of h_n, with h_0 = 1.
@@ -645,17 +658,14 @@ class LongRunVariance:
     sigma2: float
     covariances: tuple  # lambda(f * K^n f) for n = 0..len-1 (n=0 is the marginal variance)
 
-    def __float__(self) -> float:
-        return self.sigma2
 
-
-def long_run_variance(spec: ProcessSpec, f=None, cov_terms: int = 64) -> LongRunVariance:
+def long_run_variance(spec: ProcessSpec, f=None) -> LongRunVariance:
     """Marginal variance plus twice the summed autocovariances, exactly.
 
     The circle walk uses the cotangent closed form per frequency; the
     doubling map's covariance series terminates once 2^n exceeds max_freq.
     """
-    sigma2, covs = spec._long_run_variance(f, cov_terms)
+    sigma2, covs = spec._long_run_variance(f)
     if sigma2 < _VARIANCE_FLOOR:
         raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
     return LongRunVariance(max(sigma2, 0.0), tuple(covs))
@@ -678,7 +688,6 @@ class PathEnsemble:
     reps: int
     checkpoints: tuple
     partial_sums: np.ndarray
-    sigma_ref: float
     seed: int
 
     def column(self, n: int) -> np.ndarray:
@@ -719,6 +728,14 @@ def _draw_bit_paths(gens, n: int):
     return words[0], bits(words[1:])
 
 
+def _doubling_states(w, bits):
+    """The doubling-map states xi_{t+1} = (xi_t + B_t)/2, t >= 0, from xi_0 = w and
+    the step bits B_t, exactly, in 64-bit fixed point."""
+    for b in bits:
+        w = (w >> np.uint64(1)) | (b << np.uint64(63))
+        yield w
+
+
 def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
              checkpoints: Optional[Sequence[int]] = None, seed: int = 0,
              block_size: int = 4096) -> PathEnsemble:
@@ -740,7 +757,6 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
         f = None  # these families carry their own observable
     else:
         f = _require_fourier(spec, f, "simulate")
-    sigma_ref = math.sqrt(long_run_variance(spec, f).sigma2)
 
     column = {c: i for i, c in enumerate(checkpoints)}
     sums = np.empty((reps, len(checkpoints)))
@@ -754,11 +770,11 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
                 sums[start:stop, column[t]] = s
     sums.setflags(write=False)
     return PathEnsemble(n=n, reps=reps, checkpoints=checkpoints,
-                        partial_sums=sums, sigma_ref=sigma_ref, seed=seed)
+                        partial_sums=sums, seed=seed)
 
 
 def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.ndarray:
-    """Marginal sample of the chain state at a fixed time (diagnostics only)."""
+    """Each replicate's state at time `step` on the path `simulate` walks (diagnostics)."""
     if step < 0:
         raise DomainError("step must be nonnegative")
     if reps < 1:
@@ -766,11 +782,12 @@ def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.
     gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
         w, bits = _draw_bit_paths(gens, step)
-        for b in bits:
-            w = (w >> np.uint64(1)) | (b << np.uint64(63))
+        for w in _doubling_states(w, bits):
+            pass
         return w.astype(np.float64) * 2.0 ** -64
     if isinstance(spec, CircleWalk):
-        x = np.array([g.random() for g in gens])
-        c = np.array([(2 * g.integers(0, 2, size=step) - 1).sum() for g in gens], dtype=np.int64)
-        return np.mod(x + c * spec.a.hi + c * spec.a.lo, 1.0)
+        w0, bits = _draw_bit_paths(gens, step)
+        x0 = (w0 >> np.uint64(11)) * 2.0 ** -53
+        k = sum((2 * b.view(np.int64) - 1 for b in bits), np.zeros(reps, dtype=np.int64))
+        return np.array([(x + exact_frac(spec.a, int(c))) % 1.0 for x, c in zip(x0, k)])
     raise TypeError("sample_states supports the interval maps only")

@@ -203,6 +203,11 @@ def w1_pmf_gauss(p: FinitePmf, sigma: float) -> float:
     return total
 
 
+def ks_pmf_gauss(p: FinitePmf, sigma: float) -> float:
+    """Kolmogorov distance between a finite law and N(0, sigma^2), exactly."""
+    return _ks_step_cdf(np.cumsum(p.probs), gauss_cdf(p.atoms / _check_sigma(sigma)))
+
+
 def w1_sample_sample(s1: EmpiricalSample, s2: EmpiricalSample) -> float:
     """W1 distance between two empirical laws via the quantile coupling."""
     x, y = s1.values, s2.values
@@ -227,9 +232,14 @@ def ks_sample_gauss(s: EmpiricalSample, sigma: float) -> float:
 def ks_sorted_gauss(cdf: np.ndarray) -> float:
     """Kolmogorov distance of the empirical law of a sorted sample, given
     its table cdf = Phi(x/sigma)."""
-    m = cdf.size
-    i = np.arange(1, m + 1)
-    return float(np.maximum(np.abs(i / m - cdf), np.abs((i - 1) / m - cdf)).max())
+    return _ks_step_cdf(np.arange(1, cdf.size + 1) / cdf.size, cdf)
+
+
+def _ks_step_cdf(cum: np.ndarray, phi: np.ndarray) -> float:
+    """sup |F - Phi| over the left and right limits of a step cdf F, given F = cum
+    and Phi = phi at its atoms."""
+    left = np.concatenate([[0.0], cum[:-1]])
+    return float(np.maximum(np.abs(cum - phi), np.abs(left - phi)).max())
 
 
 # Gil-Pelaez inversion grid: x lives on a period of 2 * _X_SIGMAS s, s the larger

@@ -58,6 +58,16 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig.from_dict(dict(d, reps=0, targets=["martingale_bound"]))
 
+    def test_exact_pmf_follows_the_process(self):
+        # the key is absent from the preset; only the Rademacher law takes the pmf path
+        rademacher = dict(PRESETS["iid-rademacher-exact"])
+        assert "exact_pmf" not in rademacher
+        assert ExperimentConfig.from_dict(rademacher).exact_pmf is True
+        assert ExperimentConfig.from_dict(PRESETS["mds-doubling"]).exact_pmf is False
+        for d in (dict(rademacher, exact_pmf=False), dict(PRESETS["mds-doubling"], exact_pmf=True)):
+            with pytest.raises(DomainError, match=r"\(field: exact_pmf\)"):
+                ExperimentConfig.from_dict(d)
+
     def test_round_trip(self):
         cfg = small_config()
         back = ExperimentConfig.from_dict(cfg.to_dict())
@@ -156,12 +166,13 @@ class TestRun:
         assert -0.55 < m.fit["slope"] < -0.45
 
     def test_exact_pmf_components(self):
-        from meanclt.harness import _ks_pmf_gauss, _rademacher_pmf
+        from meanclt.harness import _rademacher_pmf
         from meanclt.numerics import gauss_cdf
+        from meanclt.wasserstein import ks_pmf_gauss
         p1 = _rademacher_pmf(1)
         assert np.array_equal(p1.atoms, [-1.0, 1.0])
-        assert _ks_pmf_gauss(p1, 1.0) == pytest.approx(0.5 - float(gauss_cdf(-1.0)),
-                                                       abs=1e-15)
+        assert ks_pmf_gauss(p1, 1.0) == pytest.approx(0.5 - float(gauss_cdf(-1.0)),
+                                                      abs=1e-15)
         p_big = _rademacher_pmf(4096)
         assert abs(p_big.probs.sum() - 1.0) < 1e-12
 
@@ -227,7 +238,7 @@ class TestRun:
     def test_families_without_exact_law_gain_no_key(self):
         chain = FiniteChain(np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([-1.0, 2.0]))
         for spec, f in ((CircleWalk(sqrt2_minus_one()), cosine(1)), (chain, None),
-                        (iid_gaussian(), None), (iid_rademacher(), None)):
+                        (iid_gaussian(), None)):
             m = run(small_config(process=spec, observable=f, targets=("empirical_d1", "ks")))
             for rec in m.per_n:
                 assert set(rec) == MC_KEYS, spec.label
@@ -245,16 +256,6 @@ class TestRun:
         text = render_csv(rows)
         assert text.startswith("process,observable,n,")
         assert text.count("\n") == 4
-
-    def test_bound_report_csv_row(self):
-        # the circle walk's sigma^2 is a numpy scalar, whose repr names its type
-        from meanclt.bounds import martingale_d1_bound, projective_d1_bound
-        for row in (martingale_d1_bound(DoublingMap(), cosine(1), 16).csv_row(),
-                    projective_d1_bound(CircleWalk(sqrt2_minus_one()), cosine(1), 16).csv_row()):
-            assert row.startswith("16,")
-            assert len(row.split(",")) == 6
-            for cell in row.split(","):
-                float(cell)
 
     def test_csv_numbers_parse_as_floats(self):
         rows = run(small_config(process=CircleWalk(sqrt2_minus_one()), n_grid=(16, 64),
@@ -470,7 +471,18 @@ class TestCli:
                                             (("tolerance",), ""),
                                             (("observable",), []),
                                             (("observable",), 0),
-                                            (("observable",), "")])
+                                            (("observable",), ""),
+                                            (("exact_pmf",), True),
+                                            (("targets",), "ks"),
+                                            (("process",), {"type": "iid", "law": 5}),
+                                            (("process",), {"type": "iid", "law": None}),
+                                            (("process",), {"type": "iid", "law": "rademacher:2"}),
+                                            (("process",), {"type": "iid", "law": "rademacher:"}),
+                                            (("process",), {"type": "iid", "law": "gaussian:nan"}),
+                                            (("process",), {"type": "iid", "law": "gaussian:inf"}),
+                                            (("process",), {"type": "circle_walk",
+                                                            "a": "sqrt2_minus_one", "a_hi": 0.3}),
+                                            (("process",), {"type": "circle_walk", "a": "golden"})])
     def test_malformed_field_exit_code(self, tmp_path, capsys, path, value):
         from meanclt.cli import main
         cfg = {"process": {"type": "circle_walk", "a_hi": 0.41421356237309503},
@@ -567,11 +579,14 @@ class TestCli:
             manifests.append(m)
         assert manifests[0] == manifests[1]
 
-    def test_diagnose_malformed_observable_exit_code(self, tmp_path):
+    def test_diagnose_malformed_observable_exit_code(self, tmp_path, capsys):
+        # diagnose reads the observable as run does, whatever the process
         from meanclt.cli import main
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"process": {"type": "doubling_map"}, "observable": "x"}))
-        assert main(["diagnose", "--config", str(bad)]) == 2
+        for process, obs in (({"type": "doubling_map"}, "x"), (CHAIN, []), (CHAIN, "")):
+            bad.write_text(json.dumps({"process": process, "observable": obs}))
+            assert main(["diagnose", "--config", str(bad)]) == 2
+            assert "(field: observable)" in capsys.readouterr().err
 
     def test_missing_config_exit_code(self):
         out = self._run("run", "--config", "/nonexistent/cfg.json")

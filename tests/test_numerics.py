@@ -13,31 +13,27 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from meanclt.errors import AccuracyError, DomainError
-from meanclt.numerics import (Tolerance, gauss_cdf, gauss_cdf_antideriv,
-                              gauss_quantile, gaussian, integrate_interval,
-                              integrate_unit, phi_deriv_l1, substream)
+from meanclt.numerics import (Tolerance, gauss_cdf, gauss_cdf_antideriv, gauss_pdf,
+                              gauss_quantile, integrate_interval, integrate_unit,
+                              phi_deriv_l1, substream)
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
 
 class TestGaussian:
     def test_cdf_at_zero(self):
-        assert gaussian("cdf", 0.0) == 0.5
+        assert gauss_cdf(0.0) == 0.5
 
     def test_pdf_at_zero(self):
-        assert gaussian("pdf", 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-16)
+        assert gauss_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-16)
 
     def test_quantile_median(self):
-        assert gaussian("quantile", 0.5) == 0.0
+        assert gauss_quantile(0.5) == 0.0
 
     def test_quantile_domain_error(self):
         for bad in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(DomainError):
-                gaussian("quantile", bad)
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            gaussian("survival", 0.0)
+                gauss_quantile(bad)
 
     def test_quantile_cdf_roundtrip(self):
         # relative error <= 1e-13 across the contract range

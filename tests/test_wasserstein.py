@@ -10,8 +10,8 @@ from meanclt.fourier import cosine
 from meanclt.numerics import (Tolerance, gauss_cdf, gauss_pdf, gauss_quantile,
                               integrate_interval)
 from meanclt.processes import DoublingMap, characteristic
-from meanclt.wasserstein import (EmpiricalSample, FinitePmf, ks_sample_gauss,
-                                 _slab_tables, sample_from_csv, sorted_gauss_tables,
+from meanclt.wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
+                                 ks_sorted_gauss, _slab_tables, sample_from_csv, sorted_gauss_tables,
                                  w1_charfn_gauss, w1_pmf_gauss, w1_sample_gauss,
                                  w1_sample_sample, w1_sorted_gauss)
 
@@ -299,6 +299,21 @@ class TestKolmogorov:
         m = 10_000
         s = EmpiricalSample(gen.normal(0.0, 1.0, m))
         assert ks_sample_gauss(s, 1.0) < 1.63 / math.sqrt(m)
+
+    def test_sample_and_pmf_forms_share_the_step_formula(self):
+        # the sample form keeps its own formula's output bit for bit, and the pmf
+        # form with equal weights agrees with it up to the rounding of the cumsum
+        gen = np.random.default_rng(5)
+        for m in (1, 2, 7, 1000):
+            x = np.sort(gen.normal(0.0, 1.3, m))
+            cdf = gauss_cdf(x / 1.1)
+            i = np.arange(1, m + 1)
+            old = float(np.maximum(np.abs(i / m - cdf), np.abs((i - 1) / m - cdf)).max())
+            assert ks_sorted_gauss(cdf) == old
+            pmf = FinitePmf(x, np.full(m, 1.0 / m))
+            assert ks_pmf_gauss(pmf, 1.1) == pytest.approx(old, abs=1e-15)
+        with pytest.raises(DomainError):
+            ks_pmf_gauss(FinitePmf(np.array([0.0]), np.array([1.0])), 0.0)
 
 
 class TestSortedGaussTables:
