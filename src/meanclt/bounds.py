@@ -33,15 +33,13 @@ _STABLE_EPS = 1e-16
 class MomentSummary:
     """Moment ingredients of the bound formulas.
 
-    lam is the third-moment ratio E|X0|^3 / sigma^2; sup_bound is a certified
-    upper bound for ||X0||_inf (may be inf for unbounded laws).
+    lam is the third-moment ratio E|X0|^3 / sigma^2.
     """
 
     sigma2: float
     var0: float
     abs3: float
     lam: float
-    sup_bound: float
 
     @property
     def sigma(self) -> float:
@@ -55,7 +53,7 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None,
         if spec.var <= 0.0:
             raise DegenerateVarianceError("iid law has zero variance")
         return MomentSummary(sigma2=spec.var, var0=spec.var, abs3=spec.abs3,
-                             lam=spec.abs3 / spec.var, sup_bound=spec.sup)
+                             lam=spec.abs3 / spec.var)
     if not isinstance(f, FourierFn):
         raise TypeError("interval-map moments need a FourierFn observable")
     if not f.centered:
@@ -65,13 +63,7 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None,
         raise DegenerateVarianceError("long-run variance is not positive")
     var0 = lebesgue_inner(f, f)
     abs3 = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, tol)
-    # grid maximum plus a Lipschitz certificate gives a sup upper bound
-    grid_n = max(4096, 64 * max(f.max_freq, 1))
-    grid = (np.arange(grid_n) + 0.5) / grid_n
-    sup_bound = float(np.abs(f.eval(grid)).max()) \
-        + f.derivative_sup_bound() / (2.0 * grid_n)
-    return MomentSummary(sigma2=sigma2, var0=var0, abs3=abs3,
-                         lam=abs3 / sigma2, sup_bound=sup_bound)
+    return MomentSummary(sigma2=sigma2, var0=var0, abs3=abs3, lam=abs3 / sigma2)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +155,9 @@ def projective_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
 
 @dataclass(frozen=True)
 class CorrectionReport:
-    """Non-adapted first-order correction with its per-m breakdown."""
+    """Non-adapted first-order correction."""
 
     total: float
-    tail_terms: tuple
-    drift_terms: tuple
 
 
 def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
@@ -182,11 +172,10 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
     if n < 1:
         raise DomainError("n must be >= 1")
     if isinstance(spec, IIDLaw):
-        return CorrectionReport(0.0, (), ())
+        return CorrectionReport(0.0)
     mom = moments(spec, f)
     sigma, sigma2 = mom.sigma, mom.sigma2
 
-    tail_terms = []
     first = 0.0
     prev_norm = None
     for m in range(1, n + 1):
@@ -197,23 +186,15 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
         norm = _weighted_l1(f, tail_m, tol)
         if prev_norm is not None and norm <= _STABLE_EPS * (1.0 + prev_norm):
             break
-        term = norm / (sigma * math.sqrt(m))
-        tail_terms.append(term)
-        first += term
+        first += norm / (sigma * math.sqrt(m))
         prev_norm = norm
 
     f2, _ = product(f, f)
     one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
-    drift_terms = []
-    second = 0.0
     norms = _norms(_partial_sums(spec, f, n)[1:],
                    lambda s_m: _l1_norm(product(one_plus, s_m)[0], tol))
-    for m, norm in enumerate(norms, 1):
-        term = norm / (2.0 * m)
-        drift_terms.append(term)
-        second += term
-    return CorrectionReport(total=first + second, tail_terms=tuple(tail_terms),
-                            drift_terms=tuple(drift_terms))
+    second = sum(norm / (2.0 * m) for m, norm in enumerate(norms, 1))
+    return CorrectionReport(total=first + second)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, ProcessSpe
                         SplitReal, transfer)
 from .wasserstein import EmpiricalSample, FinitePmf
 
-_NORM_TOL = Tolerance(1e-12, 1e-12, 44)
-
 # ---------------------------------------------------------------------------
 # Tabulated mixing sequences and quantile functions
 # ---------------------------------------------------------------------------
@@ -78,25 +76,23 @@ class QuantileSeq:
 
     Represented by breakpoints 0 < u_1 < ... < u_{r-1} < 1 and r values:
     Q(u) = values[i] on [u_i, u_{i+1}) with u_0 = 0, u_r = 1 (right-continuous
-    at the breakpoints).  A callable closed form may be wrapped instead.
+    at the breakpoints).
     """
 
     breakpoints: np.ndarray
     step_values: np.ndarray
-    fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         br = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         sv = np.asarray(self.step_values, dtype=float).reshape(-1)
-        if self.fn is None:
-            if sv.size != br.size + 1:
-                raise DomainError("need one more value than breakpoints")
-            if br.size and (br[0] <= 0.0 or br[-1] >= 1.0 or np.any(np.diff(br) <= 0.0)):
-                raise DomainError("breakpoints must be strictly increasing inside (0,1)")
-            if np.any(sv < 0.0):
-                raise DomainError("quantile values must be nonnegative")
-            if np.any(np.diff(sv) > 1e-12):
-                raise DomainError("quantile values must be nonincreasing")
+        if sv.size != br.size + 1:
+            raise DomainError("need one more value than breakpoints")
+        if br.size and (br[0] <= 0.0 or br[-1] >= 1.0 or np.any(np.diff(br) <= 0.0)):
+            raise DomainError("breakpoints must be strictly increasing inside (0,1)")
+        if np.any(sv < 0.0):
+            raise DomainError("quantile values must be nonnegative")
+        if np.any(np.diff(sv) > 1e-12):
+            raise DomainError("quantile values must be nonincreasing")
         object.__setattr__(self, "breakpoints", br)
         object.__setattr__(self, "step_values", sv)
         br.setflags(write=False)
@@ -106,25 +102,16 @@ class QuantileSeq:
     def constant(cls, c: float) -> "QuantileSeq":
         return cls(np.zeros(0), np.array([float(c)]))
 
-    @classmethod
-    def from_callable(cls, fn: Callable[[np.ndarray], np.ndarray]) -> "QuantileSeq":
-        return cls(np.zeros(0), np.zeros(0), fn=fn)
-
     def value(self, u: Union[float, np.ndarray]):
-        if self.fn is not None:
-            return self.fn(np.asarray(u, dtype=float))
         idx = np.searchsorted(self.breakpoints, np.asarray(u, dtype=float), side="right")
         out = self.step_values[idx]
         return out if out.ndim else float(out)
 
-    def integral_pow(self, p: int, t: float, tol: Tolerance = _NORM_TOL) -> float:
-        """Exact (step) or quadrature (callable) integral of Q^p over (0, t]."""
+    def integral_pow(self, p: int, t: float) -> float:
+        """Exact integral of Q^p over (0, t]."""
         if t <= 0.0:
             return 0.0
         t = min(t, 1.0)
-        if self.fn is not None:
-            return integrate_unit(lambda u: np.asarray(self.fn(np.clip(u * t, 1e-300, 1.0))) ** p,
-                                  tol) * t
         edges = np.concatenate([[0.0], self.breakpoints, [1.0]])
         hi = np.minimum(edges[1:], t)
         lo = edges[:-1]
@@ -161,9 +148,6 @@ class MixingIntegralReport:
     integral_form: float
     partial_sums: tuple
     last_decade_ratio: float
-    kmax: int
-    power: int
-    weight: int
 
 
 def mixing_integral(a: AlphaSeq, q: QuantileSeq, power: int, weight: int,
@@ -188,8 +172,7 @@ def mixing_integral(a: AlphaSeq, q: QuantileSeq, power: int, weight: int,
     half = partial[max(0, (kmax - 1) // 2)]
     ratio = math.inf if half == 0.0 and total > 0.0 else (total / half if half > 0.0 else 1.0)
     return MixingIntegralReport(series_value=total, integral_form=integral,
-                                partial_sums=tuple(partial), last_decade_ratio=ratio,
-                                kmax=kmax, power=power, weight=weight)
+                                partial_sums=tuple(partial), last_decade_ratio=ratio)
 
 
 def weighted_tail_integral(a: AlphaSeq, q: QuantileSeq, power: int, weight: int,

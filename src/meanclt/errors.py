@@ -42,6 +42,36 @@ def reject_unknown_keys(d: dict, allowed, field: str) -> None:
             raise SchemaError(f"unknown key {key!r} (field: {field}); valid: {', '.join(allowed)}")
 
 
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+                    list: "a list", dict: "an object or null"}
+
+
+def required(d: dict, field: str):
+    """The entry of d that the last component of the dotted `field` names, or a
+    SchemaError naming `field` where d has none."""
+    key = field.rpartition(".")[2]
+    if key not in d:
+        raise SchemaError(f"missing the required field {key!r} (field: {field})")
+    return d[key]
+
+
+def json_typed(value, kind: type, field: str):
+    """value, after checking it has the JSON type `kind`: float stands for any
+    number, an object may also be null, and a boolean is no integer or number."""
+    kinds = (int, float) if kind is float else kind
+    if (kind is dict and value is None) or (
+            isinstance(value, kinds) and (kind is bool or not isinstance(value, bool))):
+        return value
+    raise SchemaError(f"{field} must be {_JSON_TYPE_NAMES[kind]}, got {value!r} (field: {field})")
+
+
+def json_numbers(value, field: str) -> list:
+    """The entries of value, after checking it is a JSON list of numbers; a
+    wrong entry is named by its index."""
+    return [json_typed(v, float, f"{field}[{i}]")
+            for i, v in enumerate(json_typed(value, list, field))]
+
+
 class AccuracyError(MeancltError):
     """Adaptive quadrature failed to converge within the recursion budget.
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DomainError, SchemaError, reject_unknown_keys
+from .errors import DomainError, SchemaError, json_numbers, json_typed, reject_unknown_keys
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -136,7 +136,9 @@ class FourierFn:
         if not isinstance(d, dict):
             raise SchemaError(f"an observable must be an object, got {d!r} (field: observable)")
         reject_unknown_keys(d, ("constant", "cos", "sin"), "observable")
-        return cls(float(d.get("constant", 0.0)), d.get("cos", []), d.get("sin", []))
+        return cls(float(json_typed(d.get("constant", 0.0), float, "observable.constant")),
+                   json_numbers(d.get("cos", []), "observable.cos"),
+                   json_numbers(d.get("sin", []), "observable.sin"))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -30,12 +30,13 @@ from .bounds import (martingale_d1_bound, moments, projective_d1_bound, rate_fit
 from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation,
                            covariance_bound_check, dispersion_check, JointPmf,
                            mixing_integral, monotone_difference_bound_check,
-                           quantile_from_sample, theta_coeff, weighted_tail_integral)
-from .errors import DomainError, SchemaError, reject_unknown_keys
-from .fourier import FourierFn
+                           quantile_from_sample, theta_coeff)
+from .errors import DomainError, SchemaError, json_typed, reject_unknown_keys, required
+from .fourier import FourierFn, lebesgue_inner
 from .numerics import Tolerance, substream
 from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, characteristic,
-                        is_martingale, long_run_variance, process_from_dict, simulate)
+                        is_martingale, long_run_variance, process_from_dict, simulate,
+                        transfer)
 from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sorted_gauss,
                           sorted_gauss_tables, w1_charfn_gauss, w1_pmf_gauss, w1_sorted_gauss)
 
@@ -60,19 +61,6 @@ EXACT_REL_ERR = 0.01
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-_JSON_TYPE_NAMES = {int: "an integer", bool: "true or false", list: "a list",
-                    dict: "an object or null"}
-
-
-def _json_typed(value, kind: type, field: str):
-    """value, after checking it has the JSON type `kind` (an object may also be
-    null, and a boolean is no integer)."""
-    if (kind is dict and value is None) or (
-            isinstance(value, kind) and (kind is bool or not isinstance(value, bool))):
-        return value
-    raise SchemaError(f"{field} must be {_JSON_TYPE_NAMES[kind]}, got {value!r} (field: {field})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,24 +115,22 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         process, observable = read_process(d)
-        if "reps" not in d:
-            raise SchemaError("config is missing the required field 'reps' (field: reps)")
-        tol = _json_typed(d.get("tolerance"), dict, "tolerance") or {}
+        tol = json_typed(d.get("tolerance"), dict, "tolerance") or {}
         reject_unknown_keys(tol, [f.name for f in fields(Tolerance)], "tolerance")
-        if "max_depth" in tol:
-            _json_typed(tol["max_depth"], int, "tolerance.max_depth")
+        for k, v in tol.items():
+            json_typed(v, int if k == "max_depth" else float, f"tolerance.{k}")
+        grid = json_typed(required(d, "n_grid"), list, "n_grid")
         return cls(process=process, observable=observable,
-                   n_grid=tuple(_json_typed(n, int, f"n_grid[{i}]")
-                                for i, n in enumerate(_json_typed(d["n_grid"], list, "n_grid"))),
-                   reps=_json_typed(d["reps"], int, "reps"),
-                   seed=_json_typed(d.get("seed", 0), int, "seed"),
-                   targets=tuple(_json_typed(d.get("targets", ["empirical_d1", "rate_fit"]),
+                   n_grid=tuple(json_typed(n, int, f"n_grid[{i}]") for i, n in enumerate(grid)),
+                   reps=json_typed(required(d, "reps"), int, "reps"),
+                   seed=json_typed(d.get("seed", 0), int, "seed"),
+                   targets=tuple(json_typed(d.get("targets", ["empirical_d1", "rate_fit"]),
                                              list, "targets")),
                    tolerance=Tolerance(**tol),
                    output=d.get("output"),
-                   exact_pmf=(_json_typed(d["exact_pmf"], bool, "exact_pmf")
+                   exact_pmf=(json_typed(d["exact_pmf"], bool, "exact_pmf")
                               if "exact_pmf" in d else None),
-                   bootstrap=_json_typed(d.get("bootstrap", 100), int, "bootstrap"))
+                   bootstrap=json_typed(d.get("bootstrap", 100), int, "bootstrap"))
 
 
 def read_process(d: dict) -> tuple:
@@ -152,7 +138,7 @@ def read_process(d: dict) -> tuple:
     if not isinstance(d, dict):
         raise SchemaError("config must be a JSON object")
     reject_unknown_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
-    obs = _json_typed(d.get("observable"), dict, "observable")
+    obs = json_typed(d.get("observable"), dict, "observable")
     return process_from_dict(d.get("process")), FourierFn.from_dict(obs) if obs else None
 
 
@@ -304,11 +290,15 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _exact_d1(spec: ProcessSpec, f, n: int, sigma: float, covs: Sequence[float]) -> tuple:
+def _exact_d1(spec: ProcessSpec, f, n: int, sigma: float) -> tuple:
     """(d1, err) from the exact law of S_n/sqrt(n).  d1 is None, with a warning,
     where EXACT_SPREAD or EXACT_REL_ERR fails; err is None where the law was
-    not inverted."""
-    var_n = covs[0] + 2.0 * sum((1.0 - k / n) * c for k, c in enumerate(covs[1:n], 1))
+    not inverted.  The spread is sqrt(Var S_n / n), from c_k = lambda(f K^k f)
+    for k < n until K^k f vanishes."""
+    kfs = itertools.takewhile(lambda g: not g.is_zero(),
+                              (transfer(spec, f, k) for k in range(1, n)))
+    var_n = lebesgue_inner(f, f) + 2.0 * sum((1.0 - k / n) * lebesgue_inner(f, g)
+                                             for k, g in enumerate(kfs, 1))
     spread = math.sqrt(max(var_n, 0.0))
     if spread > EXACT_SPREAD * sigma:
         warnings.warn(f"n = {n}: S_n/sqrt(n) has standard deviation {spread:.4g}, more than "
@@ -331,8 +321,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     t0 = time.perf_counter()
     spec, f = config.process, config.observable
 
-    lrv = long_run_variance(spec, f)
-    sigma2 = lrv.sigma2
+    sigma2 = long_run_variance(spec, f).sigma2
     sigma = math.sqrt(sigma2)
 
     zolo = None
@@ -367,7 +356,7 @@ def run(config: ExperimentConfig) -> RunManifest:
                 d1 = w1_sorted_gauss(x, cdf, pdf, sigma)
                 if exact_law:
                     rec["d1_mc_normalized"] = d1
-                    exact, rec["d1_exact_err"] = _exact_d1(spec, f, n, sigma, lrv.covariances)
+                    exact, rec["d1_exact_err"] = _exact_d1(spec, f, n, sigma)
                     rec["d1_estimator"] = "monte_carlo" if exact is None else "exact"
                     d1 = d1 if exact is None else exact
                 rec["d1_normalized"] = d1
@@ -584,8 +573,7 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
                              "partials": list(rep.partial_sums),
                              "last_decade_ratio": rep.last_decade_ratio}
             verdicts[label] = _verdict(rep.partial_sums)
-        mixing["inverse_weighted_integral"] = weighted_tail_integral(
-            alpha, quantile, power=3, weight=1, kmax=upto)
+        mixing["inverse_weighted_integral"] = mixing["cubic_tail_b1"]["integral_form"]
     return DiagnosisReport(theta=theta, jan=jan, mixing=mixing, verdicts=verdicts)
 
 

@@ -28,7 +28,8 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (DegenerateVarianceError, DivergenceError, DomainError,
-                     PreconditionError, SchemaError, reject_unknown_keys)
+                     PreconditionError, SchemaError, json_numbers, json_typed,
+                     reject_unknown_keys, required)
 from .fourier import FourierFn, constant_fn, lebesgue_inner
 from .numerics import substream
 
@@ -38,7 +39,6 @@ _BAND_TAIL = 1e-17
 # characteristic-function points handled in one batch of the twisted operator
 _TAU_BATCH = 32
 _VARIANCE_FLOOR = -1e-12
-_COV_TERMS = 64  # lambda(f K^n f), n < _COV_TERMS, that long_run_variance reports
 _SIMPLE_EIGENVALUE_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
@@ -134,8 +134,8 @@ class ProcessSpec:
         """sum_{l>=m} K^l f for a centered FourierFn f and m >= 1."""
         raise NotImplementedError
 
-    def _long_run_variance(self, f) -> tuple:
-        """(sigma2, covariances) before the sign check; validates f itself."""
+    def _long_run_variance(self, f) -> float:
+        """sigma2 before the sign check; validates f itself."""
         raise NotImplementedError
 
     def _simulate_block(self, f, n: int, gens):
@@ -173,15 +173,12 @@ class DoublingMap(ProcessSpec):
     def _long_run_variance(self, f):
         # the covariance series ends once 2^n exceeds max_freq
         f = _require_fourier(self, f, "long_run_variance")
-        covs = [lebesgue_inner(f, f)]
-        sigma2 = covs[0]
+        sigma2 = lebesgue_inner(f, f)
         n = 1
         while f.max_freq >> n:
-            c = lebesgue_inner(f, transfer(self, f, n))
-            covs.append(c)
-            sigma2 += 2.0 * c
+            sigma2 += 2.0 * lebesgue_inner(f, transfer(self, f, n))
             n += 1
-        return sigma2, covs
+        return sigma2
 
     def _simulate_block(self, f, n, gens):
         for w in _doubling_states(*_draw_bit_paths(gens, n)):
@@ -258,10 +255,7 @@ class CircleWalk(ProcessSpec):
             if min(frac, 1.0 - frac) < 1e-12:
                 raise DivergenceError(f"resonance at frequency {j}: variance series diverges")
             sigma2 += w / math.tan(math.pi * frac) ** 2
-        covs = [lebesgue_inner(f, f)]
-        for n in range(1, _COV_TERMS):
-            covs.append(lebesgue_inner(f, transfer(self, f, n)))
-        return sigma2, covs
+        return sigma2
 
     def _simulate_block(self, f, n, gens):
         # x_t = x0 + k_t a: per frequency j, the angle-sum rule on 2 pi j x0 and 2 pi {j k_t a}
@@ -348,13 +342,7 @@ class FiniteChain(ProcessSpec):
         var0 = float(pi @ (v * v))
         proj = np.outer(np.ones(self.n_states), pi)
         fundamental = np.linalg.solve(np.eye(self.n_states) - self.transition + proj, v)
-        sigma2 = var0 + 2.0 * float(pi @ (v * (fundamental - v)))
-        covs = [var0]
-        pv = v.copy()
-        for _ in range(1, _COV_TERMS):
-            pv = self.transition @ pv
-            covs.append(float(pi @ (v * pv)))
-        return sigma2, covs
+        return var0 + 2.0 * float(pi @ (v * (fundamental - v)))
 
     def _simulate_block(self, f, n, gens):
         u = np.empty((len(gens), n + 1))
@@ -380,7 +368,6 @@ class IIDLaw(ProcessSpec):
     var: float
     abs3: float
     third: float = 0.0
-    sup: float = math.inf
     name: str = "iid"
     label: str = field(default="iid", init=False)
 
@@ -398,7 +385,7 @@ class IIDLaw(ProcessSpec):
         return constant_fn(0.0)
 
     def _long_run_variance(self, f):
-        return self.var, (self.var,)
+        return self.var
 
     def _simulate_block(self, f, n, gens):
         draws = np.empty((len(gens), n))
@@ -409,7 +396,7 @@ class IIDLaw(ProcessSpec):
 
 def iid_rademacher() -> IIDLaw:
     return IIDLaw(sampler=lambda g, n: 2.0 * g.integers(0, 2, n) - 1.0,
-                  var=1.0, abs3=1.0, third=0.0, sup=1.0, name="rademacher")
+                  var=1.0, abs3=1.0, third=0.0, name="rademacher")
 
 
 def iid_gaussian(scale: float = 1.0) -> IIDLaw:
@@ -417,7 +404,7 @@ def iid_gaussian(scale: float = 1.0) -> IIDLaw:
         raise DomainError(f"scale must be a positive finite real, got {scale!r}")
     return IIDLaw(sampler=lambda g, n: scale * g.standard_normal(n),
                   var=scale ** 2, abs3=scale ** 3 * math.sqrt(8.0 / math.pi),
-                  third=0.0, sup=math.inf, name=f"gaussian:{scale:g}")
+                  third=0.0, name=f"gaussian:{scale:g}")
 
 
 def process_from_dict(d: dict) -> ProcessSpec:
@@ -431,13 +418,15 @@ def process_from_dict(d: dict) -> ProcessSpec:
         reject_unknown_keys(d, ("type", "a", "a_hi", "a_lo"), "process")
         if "a" in d and (d["a"] != "sqrt2_minus_one" or "a_hi" in d or "a_lo" in d):
             raise DomainError(f"a must be 'sqrt2_minus_one', with no a_hi or a_lo: {d} (field: process.a)")
-        return CircleWalk(sqrt2_minus_one() if "a" in d else
-                          SplitReal(float(d["a_hi"]), float(d.get("a_lo", 0.0))))
+        return CircleWalk(sqrt2_minus_one() if "a" in d else SplitReal(
+            float(json_typed(required(d, "process.a_hi"), float, "process.a_hi")),
+            float(json_typed(d.get("a_lo", 0.0), float, "process.a_lo"))))
     if kind == "finite_chain":
         reject_unknown_keys(d, ("type", "transition", "values", "stationary"), "process")
-        return FiniteChain(np.array(d["transition"], dtype=float),
-                           np.array(d["values"], dtype=float),
-                           np.array(d["stationary"], dtype=float) if "stationary" in d else None)
+        rows = json_typed(required(d, "process.transition"), list, "process.transition")
+        p = [json_numbers(r, f"process.transition[{i}]") for i, r in enumerate(rows)]
+        pi = json_numbers(d["stationary"], "process.stationary") if "stationary" in d else None
+        return FiniteChain(p, json_numbers(required(d, "process.values"), "process.values"), pi)
     if kind == "iid":
         reject_unknown_keys(d, ("type", "law"), "process")
         law = d.get("law", "rademacher")
@@ -656,7 +645,6 @@ def characteristic(spec: ProcessSpec, f, n: int, taus) -> Optional[Characteristi
 @dataclass(frozen=True)
 class LongRunVariance:
     sigma2: float
-    covariances: tuple  # lambda(f * K^n f) for n = 0..len-1 (n=0 is the marginal variance)
 
 
 def long_run_variance(spec: ProcessSpec, f=None) -> LongRunVariance:
@@ -665,10 +653,10 @@ def long_run_variance(spec: ProcessSpec, f=None) -> LongRunVariance:
     The circle walk uses the cotangent closed form per frequency; the
     doubling map's covariance series terminates once 2^n exceeds max_freq.
     """
-    sigma2, covs = spec._long_run_variance(f)
+    sigma2 = spec._long_run_variance(f)
     if sigma2 < _VARIANCE_FLOOR:
         raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
-    return LongRunVariance(max(sigma2, 0.0), tuple(covs))
+    return LongRunVariance(max(sigma2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -678,17 +666,16 @@ def long_run_variance(spec: ProcessSpec, f=None) -> LongRunVariance:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """Replicated partial-sum trajectories with full seed provenance.
+    """Replicated partial-sum trajectories.
 
-    Row r of partial_sums was produced from substream(seed, r); column c
-    holds S_{checkpoints[c]} for that replicate.
+    Row r of partial_sums was produced from substream(seed, r) of the seed
+    `simulate` was given; column c holds S_{checkpoints[c]} for that replicate.
     """
 
     n: int
     reps: int
     checkpoints: tuple
     partial_sums: np.ndarray
-    seed: int
 
     def column(self, n: int) -> np.ndarray:
         try:
@@ -769,8 +756,7 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
             if t in column:
                 sums[start:stop, column[t]] = s
     sums.setflags(write=False)
-    return PathEnsemble(n=n, reps=reps, checkpoints=checkpoints,
-                        partial_sums=sums, seed=seed)
+    return PathEnsemble(n=n, reps=reps, checkpoints=checkpoints, partial_sums=sums)
 
 
 def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.ndarray:

@@ -32,12 +32,10 @@ class TestMoments:
         assert m.sigma2 == pytest.approx(0.5)
         assert m.abs3 == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-10)
         assert m.lam == pytest.approx(8.0 / (3.0 * math.pi), abs=1e-10)
-        assert 1.0 <= m.sup_bound <= 1.001
 
     def test_iid_rademacher(self):
         m = moments(iid_rademacher())
         assert (m.sigma2, m.abs3, m.lam) == (1.0, 1.0, 1.0)
-        assert m.sup_bound == 1.0
 
     def test_scaling_homogeneity(self):
         base = moments(DM, cosine(1))

@@ -51,10 +51,6 @@ class TestQuantileSeq:
         assert q.integral_pow(3, 0.25) == pytest.approx(2.0)
         assert q.integral_pow(3, 0.75) == pytest.approx(4.0)
 
-    def test_callable_variant(self):
-        q = QuantileSeq.from_callable(lambda u: 2.0 * np.ones_like(u))
-        assert q.integral_pow(3, 0.5) == pytest.approx(4.0, abs=1e-9)
-
 
 class TestAlphaSeq:
     def test_inverse_counts(self):

@@ -3,7 +3,8 @@
 Starting from a tiny valid config of one process family (circle walk, i.i.d.
 law or finite chain), one top-level or nested field is replaced by a value
 from a fixed pool of wrong types and edge values; the run command must
-return 0, 2 or 3 and never raise.
+return 0, 2 or 3 and never raise.  A numeric field given a boolean, a string
+or null must exit 2 and name the field.
 """
 
 import copy
@@ -45,6 +46,10 @@ FIELDS = [(name, path) for name, base in BASES.items()
 
 POOL = [None, True, "x", -1, 0, 2.5, math.nan, [], ["x"], {}, {"type": "x"}]
 
+NUMERIC = {("reps",), ("seed",), ("bootstrap",), ("observable", "constant"),
+           ("process", "a_hi"), ("process", "a_lo"),
+           ("tolerance", "abs_tol"), ("tolerance", "rel_tol"), ("tolerance", "max_depth")}
+
 
 def test_base_config_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -59,7 +64,7 @@ def test_base_config_runs(tmp_path, monkeypatch):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(field=st.sampled_from(FIELDS), value=st.sampled_from(POOL))
-def test_one_bad_field_gives_documented_exit(tmp_path, monkeypatch, field, value):
+def test_one_bad_field_gives_documented_exit(tmp_path, monkeypatch, capsys, field, value):
     monkeypatch.chdir(tmp_path)
     name, path = field
     config = copy.deepcopy(BASES[name])
@@ -69,4 +74,10 @@ def test_one_bad_field_gives_documented_exit(tmp_path, monkeypatch, field, value
     target[path[-1]] = value
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["run", "--config", str(cfg)]) in (EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE)
+    code = main(["run", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    if path in NUMERIC and (value is None or isinstance(value, (bool, str))):
+        assert code == EXIT_VALIDATION
+        assert f"(field: {'.'.join(path)})" in err
+    else:
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE)

@@ -482,11 +482,27 @@ class TestCli:
                                             (("process",), {"type": "iid", "law": "gaussian:inf"}),
                                             (("process",), {"type": "circle_walk",
                                                             "a": "sqrt2_minus_one", "a_hi": 0.3}),
-                                            (("process",), {"type": "circle_walk", "a": "golden"})])
+                                            (("process",), {"type": "circle_walk", "a": "golden"}),
+                                            (("tolerance", "abs_tol"), True),
+                                            (("tolerance", "rel_tol"), True),
+                                            (("tolerance", "abs_tol"), "x"),
+                                            (("observable", "cos"), [True]),
+                                            (("observable", "constant"), True),
+                                            (("observable", "cos"), "12"),
+                                            (("process",), {"type": "finite_chain",
+                                                            "transition": "ab",
+                                                            "values": [1.0, -1.0]}),
+                                            (("process",), {"type": "circle_walk"}),
+                                            (("process",), {"type": "finite_chain",
+                                                            "values": [1.0, -1.0]}),
+                                            (("process",), {"type": "finite_chain",
+                                                            "transition": [[0.5, 0.5],
+                                                                           [0.5, 0.5]]})])
     def test_malformed_field_exit_code(self, tmp_path, capsys, path, value):
         from meanclt.cli import main
         cfg = {"process": {"type": "circle_walk", "a_hi": 0.41421356237309503},
                "observable": {"constant": 0.0, "cos": [1.0], "sin": []},
+               "tolerance": {"abs_tol": 1e-11, "rel_tol": 1e-11},
                "n_grid": [16, 64], "reps": 200, "seed": 1, "targets": ["empirical_d1"]}
         target = cfg
         for key in path[:-1]:
@@ -497,8 +513,7 @@ class TestCli:
         assert main(["run", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "invalid input" in err
-        if len(path) == 1:   # a malformed top-level field is named
-            assert f"(field: {path[0]}" in err
+        assert f"(field: {'.'.join(path)}" in err
 
     @pytest.mark.parametrize("command,process,path,key", [
         *(pytest.param("run", CIRCLE, path, key, id=f"path{i}-{key}") for i, (path, key) in

@@ -1,11 +1,12 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from meanclt.errors import (DivergenceError, DomainError, PreconditionError)
-from meanclt.fourier import FourierFn, cosine, sine
+from meanclt.errors import DivergenceError, DomainError, PreconditionError, SchemaError
+from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
 from meanclt.numerics import integrate_unit
 from meanclt.processes import (_BAND_TAIL, _CHUNK_WORDS, CircleWalk, DoublingMap, FiniteChain,
                                SplitReal, _draw_bit_paths, _exp_i_tau_f, characteristic,
@@ -240,7 +241,6 @@ class TestLongRunVariance:
     def test_doubling_mds(self):
         lrv = long_run_variance(DM, cosine(1))
         assert lrv.sigma2 == pytest.approx(0.5)
-        assert lrv.covariances == (0.5,)
 
     def test_finite_chain_matches_simulation(self):
         fc = two_state_chain()
@@ -341,10 +341,10 @@ class TestCharacteristic:
         # -phi_n''(0) = Var S_n = n (c_0 + 2 sum_{k<n} (1 - k/n) c_k)
         delta = 1e-4
         for f in (cosine(1), cosine(2), MIXED):
-            covs = long_run_variance(DM, f).covariances
             for n in (5, 12):
+                covs = [lebesgue_inner(f, transfer(DM, f, k)) for k in range(n)]
                 var = covs[0] + 2.0 * sum((1.0 - k / n) * c
-                                          for k, c in enumerate(covs[1:n], 1))
+                                          for k, c in enumerate(covs[1:], 1))
                 phi = characteristic(DM, f, n, np.array([delta])).values[0]
                 curvature = 2.0 * (1.0 - phi.real) / delta ** 2 / n
                 assert curvature == pytest.approx(var, rel=1e-6), (f.describe(), n)
@@ -608,3 +608,21 @@ class TestSerialization:
         spec = process_from_dict({"type": "circle_walk", "a": "sqrt2_minus_one"})
         assert isinstance(spec, CircleWalk)
         assert spec.a.lo != 0.0
+
+    @pytest.mark.parametrize("d,field", [
+        ({"type": "circle_walk"}, "process.a_hi"),
+        ({"type": "circle_walk", "a_hi": True}, "process.a_hi"),
+        ({"type": "circle_walk", "a_hi": 0.3, "a_lo": None}, "process.a_lo"),
+        ({"type": "finite_chain", "values": [1.0, -1.0]}, "process.transition"),
+        ({"type": "finite_chain", "transition": "ab", "values": [1.0, -1.0]},
+         "process.transition"),
+        ({"type": "finite_chain", "transition": [[0.5, "x"], [0.5, 0.5]], "values": [1.0, -1.0]},
+         "process.transition[0][1]"),
+        ({"type": "finite_chain", "transition": [[0.5, 0.5], [0.5, 0.5]]}, "process.values"),
+        ({"type": "finite_chain", "transition": [[0.5, 0.5], [0.5, 0.5]], "values": [1.0, None]},
+         "process.values[1]"),
+        ({"type": "finite_chain", "transition": [[0.5, 0.5], [0.5, 0.5]], "values": [1.0, -1.0],
+          "stationary": [0.5, False]}, "process.stationary[1]")])
+    def test_missing_or_mistyped_field_is_named(self, d, field):
+        with pytest.raises(SchemaError, match=re.escape(f"(field: {field})")):
+            process_from_dict(d)
