@@ -9,6 +9,7 @@ statistical error.  I.i.d. inputs short-circuit to their exact closed forms.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -22,6 +23,20 @@ from .processes import (IIDLaw, ProcessSpec, is_martingale, long_run_variance,
 
 _NORM_TOL = Tolerance(1e-12, 1e-12, 44)
 _STABLE_EPS = 1e-16
+
+# Quadrature results per observable: the bounds at each n of a run integrate
+# many of the same functions again, and the entries die with the observable.
+_QUAD_MEMO: "weakref.WeakKeyDictionary[FourierFn, dict]" = weakref.WeakKeyDictionary()
+
+
+def _memo_quad(f: FourierFn, kind: str, g: FourierFn, tol: Tolerance, integrand) -> float:
+    """integrate_unit(integrand, tol), once per (kind, tol, coefficients of g)
+    for the observable f."""
+    key = (kind, tol, g.constant, g.cos_coeffs.tobytes(), g.sin_coeffs.tobytes())
+    memo = _QUAD_MEMO.setdefault(f, {})
+    if key not in memo:
+        memo[key] = integrate_unit(integrand, tol)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +77,7 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None,
     if sigma2 <= 0.0:
         raise DegenerateVarianceError("long-run variance is not positive")
     var0 = lebesgue_inner(f, f)
-    abs3 = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, tol)
+    abs3 = _memo_quad(f, "abs3", f, tol, lambda x: np.abs(f.eval(x)) ** 3)
     return MomentSummary(sigma2=sigma2, var0=var0, abs3=abs3, lam=abs3 / sigma2)
 
 
@@ -71,16 +86,18 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None,
 # ---------------------------------------------------------------------------
 
 
-def _l1_norm(g: FourierFn, tol: Tolerance = _NORM_TOL) -> float:
+def _l1_norm(f: FourierFn, g: FourierFn, tol: Tolerance = _NORM_TOL) -> float:
+    """||g||_1, remembered for the run's observable f."""
     if g.is_zero():
         return 0.0
-    return integrate_unit(lambda x: np.abs(g.eval(x)), tol)
+    return _memo_quad(f, "l1", g, tol, lambda x: np.abs(g.eval(x)))
 
 
 def _weighted_l1(f: FourierFn, g: FourierFn, tol: Tolerance = _NORM_TOL) -> float:
+    """||f g||_1, remembered for f."""
     if g.is_zero():
         return 0.0
-    return integrate_unit(lambda x: np.abs(f.eval(x) * g.eval(x)), tol)
+    return _memo_quad(f, "weighted", g, tol, lambda x: np.abs(f.eval(x) * g.eval(x)))
 
 
 def _partial_sums(spec: ProcessSpec, z: FourierFn, count: int) -> list:
@@ -131,7 +148,7 @@ def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
     if isinstance(spec, IIDLaw):
         return (0.0, 0.0)
     w = _partial_sums(spec, compensator(spec, f), m)[-1]
-    return (_l1_norm(w, tol), _weighted_l1(f, w, tol))
+    return (_l1_norm(f, w, tol), _weighted_l1(f, w, tol))
 
 
 def variance_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
@@ -192,7 +209,7 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
     f2, _ = product(f, f)
     one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
     norms = _norms(_partial_sums(spec, f, n)[1:],
-                   lambda s_m: _l1_norm(product(one_plus, s_m)[0], tol))
+                   lambda s_m: _l1_norm(f, product(one_plus, s_m)[0], tol))
     second = sum(norm / (2.0 * m) for m, norm in enumerate(norms, 1))
     return CorrectionReport(total=first + second)
 
@@ -240,7 +257,7 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
         series = [0.0] * cutoff
     else:
         norms = _norms(_partial_sums(spec, compensator(spec, f), cutoff)[1:],
-                       lambda w: (_l1_norm(w, tol), _weighted_l1(f, w, tol)))
+                       lambda w: (_l1_norm(f, w, tol), _weighted_l1(f, w, tol)))
         series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
                   for m, (l1, wl1) in enumerate(norms, 1)]
         if corrected:
@@ -295,7 +312,7 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
         total = total + transfer(spec, f2 + 2.0 * product(f, sums[m - k])[0], k)
     g_tail = resolvent_tail(spec, f, 1)
     j_m = transfer(spec, g_tail, m)
-    return (_l1_norm(total, tol), _l1_norm(j_m, tol))
+    return (_l1_norm(f, total, tol), _l1_norm(f, j_m, tol))
 
 
 def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int,

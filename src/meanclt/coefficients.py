@@ -216,10 +216,13 @@ def _nested_future_fn(spec: ProcessSpec, f: FourierFn, gaps: Sequence[int],
     return fn, dropped
 
 
+@functools.lru_cache(maxsize=None)
 def _binomial_weights(steps: int) -> tuple[np.ndarray, np.ndarray]:
     r = np.arange(steps + 1)
     w = np.array([math.comb(steps, int(j)) for j in r], dtype=float) * 0.5 ** steps
     offsets = steps - 2 * r
+    w.setflags(write=False)
+    offsets.setflags(write=False)
     return w, offsets
 
 
@@ -295,16 +298,19 @@ def _map_theta_norm(spec: ProcessSpec, f: FourierFn, i: int, tol: Tolerance,
 
         return integrate_unit(integrand, tol)
     # CircleWalk: the m-step kernel is a binomial average of shifts,
-    # so the nested conditional of |.|-products evaluates pointwise
+    # so the nested conditional of |.|-products evaluates pointwise; each
+    # level evaluates all its shifts of x in one call
     a_val = spec.a.value
 
     def chain_cond(x, t=0):
         if t == len(past_gaps):
             return np.abs(f.eval(x)) * np.abs(h0.eval(x))
         w, off = _binomial_weights(past_gaps[t])
+        shifted = np.mod(x + (off * a_val)[:, None], 1.0)
+        rows = chain_cond(shifted.reshape(-1), t + 1).reshape(shifted.shape)
         out = np.zeros_like(x)
-        for wt, o in zip(w, off):
-            out += wt * chain_cond(np.mod(x + o * a_val, 1.0), t + 1)
+        for wt, row in zip(w, rows):
+            out += wt * row
         return np.abs(f.eval(x)) * out
 
     return integrate_unit(chain_cond, tol)

@@ -89,15 +89,31 @@ class FourierFn:
     # -- evaluation and algebra --------------------------------------------
 
     def eval(self, x: ArrayLike) -> ArrayLike:
+        """constant + Re(sum_k C_k z^k) with C_k = a_k - i b_k and z = e^{2 pi i x}.
+
+        From frequency 2 on the sum is taken by Horner's rule in z, so each
+        point costs one cos and one sin; a single frequency is evaluated
+        term by term, which spares the sine of a cosine-only observable.
+        """
         x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.constant, dtype=float)
-        for k in range(1, self.max_freq + 1):
-            th = (2.0 * math.pi * k) * x
-            a, b = self.cos_coeffs[k - 1], self.sin_coeffs[k - 1]
-            if a != 0.0:
-                out += a * np.cos(th)
-            if b != 0.0:
-                out += b * np.sin(th)
+        if self.max_freq <= 1:
+            out = np.full(x.shape, self.constant, dtype=float)
+            if self.max_freq:
+                th = (2.0 * math.pi) * x
+                a, b = self.cos_coeffs[0], self.sin_coeffs[0]
+                if a != 0.0:
+                    out += a * np.cos(th)
+                if b != 0.0:
+                    out += b * np.sin(th)
+            return out if out.ndim else float(out)
+        th = (2.0 * math.pi) * x
+        z = np.cos(th) + 1j * np.sin(th)
+        c = self.cos_coeffs - 1j * self.sin_coeffs
+        s = c[-1] * z
+        for ck in c[-2::-1]:
+            s += ck
+            s *= z
+        out = s.real + self.constant
         return out if out.ndim else float(out)
 
     def __call__(self, x: ArrayLike) -> ArrayLike:

@@ -162,6 +162,23 @@ class TestProjectiveMachinery:
         assert math.isfinite(rep.total) and rep.total > 0.0
         assert rep.correction > 0.0
 
+    def test_norms_shared_across_n_of_one_observable(self, monkeypatch):
+        # the bound at n = 32 after n = 128 on the same observable takes every
+        # norm from the earlier call; a fresh observable integrates them again
+        from meanclt import bounds
+        calls = []
+        quad = bounds.integrate_unit
+        monkeypatch.setattr(bounds, "integrate_unit",
+                            lambda g, tol: calls.append(1) or quad(g, tol))
+        f = FourierFn(0.0, [1.0, 0.5])
+        projective_d1_bound(CW, f, 128)
+        before = len(calls)
+        again = projective_d1_bound(CW, f, 32)
+        assert len(calls) == before
+        fresh = projective_d1_bound(CW, FourierFn(0.0, [1.0, 0.5]), 32)
+        assert len(calls) > before
+        assert repr(again) == repr(fresh)
+
 
 class TestSecondMomentNorms:
     def test_mds_values(self):
@@ -196,7 +213,7 @@ def _second_moment_pairwise(spec, f, m):
     for k in range(1, m + 1):
         for l in range(k + 1, m + 1):
             total = total + 2.0 * transfer(spec, product(f, transfer(spec, f, l - k)).fn, k)
-    return _l1_norm(total)
+    return _l1_norm(f, total)
 
 
 def _cubic_pairwise(spec, f, l):

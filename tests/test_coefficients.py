@@ -10,7 +10,7 @@ from meanclt.coefficients import (AlphaSeq, JointPmf, QuantileSeq, alpha_exact,
                                   monotone_difference_bound_check, quantile_from_sample,
                                   theta_coeff, weighted_tail_integral)
 from meanclt.errors import DomainError, PrecisionError, ResourceError
-from meanclt.fourier import cosine
+from meanclt.fourier import FourierFn, cosine
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, iid_rademacher,
                                sqrt2_minus_one)
 from meanclt.wasserstein import EmpiricalSample, FinitePmf
@@ -157,6 +157,31 @@ class TestTheta:
             pointwise = sum(wt * f.eval(np.mod(xs + o * CW.a.value, 1.0))
                             for wt, o in zip(w, off))
             assert np.allclose(pointwise, transfer(CW, f, m).eval(xs), atol=1e-12)
+
+    @pytest.mark.parametrize("f", [cosine(1), FourierFn(0.0, [1.0, 0.5], [0.0, 0.3])],
+                             ids=["cos1", "cos1-cos2-sin2"])
+    @pytest.mark.parametrize("i,past_gaps,gaps", [(1, (), (1,)), (1, (), (2, 1)),
+                                                  (2, (1,), (1,)), (2, (3,), (2, 2)),
+                                                  (3, (2, 1), (1,)), (3, (0, 2), (1, 1))])
+    def test_circle_walk_shifts_at_once_match_per_shift(self, f, i, past_gaps, gaps):
+        # the circle-walk theta integrand, shift by shift as a reference
+        from meanclt.coefficients import _binomial_weights, _map_theta_norm, _nested_future_fn
+        from meanclt.numerics import Tolerance, integrate_unit
+        tol = Tolerance(1e-10, 1e-10, 40)
+        h, _ = _nested_future_fn(CW, f, gaps, cap=1 << 14)
+        h0 = h.shift_constant(-h.constant)
+        a_val = CW.a.value
+
+        def per_shift(x, t=0):
+            if t == len(past_gaps):
+                return np.abs(f.eval(x)) * np.abs(h0.eval(x))
+            w, off = _binomial_weights(past_gaps[t])
+            out = np.zeros_like(x)
+            for wt, o in zip(w, off):
+                out += wt * per_shift(np.mod(x + o * a_val, 1.0), t + 1)
+            return np.abs(f.eval(x)) * out
+
+        assert _map_theta_norm(CW, f, i, tol, past_gaps, gaps) == integrate_unit(per_shift, tol)
 
     def test_finite_chain_exact(self):
         fc = iid_two_state()

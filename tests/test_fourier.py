@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,39 @@ class TestEval:
         f = random_fn(1)
         xs = np.linspace(0, 1, 17)
         assert np.allclose(f.eval(xs), [f.eval(float(x)) for x in xs])
+
+    @pytest.mark.parametrize("with_sin", [False, True])
+    @pytest.mark.parametrize("k", [2, 4, 12, 24])
+    def test_horner_against_mpmath(self, k, with_sin):
+        # rounding of the phase 2 pi x grows k-fold in z^k (2 pi k u) and the
+        # k complex Horner steps add about 4 k u, both relative to coeff_l1
+        gen = np.random.default_rng(k)
+        f = FourierFn(float(gen.normal()), gen.normal(size=k),
+                      gen.normal(size=k) if with_sin else np.zeros(k))
+        xs = np.concatenate([gen.random(40), np.linspace(0.0, 1.0, 24, endpoint=False)])
+        worst = 0.0
+        with mpmath.workdps(30):
+            for x, got in zip(xs, f.eval(xs)):
+                th = 2 * mpmath.pi * mpmath.mpf(float(x))
+                ref = mpmath.mpf(f.constant) + mpmath.fsum(
+                    float(a) * mpmath.cos(j * th) + float(b) * mpmath.sin(j * th)
+                    for j, (a, b) in enumerate(zip(f.cos_coeffs, f.sin_coeffs), 1))
+                worst = max(worst, abs(float(mpmath.mpf(float(got)) - ref)))
+        assert worst <= 12.0 * k * 2.0 ** -53 * f.coeff_l1()
+
+    @pytest.mark.parametrize("coeffs", [([], []), ([0.7], []), ([], [-1.3]), ([0.7], [-1.3])])
+    def test_single_frequency_term_by_term(self, coeffs):
+        f = FourierFn(0.25, *coeffs)
+        xs = np.random.default_rng(5).random(257)
+        th = (2.0 * math.pi) * xs
+        a = f.cos_coeffs[0] if f.max_freq else 0.0
+        b = f.sin_coeffs[0] if f.max_freq else 0.0
+        expected = np.full(xs.shape, 0.25)
+        if a:
+            expected += a * np.cos(th)
+        if b:
+            expected += b * np.sin(th)
+        assert f.eval(xs).tobytes() == expected.tobytes()
 
 
 class TestAlgebra:

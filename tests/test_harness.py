@@ -497,7 +497,15 @@ class TestCli:
                                                             "values": [1.0, -1.0]}),
                                             (("process",), {"type": "finite_chain",
                                                             "transition": [[0.5, 0.5],
-                                                                           [0.5, 0.5]]})])
+                                                                           [0.5, 0.5]]}),
+                                            (("tolerance", "rel_tol"), math.nan),
+                                            (("tolerance", "abs_tol"), math.nan),
+                                            (("tolerance", "abs_tol"), math.inf),
+                                            (("tolerance", "rel_tol"), math.inf),
+                                            (("tolerance", "abs_tol"), -math.inf),
+                                            (("tolerance", "abs_tol"), 0.0),
+                                            (("tolerance", "rel_tol"), -1.0),
+                                            (("tolerance", "max_depth"), 0)])
     def test_malformed_field_exit_code(self, tmp_path, capsys, path, value):
         from meanclt.cli import main
         cfg = {"process": {"type": "circle_walk", "a_hi": 0.41421356237309503},
