@@ -7,6 +7,7 @@ action (and hence every conditional expectation downstream) exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,19 +89,24 @@ class FourierFn:
 
     # -- evaluation and algebra --------------------------------------------
 
+    @functools.cached_property
+    def _nonzero_terms(self) -> int:
+        return int(np.count_nonzero(self.cos_coeffs) + np.count_nonzero(self.sin_coeffs))
+
     def eval(self, x: ArrayLike) -> ArrayLike:
         """constant + Re(sum_k C_k z^k) with C_k = a_k - i b_k and z = e^{2 pi i x}.
 
-        From frequency 2 on the sum is taken by Horner's rule in z, so each
-        point costs one cos and one sin; a single frequency is evaluated
-        term by term, which spares the sine of a cosine-only observable.
+        Term by term, each nonzero a_k or b_k costs one cos or sin per point;
+        Horner's rule in z costs one cos and one sin per point and a complex
+        multiply-add per frequency.  Horner is taken from three nonzero terms
+        on, so a sparse observable such as cos 4 pi x keeps its single cosine.
         """
         x = np.asarray(x, dtype=float)
-        if self.max_freq <= 1:
+        if self._nonzero_terms <= 2:
             out = np.full(x.shape, self.constant, dtype=float)
-            if self.max_freq:
-                th = (2.0 * math.pi) * x
-                a, b = self.cos_coeffs[0], self.sin_coeffs[0]
+            for k in range(1, self.max_freq + 1):
+                th = (2.0 * math.pi * k) * x
+                a, b = self.cos_coeffs[k - 1], self.sin_coeffs[k - 1]
                 if a != 0.0:
                     out += a * np.cos(th)
                 if b != 0.0:

@@ -33,9 +33,10 @@ class TestEval:
 
     @pytest.mark.parametrize("with_sin", [False, True])
     @pytest.mark.parametrize("k", [2, 4, 12, 24])
-    def test_horner_against_mpmath(self, k, with_sin):
+    def test_against_mpmath(self, k, with_sin):
         # rounding of the phase 2 pi x grows k-fold in z^k (2 pi k u) and the
-        # k complex Horner steps add about 4 k u, both relative to coeff_l1
+        # k complex Horner steps add about 4 k u, both relative to coeff_l1;
+        # k = 2 without sines has two terms and is summed term by term
         gen = np.random.default_rng(k)
         f = FourierFn(float(gen.normal()), gen.normal(size=k),
                       gen.normal(size=k) if with_sin else np.zeros(k))
@@ -50,18 +51,20 @@ class TestEval:
                 worst = max(worst, abs(float(mpmath.mpf(float(got)) - ref)))
         assert worst <= 12.0 * k * 2.0 ** -53 * f.coeff_l1()
 
-    @pytest.mark.parametrize("coeffs", [([], []), ([0.7], []), ([], [-1.3]), ([0.7], [-1.3])])
-    def test_single_frequency_term_by_term(self, coeffs):
+    @pytest.mark.parametrize("coeffs", [([], []), ([0.7], []), ([], [-1.3]), ([0.7], [-1.3]),
+                                        ([0.0, 1.0], []), ([0.7, 0.0, 0.0, 0.5], []),
+                                        ([0.7], [0.0, 0.0, -1.3]), ([], [0.0, 0.0, 0.0, 0.0, 2.0])])
+    def test_two_terms_or_fewer_term_by_term(self, coeffs):
         f = FourierFn(0.25, *coeffs)
         xs = np.random.default_rng(5).random(257)
-        th = (2.0 * math.pi) * xs
-        a = f.cos_coeffs[0] if f.max_freq else 0.0
-        b = f.sin_coeffs[0] if f.max_freq else 0.0
         expected = np.full(xs.shape, 0.25)
-        if a:
-            expected += a * np.cos(th)
-        if b:
-            expected += b * np.sin(th)
+        for k in range(1, f.max_freq + 1):
+            th = (2.0 * math.pi * k) * xs
+            a, b = f.cos_coeffs[k - 1], f.sin_coeffs[k - 1]
+            if a:
+                expected += a * np.cos(th)
+            if b:
+                expected += b * np.sin(th)
         assert f.eval(xs).tobytes() == expected.tobytes()
 
 
