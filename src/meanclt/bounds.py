@@ -11,32 +11,70 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
-from .fourier import FourierFn, constant_fn, lebesgue_inner, product
-from .numerics import RandomStream, Tolerance, integrate_unit
+from .fourier import FourierFn, FourierStack, constant_fn, lebesgue_inner, product
+from .numerics import RandomStream, Tolerance, integrate_many, integrate_unit
 from .processes import (IIDLaw, ProcessSpec, is_martingale, long_run_variance,
                         resolvent_tail, transfer)
 
 _NORM_TOL = Tolerance(1e-12, 1e-12, 44)
 _STABLE_EPS = 1e-16
+_NORM_BATCH = 32  # norms integrated in one lockstep quadrature
+_TAIL_CHUNK = 64  # resolvent tails of the non-adapted correction per batch request
 
 # Quadrature results per observable: the bounds at each n of a run integrate
 # many of the same functions again, and the entries die with the observable.
 _QUAD_MEMO: "weakref.WeakKeyDictionary[FourierFn, dict]" = weakref.WeakKeyDictionary()
 
 
-def _memo_quad(f: FourierFn, kind: str, g: FourierFn, tol: Tolerance, integrand) -> float:
-    """integrate_unit(integrand, tol), once per (kind, tol, coefficients of g)
-    for the observable f."""
-    key = (kind, tol, g.constant, g.cos_coeffs.tobytes(), g.sin_coeffs.tobytes())
+def _memo_key(kind: str, g: FourierFn, tol: Tolerance) -> tuple:
+    return (kind, tol, g.constant, g.cos_coeffs.tobytes(), g.sin_coeffs.tobytes())
+
+
+def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
+              tol: Tolerance = _NORM_TOL) -> list:
+    """[||g||_1 for ("l1", g), ||f g||_1 for ("weighted", g)], remembered for
+    the run's observable f.
+
+    The norms not yet remembered are integrated _NORM_BATCH at a time, in
+    request order, in one lockstep quadrature of a `FourierStack`; each
+    one's value depends only on its own panels, so not on its batch.  The
+    requests are read one by one, so a generator of them keeps no more than
+    one batch of functions alive.
+    """
     memo = _QUAD_MEMO.setdefault(f, {})
-    if key not in memo:
-        memo[key] = integrate_unit(integrand, tol)
-    return memo[key]
+    keys, batch = [], {}
+    for kind, g in requests:
+        key = _memo_key(kind, g, tol)
+        keys.append(key)
+        if key not in memo and key not in batch and not g.is_zero():
+            batch[key] = (kind, g)
+            if len(batch) == _NORM_BATCH:
+                memo.update(_integrate_norms(f, batch, tol))
+                batch = {}
+    if batch:
+        memo.update(_integrate_norms(f, batch, tol))
+    # a zero g is never integrated and never remembered
+    return [memo.get(key, 0.0) for key in keys]
+
+
+def _integrate_norms(f: FourierFn, batch: dict, tol: Tolerance):
+    """(key, norm) pairs of a batch {key: (kind, g)}, from one integrate_many."""
+    stack = FourierStack([g for _, g in batch.values()])
+    weighted = np.array([kind == "weighted" for kind, _ in batch.values()])
+
+    def integrand(owner, x):
+        y = stack.eval(x, owner[:, None])
+        rows = weighted[owner]
+        if rows.any():
+            y[rows] *= f.eval(x[rows])
+        return np.abs(y)
+
+    return zip(batch, integrate_many(integrand, len(batch), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -77,27 +115,17 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None,
     if sigma2 <= 0.0:
         raise DegenerateVarianceError("long-run variance is not positive")
     var0 = lebesgue_inner(f, f)
-    abs3 = _memo_quad(f, "abs3", f, tol, lambda x: np.abs(f.eval(x)) ** 3)
+    memo = _QUAD_MEMO.setdefault(f, {})
+    key = _memo_key("abs3", f, tol)
+    if key not in memo:
+        memo[key] = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, tol)
+    abs3 = memo[key]
     return MomentSummary(sigma2=sigma2, var0=var0, abs3=abs3, lam=abs3 / sigma2)
 
 
 # ---------------------------------------------------------------------------
 # Conditional-drift norms
 # ---------------------------------------------------------------------------
-
-
-def _l1_norm(f: FourierFn, g: FourierFn, tol: Tolerance = _NORM_TOL) -> float:
-    """||g||_1, remembered for the run's observable f."""
-    if g.is_zero():
-        return 0.0
-    return _memo_quad(f, "l1", g, tol, lambda x: np.abs(g.eval(x)))
-
-
-def _weighted_l1(f: FourierFn, g: FourierFn, tol: Tolerance = _NORM_TOL) -> float:
-    """||f g||_1, remembered for f."""
-    if g.is_zero():
-        return 0.0
-    return _memo_quad(f, "weighted", g, tol, lambda x: np.abs(f.eval(x) * g.eval(x)))
 
 
 def _partial_sums(spec: ProcessSpec, z: FourierFn, count: int) -> list:
@@ -116,13 +144,18 @@ def _partial_sums(spec: ProcessSpec, z: FourierFn, count: int) -> list:
     return sums
 
 
-def _norms(sums: Sequence[FourierFn], norm) -> list:
-    """[norm(s) for s in sums], evaluating norm once per distinct object."""
-    cache = {}
-    for s in sums:
-        if id(s) not in cache:
-            cache[id(s)] = norm(s)
-    return [cache[id(s)] for s in sums]
+def _norms(sums: Sequence[FourierFn], norms) -> list:
+    """The values norms(distinct) gives the distinct objects of sums, spread
+    back over sums: one per entry, each distinct object passed once."""
+    distinct = list({id(s): s for s in sums}.values())
+    values = dict(zip(map(id, distinct), norms(distinct)))
+    return [values[id(s)] for s in sums]
+
+
+def _drift_pairs(f: FourierFn, ws: Sequence[FourierFn], tol: Tolerance) -> list:
+    """[(||w||_1, ||f w||_1) for w in ws], as one batch request."""
+    norms = _l1_norms(f, [(kind, w) for w in ws for kind in ("l1", "weighted")], tol)
+    return list(zip(norms[::2], norms[1::2]))
 
 
 def _variance_compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
@@ -148,7 +181,7 @@ def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
     if isinstance(spec, IIDLaw):
         return (0.0, 0.0)
     w = _partial_sums(spec, compensator(spec, f), m)[-1]
-    return (_l1_norm(f, w, tol), _weighted_l1(f, w, tol))
+    return _drift_pairs(f, [w], tol)[0]
 
 
 def variance_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
@@ -195,21 +228,34 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
     first = 0.0
     prev_norm = None
-    for m in range(1, n + 1):
-        tail_m = resolvent_tail(spec, f, m)
-        if tail_m.is_zero():
-            # all later tails vanish as well for the interval maps
+    stopped = False
+    # the tails go to quadrature _TAIL_CHUNK at a time; the sum stops at the
+    # first zero tail (all later ones vanish as well for the interval maps)
+    # or at the first norm that no longer moves it
+    for lo in range(1, n + 1, _TAIL_CHUNK):
+        tails = []
+        for m in range(lo, min(lo + _TAIL_CHUNK, n + 1)):
+            tail_m = resolvent_tail(spec, f, m)
+            if tail_m.is_zero():
+                stopped = True
+                break
+            tails.append(("weighted", tail_m))
+        for m, norm in enumerate(_l1_norms(f, tails, tol), lo):
+            if prev_norm is not None and norm <= _STABLE_EPS * (1.0 + prev_norm):
+                stopped = True
+                break
+            first += norm / (sigma * math.sqrt(m))
+            prev_norm = norm
+        if stopped:
             break
-        norm = _weighted_l1(f, tail_m, tol)
-        if prev_norm is not None and norm <= _STABLE_EPS * (1.0 + prev_norm):
-            break
-        first += norm / (sigma * math.sqrt(m))
-        prev_norm = norm
 
     f2, _ = product(f, f)
     one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
-    norms = _norms(_partial_sums(spec, f, n)[1:],
-                   lambda s_m: _l1_norm(f, product(one_plus, s_m)[0], tol))
+
+    def one_plus_norms(sums):
+        return _l1_norms(f, (("l1", product(one_plus, s_m)[0]) for s_m in sums), tol)
+
+    norms = _norms(_partial_sums(spec, f, n)[1:], one_plus_norms)
     second = sum(norm / (2.0 * m) for m, norm in enumerate(norms, 1))
     return CorrectionReport(total=first + second)
 
@@ -257,7 +303,7 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
         series = [0.0] * cutoff
     else:
         norms = _norms(_partial_sums(spec, compensator(spec, f), cutoff)[1:],
-                       lambda w: (_l1_norm(f, w, tol), _weighted_l1(f, w, tol)))
+                       lambda ws: _drift_pairs(f, ws, tol))
         series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
                   for m, (l1, wl1) in enumerate(norms, 1)]
         if corrected:
@@ -312,7 +358,7 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
         total = total + transfer(spec, f2 + 2.0 * product(f, sums[m - k])[0], k)
     g_tail = resolvent_tail(spec, f, 1)
     j_m = transfer(spec, g_tail, m)
-    return (_l1_norm(f, total, tol), _l1_norm(f, j_m, tol))
+    return tuple(_l1_norms(f, [("l1", total), ("l1", j_m)], tol))
 
 
 def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int,
@@ -433,7 +479,7 @@ def rate_fit(points: Sequence[tuple[int, float]]) -> RateFit:
         raise DomainError("rate fitting needs at least 3 points")
     ns = np.array([p[0] for p in points], dtype=float)
     ds = np.array([p[1] for p in points], dtype=float)
-    if np.unique(ns).size != ns.size:
+    if len(set(ns.tolist())) != ns.size:
         raise DomainError("sample sizes must be distinct")
     if np.any(ds <= 0.0):
         raise DomainError("distances must be positive for a log-log fit")

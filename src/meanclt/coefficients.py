@@ -26,6 +26,13 @@ from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, ProcessSpe
                         SplitReal, transfer)
 from .wasserstein import EmpiricalSample, FinitePmf
 
+
+def _unique(values) -> np.ndarray:
+    """np.unique of a 1-d array without numpy.ma, which np.unique imports."""
+    s = np.sort(np.asarray(values).reshape(-1))
+    return s[np.concatenate([[True], s[1:] != s[:-1]])] if s.size else s
+
+
 # ---------------------------------------------------------------------------
 # Tabulated mixing sequences and quantile functions
 # ---------------------------------------------------------------------------
@@ -188,7 +195,7 @@ def weighted_tail_integral(a: AlphaSeq, q: QuantileSeq, power: int, weight: int,
     # W(u) is a step function with breakpoints at the distinct alpha values
     alphas = a.values[1:kmax + 1]
     ks = np.arange(1, kmax + 1, dtype=float) ** weight
-    edges = np.unique(np.concatenate([[0.0], alphas]))
+    edges = _unique(np.concatenate([[0.0], alphas]))
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         w = float(ks[alphas > lo].sum())
@@ -407,7 +414,7 @@ def _alpha_doubling(indices: Sequence[int], grid: int) -> float:
 def _threshold_grid(coords: np.ndarray) -> np.ndarray:
     """Midpoints between consecutive distinct values (the value itself when
     there is only one): every distinct indicator column, once."""
-    uniq = np.unique(coords)
+    uniq = _unique(coords)
     if uniq.size == 1:
         return uniq
     return 0.5 * (uniq[:-1] + uniq[1:])
@@ -547,7 +554,7 @@ def _dispersion_steps(pmf: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
     """D(u) = (F^{-1}(1-u) - F^{-1}(u))_+ as a step function on (0, 1/2),
     with F^{-1}(q) = inf{x : F(x) >= q}."""
     br, atoms = np.cumsum(pmf.probs)[:-1], pmf.atoms
-    cuts = np.unique(np.concatenate([br, 1.0 - br, [0.5]]))
+    cuts = _unique(np.concatenate([br, 1.0 - br, [0.5]]))
     cuts = cuts[(cuts > 0.0) & (cuts < 0.5)]
     edges = np.concatenate([[0.0], cuts, [0.5]])
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -561,7 +568,7 @@ def _product_step_integral(step_fns: Sequence[tuple[np.ndarray, np.ndarray]],
     """Exact integral over (0, upper) of a product of step functions."""
     if upper <= 0.0:
         return 0.0
-    edges = np.unique(np.concatenate([e for e, _ in step_fns] + [[0.0, upper]]))
+    edges = _unique(np.concatenate([e for e, _ in step_fns] + [[0.0, upper]]))
     edges = edges[(edges >= 0.0) & (edges <= upper)]
     if edges[-1] < upper:
         edges = np.append(edges, upper)
@@ -591,7 +598,7 @@ def _alpha_joint(j: JointPmf, cond: Optional[int] = None) -> float:
                for c in range(j.k) if c != cond]
     groups = [] if cond is None else [
         (mask, float(pr[mask].sum()))
-        for mask in (pts[:, cond] == v for v in np.unique(pts[:, cond]))]
+        for mask in (pts[:, cond] == v for v in _unique(pts[:, cond]))]
     best = 0.0
     for cols in itertools.product(*columns):
         g = np.ones(pts.shape[0])
@@ -667,8 +674,8 @@ def dispersion_check(marginal: FinitePmf) -> bool:
     atoms, probs = marginal.atoms, marginal.probs
     edges, dvals = _dispersion_steps(marginal)
     cum = np.cumsum(probs)
-    grid = np.unique(np.concatenate([edges, cum, 1.0 - cum,
-                                     np.linspace(0.0, 0.5, 129)]))
+    grid = _unique(np.concatenate([edges, cum, 1.0 - cum,
+                                   np.linspace(0.0, 0.5, 129)]))
     grid = grid[(grid >= 0.0) & (grid <= 0.5)]
     # the inequalities hold almost everywhere; sample every constancy
     # interval at its midpoint so step conventions at breakpoints don't bite

@@ -11,7 +11,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -93,13 +93,18 @@ class FourierFn:
     def _nonzero_terms(self) -> int:
         return int(np.count_nonzero(self.cos_coeffs) + np.count_nonzero(self.sin_coeffs))
 
+    @functools.cached_property
+    def _stack(self) -> "FourierStack":
+        return FourierStack([self])
+
     def eval(self, x: ArrayLike) -> ArrayLike:
-        """constant + Re(sum_k C_k z^k) with C_k = a_k - i b_k and z = e^{2 pi i x}.
+        """constant + sum_k (a_k cos 2 pi k x + b_k sin 2 pi k x).
 
         Term by term, each nonzero a_k or b_k costs one cos or sin per point;
-        Horner's rule in z costs one cos and one sin per point and a complex
-        multiply-add per frequency.  Horner is taken from three nonzero terms
-        on, so a sparse observable such as cos 4 pi x keeps its single cosine.
+        Horner's rule in z = e^{2 pi i x} (`FourierStack`) costs one cos and
+        one sin per point and a complex multiply-add per frequency.  Horner is
+        taken from three nonzero terms on, so a sparse observable such as
+        cos 4 pi x keeps its single cosine.
         """
         x = np.asarray(x, dtype=float)
         if self._nonzero_terms <= 2:
@@ -112,14 +117,7 @@ class FourierFn:
                 if b != 0.0:
                     out += b * np.sin(th)
             return out if out.ndim else float(out)
-        th = (2.0 * math.pi) * x
-        z = np.cos(th) + 1j * np.sin(th)
-        c = self.cos_coeffs - 1j * self.sin_coeffs
-        s = c[-1] * z
-        for ck in c[-2::-1]:
-            s += ck
-            s *= z
-        out = s.real + self.constant
+        out = self._stack.eval(x)
         return out if out.ndim else float(out)
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
@@ -180,6 +178,42 @@ class FourierFn:
             if b != 0.0:
                 parts.append(f"{b:g}*sin{k}")
         return "+".join(parts) if parts else "0"
+
+
+class FourierStack:
+    """Trigonometric polynomials p_j evaluated together by Horner's rule in z.
+
+    p_j(x) = c_j + Re(sum_{k<=K} C_jk z^k) with C_jk = a_jk - i b_jk and
+    z = e^{2 pi i x}, K the largest max_freq of the stack; a polynomial of
+    lower degree has zeros on top, which leave its Horner sum exact, so each
+    value is the one its polynomial gets in a stack of its own.  The
+    coefficient table is built once, here, for every later evaluation.
+    """
+
+    def __init__(self, fns: Sequence[FourierFn]):
+        top = max(f.max_freq for f in fns)
+        table = np.zeros((top, len(fns)), dtype=complex)  # row k-1 holds C_k
+        for j, f in enumerate(fns):
+            table[:f.max_freq, j] = f.cos_coeffs - 1j * f.sin_coeffs
+        self._rows = table[::-1]  # C_K first
+        self._constants = np.array([f.constant for f in fns])
+
+    def eval(self, x: np.ndarray, which=None) -> np.ndarray:
+        """p_which[i](x[i]), `which` broadcasting against x; with which None,
+        the stack's one polynomial at every x."""
+        if which is None:
+            rows, const = iter(self._rows[:, 0]), self._constants[0]
+        else:
+            rows, const = (row[which] for row in self._rows), self._constants[which]
+        if not self._rows.size:
+            return np.zeros(np.shape(x)) + const
+        th = (2.0 * math.pi) * x
+        z = np.cos(th) + 1j * np.sin(th)
+        s = next(rows) * z
+        for c in rows:
+            s += c
+            s *= z
+        return s.real + const
 
 
 def cosine(freq: int, amplitude: float = 1.0) -> FourierFn:

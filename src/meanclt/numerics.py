@@ -236,52 +236,97 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
 
-def _panel_estimates(g: Callable[[np.ndarray], np.ndarray],
-                     a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod-15 estimates and error indicators for a batch of intervals."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid[:, None] + half[:, None] * _NODES[None, :]
-    vals = np.asarray(g(x.reshape(-1)), dtype=float).reshape(x.shape)
-    k15 = half * (vals @ _KRON_W)
-    g7 = half * (vals @ _GAUSS_W)
-    return k15, np.abs(k15 - g7)
+_RULE_W = np.stack([_KRON_W, _GAUSS_W])
+# Points per call of the integrand, so that no temporary of an evaluation
+# reaches 256 KiB: freeing one would raise glibc's dynamic mmap threshold
+# (see README, "Bounds").
+_EVAL_POINTS = 2048
+_EVAL_PANELS = _EVAL_POINTS // _NODES.size
+
+
+def _panel_estimates(g, owner: np.ndarray, a: np.ndarray,
+                     width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod-15 estimates and error indicators of the panels [a, a + width],
+    panel i integrating g's integrand owner[i].
+
+    Each panel's weighted sums run over its own row (einsum), so they do not
+    depend on which panels share its batch; a BLAS matrix-vector product
+    rounds a row differently by batch shape.
+    """
+    half = 0.5 * width
+    offsets = half * _NODES
+    sums = []
+    for lo in range(0, a.size, _EVAL_PANELS):
+        part = slice(lo, lo + _EVAL_PANELS)
+        vals = g(owner[part], (a[part] + half)[:, None] + offsets)
+        sums.append(np.einsum("ij,kj->ki", np.asarray(vals, dtype=float), _RULE_W))
+    sums = half * (sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1))
+    return sums[0], np.abs(sums[0] - sums[1])
+
+
+def integrate_many(g: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int,
+                   tol: Tolerance = DEFAULT_TOLERANCE) -> list:
+    """Deterministic adaptive quadrature over [0, 1] of `count` integrands.
+
+    g(owner, x) returns integrand owner[i] at the points of row x[i], in the
+    shape of x (a row of 15 points per panel).  The integrands are bisected
+    in lockstep, one call pass over every open panel per depth, but each
+    keeps its own panels in its own order, its own error budget (from its
+    own first Kronrod estimate) and its own sums, so its value is the one it
+    gets alone.  Integrands must be bounded and piecewise smooth; a panel is
+    bisected while its Kronrod error indicator exceeds the per-unit-length
+    budget, so kinks are found, never pre-located.
+
+    Returns the integrals as floats.  Raises AccuracyError, with the best
+    estimate and error bound of the first integrand that fails, when some
+    panel still fails at depth tol.max_depth.
+    """
+    owner = np.arange(count)  # kept sorted: each integrand's panels together
+    a = np.zeros(count)  # left ends; all panels of one depth have one width
+    width = 1.0
+    k15, err = _panel_estimates(g, owner, a, width)
+    eps = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(k15))
+    total, total_err = [0.0] * count, [0.0] * count
+
+    for depth in range(tol.max_depth):
+        ok = err <= eps[owner] * width
+        done_k15, done_err = k15[ok], err[ok]
+        if owner[0] == owner[-1]:  # one integrand open
+            runs = [(owner[0], 0, done_k15.size)]
+        else:  # each integrand's converged panels are one run
+            done = owner[ok]
+            cuts = [0, *(np.flatnonzero(done[1:] != done[:-1]) + 1).tolist(), done.size]
+            runs = [(done[lo], lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+        for o, lo, hi in runs:
+            total[o] += float(done_k15[lo:hi].sum())
+            total_err[o] += float(done_err[lo:hi].sum())
+        ok = ~ok
+        a, owner = a[ok], owner[ok]
+        if a.size == 0:
+            return total
+        width *= 0.5
+        # an integrand's left halves, then its right halves
+        a = np.concatenate([a, a + width])
+        owner = np.concatenate([owner, owner])
+        if owner[0] != owner[-1]:
+            order = np.argsort(owner, kind="stable")
+            a, owner = a[order], owner[order]
+        k15, err = _panel_estimates(g, owner, a, width)
+    first = owner[0]
+    mine = owner == first
+    raise AccuracyError("quadrature did not converge within max_depth",
+                        total[first] + float(k15[mine].sum()),
+                        total_err[first] + float(err[mine].sum()))
 
 
 def integrate_unit(g: Callable[[np.ndarray], np.ndarray],
                    tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Deterministic adaptive quadrature of g over [0, 1].
+    """Deterministic adaptive quadrature of g over [0, 1]: `integrate_many`
+    of the one integrand g, which must accept a 1-d numpy array of points."""
+    def rows(owner, x):
+        return np.asarray(g(x.reshape(-1)), dtype=float).reshape(x.shape)
 
-    g must be bounded and piecewise smooth (finitely many kinks) and accept a
-    1-d numpy array of evaluation points.  The interval is bisected wherever
-    the Kronrod error indicator exceeds the per-unit-length budget; kinks are
-    found by the bisection, never pre-located.
-
-    Raises AccuracyError (carrying the best estimate and its error bound)
-    when some subinterval still fails at recursion depth tol.max_depth.
-    """
-    a = np.array([0.0])
-    b = np.array([1.0])
-    k15, err = _panel_estimates(g, a, b)
-    eps = max(tol.abs_tol, tol.rel_tol * abs(float(k15[0])))
-
-    total = 0.0
-    total_err = 0.0
-    for depth in range(tol.max_depth):
-        width = b - a
-        ok = err <= eps * width
-        total += float(k15[ok].sum())
-        total_err += float(err[ok].sum())
-        a, b = a[~ok], b[~ok]
-        if a.size == 0:
-            return total
-        mid = 0.5 * (a + b)
-        a = np.concatenate([a, mid])
-        b = np.concatenate([mid, b])
-        k15, err = _panel_estimates(g, a, b)
-    best = total + float(k15.sum())
-    bound = total_err + float(err.sum())
-    raise AccuracyError("quadrature did not converge within max_depth", best, bound)
+    return integrate_many(rows, 1, tol)[0]
 
 
 def integrate_interval(g: Callable[[np.ndarray], np.ndarray],

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from meanclt.bounds import (_l1_norm, _norms, _partial_sums, cubic_moment_sum,
+from meanclt.bounds import (_l1_norms, _norms, _partial_sums, cubic_moment_sum,
                             martingale_d1_bound, moments,
                             nonadapted_correction, projective_d1_bound,
                             projective_drift_norms, rate_fit, second_moment_norms,
@@ -167,9 +168,11 @@ class TestProjectiveMachinery:
         # norm from the earlier call; a fresh observable integrates them again
         from meanclt import bounds
         calls = []
-        quad = bounds.integrate_unit
+        quad, quad_many = bounds.integrate_unit, bounds.integrate_many
         monkeypatch.setattr(bounds, "integrate_unit",
                             lambda g, tol: calls.append(1) or quad(g, tol))
+        monkeypatch.setattr(bounds, "integrate_many",
+                            lambda g, count, tol: calls.append(count) or quad_many(g, count, tol))
         f = FourierFn(0.0, [1.0, 0.5])
         projective_d1_bound(CW, f, 128)
         before = len(calls)
@@ -178,6 +181,59 @@ class TestProjectiveMachinery:
         fresh = projective_d1_bound(CW, FourierFn(0.0, [1.0, 0.5]), 32)
         assert len(calls) > before
         assert repr(again) == repr(fresh)
+
+
+    def test_norm_independent_of_its_batch(self):
+        # a norm gets the same bits alone, in a batch, and among other mates;
+        # each call below starts from an observable with an empty memo
+        coeffs = ([1.0, 0.5, 0.25, 0.125], [0.0, 0.3])
+        fresh = lambda: FourierFn(0.0, *coeffs)
+        sums = _partial_sums(CW, fresh(), 12)[1:]
+        requests = [(kind, s) for s in sums for kind in ("l1", "weighted")]
+        alone = [_l1_norms(fresh(), [r])[0] for r in requests]
+        assert _l1_norms(fresh(), requests) == alone
+        assert _l1_norms(fresh(), requests[::-1]) == alone[::-1]
+        mates = [("l1", transfer(CW, cosine(3), 2)), ("weighted", cosine(7))]
+        assert _l1_norms(fresh(), mates + requests[5:9] + mates)[2:6] == alone[5:9]
+
+    @pytest.mark.parametrize("spec,coeffs", [(DM, ([0.0, 1.0], [])),
+                                             (CW, ([1.0, 0.5], [0.0, 0.3]))])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 256])
+    def test_nonadapted_correction_matches_sequential_loop(self, spec, coeffs, n):
+        # the tails go to quadrature in chunks of 64; the sum must stop where
+        # the one-norm-at-a-time loop stops (a zero tail for the doubling
+        # map, m = 233 for this circle-walk observable), on both sides of
+        # every chunk edge; the reference integrates each norm alone
+        f, ref_f = FourierFn(0.0, *coeffs), FourierFn(0.0, *coeffs)
+        sigma2 = long_run_variance(spec, ref_f).sigma2
+        sigma = math.sqrt(sigma2)
+        first, prev = 0.0, None
+        for m in range(1, n + 1):
+            tail = resolvent_tail(spec, ref_f, m)
+            if tail.is_zero():
+                break
+            norm = _l1_norms(ref_f, [("weighted", tail)])[0]
+            if prev is not None and norm <= 1e-16 * (1.0 + prev):
+                break
+            first += norm / (sigma * math.sqrt(m))
+            prev = norm
+        one_plus = product(ref_f, ref_f).fn * (1.0 / sigma2) + constant_fn(1.0)
+        sums = _partial_sums(spec, ref_f, n)
+        second = sum(_l1_norms(ref_f, [("l1", product(one_plus, sums[m]).fn)])[0] / (2.0 * m)
+                     for m in range(1, n + 1))
+        assert nonadapted_correction(spec, f, n).total == first + second
+
+    def test_circle4_bound_memory(self):
+        # the batched norms keep their temporaries small: the bound of the
+        # 4-frequency circle-walk observable at n = 256 peaks well below 768 KiB
+        f = FourierFn(0.0, [1.0, 0.5, 0.25, 0.125], [0.0, 0.3])
+        tracemalloc.start()
+        try:
+            projective_d1_bound(CW, f, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 768 * 1024
 
 
 class TestSecondMomentNorms:
@@ -213,7 +269,7 @@ def _second_moment_pairwise(spec, f, m):
     for k in range(1, m + 1):
         for l in range(k + 1, m + 1):
             total = total + 2.0 * transfer(spec, product(f, transfer(spec, f, l - k)).fn, k)
-    return _l1_norm(f, total)
+    return _l1_norms(f, [("l1", total)])[0]
 
 
 def _cubic_pairwise(spec, f, l):
@@ -262,7 +318,7 @@ class TestSingleSumOracle:
     def test_norms_once_per_distinct_sum(self):
         sums = _partial_sums(DM, cosine(4), 9)
         calls = []
-        values = _norms(sums, lambda s: calls.append(s) or s.coeff_l1())
+        values = _norms(sums, lambda ss: calls.extend(ss) or [s.coeff_l1() for s in ss])
         assert len(calls) == len({id(s) for s in sums}) == 3
         assert values == [s.coeff_l1() for s in sums]
 

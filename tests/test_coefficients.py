@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanclt.coefficients import (AlphaSeq, JointPmf, QuantileSeq, alpha_exact,
+from meanclt.coefficients import (AlphaSeq, JointPmf, QuantileSeq, _unique, alpha_exact,
                                   alpha_inverse, alpha_tabulation,
                                   covariance_bound_check, dispersion_check,
                                   frac_part_sum, kernel_decay_sum, mixing_integral,
@@ -22,6 +22,19 @@ CW = CircleWalk(sqrt2_minus_one())
 def iid_two_state() -> FiniteChain:
     p = np.array([[0.3, 0.7], [0.3, 0.7]])
     return FiniteChain(p, values=np.array([-1.0, 1.0]))
+
+
+class TestUnique:
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0], [1.0, -0.0, 0.5, 0.0, 1.0],
+                                        [2.5], [3, 1, 3, 2, 1]])
+    def test_matches_np_unique(self, values):
+        assert _unique(np.array(values)).tobytes() == np.unique(np.array(values)).tobytes()
+
+    def test_matches_np_unique_random(self):
+        gen = np.random.default_rng(4)
+        for size in (1, 2, 17, 300):
+            x = np.round(gen.random(size) * 8.0) / 8.0  # many repeats
+            assert _unique(x).tobytes() == np.unique(x).tobytes()
 
 
 class TestQuantileSeq:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanclt.errors import DomainError
-from meanclt.fourier import (FourierFn, constant_fn, cosine, lebesgue_inner, product,
-                             sine)
+from meanclt.fourier import (FourierFn, FourierStack, constant_fn, cosine, lebesgue_inner,
+                             product, sine)
 
 
 def random_fn(seed: int, k: int = 4) -> FourierFn:
@@ -66,6 +66,60 @@ class TestEval:
             if b:
                 expected += b * np.sin(th)
         assert f.eval(xs).tobytes() == expected.tobytes()
+
+
+# mixed degrees, so most of the stack has zeros on top; a constant; and
+# polynomials of at most two nonzero terms, which FourierFn.eval sums term by term
+STACK = [FourierFn(0.3, [1.0, -0.5, 0.25, 0.125, 0.7, -0.2, 0.1, 0.05, -0.3, 0.2, 0.6, -0.4],
+                   [0.0, 0.3, -0.1, 0.0, 0.2, 0.0, 0.4, 0.0, 0.0, -0.6, 0.0, 0.1]),
+         cosine(1), FourierFn(0.0, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.5]),
+         FourierFn(-0.25, [], [0.0, 0.8]), constant_fn(2.0), sine(5, -0.7),
+         FourierFn(0.1, [0.5, 0.0, -1.2], [0.2, 0.9, 0.0]),
+         FourierFn(0.0, [0.0, 2.0], [0.0, 0.0, 0.0, 1.0])]
+
+
+class TestFourierStack:
+    def _points(self):
+        gen = np.random.default_rng(11)
+        x = np.concatenate([gen.random(45), np.linspace(0.0, 1.0, 15, endpoint=False)])
+        which = gen.integers(0, len(STACK), size=x.size)
+        return x, which
+
+    def test_against_mpmath(self):
+        # each point reads its own polynomial; the error bound is the one of
+        # its own degree K, since the zeros on top add nothing
+        x, which = self._points()
+        got = FourierStack(STACK).eval(x, which)
+        with mpmath.workdps(30):
+            for xi, j, v in zip(x, which, got):
+                f = STACK[j]
+                th = 2 * mpmath.pi * mpmath.mpf(float(xi))
+                ref = mpmath.mpf(f.constant) + mpmath.fsum(
+                    float(a) * mpmath.cos(k * th) + float(b) * mpmath.sin(k * th)
+                    for k, (a, b) in enumerate(zip(f.cos_coeffs, f.sin_coeffs), 1))
+                err = abs(float(mpmath.mpf(float(v)) - ref))
+                assert err <= 12.0 * max(f.max_freq, 1) * 2.0 ** -53 * f.coeff_l1(), (j, xi)
+
+    def test_value_is_the_one_of_a_stack_of_its_own(self):
+        x, which = self._points()
+        got = FourierStack(STACK).eval(x, which)
+        for j, f in enumerate(STACK):
+            mine = which == j
+            assert got[mine].tobytes() == FourierStack([f]).eval(x[mine]).tobytes()
+
+    def test_rows_of_points_per_polynomial(self):
+        # a column of polynomial indices broadcasts against rows of points
+        x = np.random.default_rng(12).random((len(STACK), 15))
+        which = np.arange(len(STACK))[:, None]
+        got = FourierStack(STACK).eval(x, which)
+        assert got.shape == x.shape
+        for j, f in enumerate(STACK):
+            assert got[j].tobytes() == FourierStack([f]).eval(x[j]).tobytes()
+
+    def test_eval_is_the_stack_of_one(self):
+        f = STACK[0]
+        x = np.random.default_rng(13).random(33)
+        assert f.eval(x).tobytes() == FourierStack([f]).eval(x).tobytes()
 
 
 class TestAlgebra:

@@ -443,6 +443,47 @@ class TestCli:
         out = self._run("run", "--config", str(bad))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("max_depth,estimate", [(1, 0.5932809736509904),
+                                                     (3, 0.5969991831399206),
+                                                     (6, 0.596998722530117)])
+    def test_depth_exhaustion_exit_code(self, tmp_path, capsys, max_depth, estimate):
+        # the batched norms fail at the same first norm, with the same best
+        # estimate, as one quadrature per norm did
+        from meanclt.cli import main
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"process": CIRCLE,
+                                    "observable": {"cos": [1.0, 0.5, 0.25, 0.125],
+                                                   "sin": [0.0, 0.3]},
+                                    "n_grid": [64, 256], "reps": 1, "seed": 1,
+                                    "targets": ["projective_bound"],
+                                    "tolerance": {"max_depth": max_depth}}))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 3
+        got = float(re.search(r"best estimate ([^,]+),", capsys.readouterr().err).group(1))
+        assert got == pytest.approx(estimate, rel=1e-12)
+
+    def test_commands_import_no_numpy_ma(self, tmp_path):
+        # numpy.ma costs about 0.6 MiB resident and np.unique imports it; a run
+        # with a rate fit, a diagnosis and the appendix oracle have no use for it
+        cfg = small_config(n_grid=(16, 32, 64), reps=100, targets=("empirical_d1", "rate_fit"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        argvs = [["run", "--config", str(path), "--output", str(tmp_path / "r")],
+                 ["diagnose", "--config", str(path), "--output", str(tmp_path / "d.json")],
+                 ["check-appendix", "--count", "5", "--seed", "3"]]
+        code = ("import sys, meanclt.cli\n"
+                f"for argv in {argvs!r}:\n"
+                "    assert meanclt.cli.main(argv) == 0, argv\n"
+                "    print('numpy.ma' in sys.modules)\n")
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env)
+        assert out.returncode == 0, out.stderr
+        assert json.loads((tmp_path / "r.manifest.json").read_text())["fit"]
+        assert [line for line in out.stdout.split() if line in ("True", "False")] == \
+            ["False"] * 3
+
     def test_reducible_chain_exit_code(self, tmp_path, capsys):
         from meanclt.cli import main
         path = tmp_path / "chain.json"

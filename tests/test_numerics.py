@@ -14,8 +14,9 @@ from numpy.random import Generator, Philox
 
 from meanclt.errors import AccuracyError, DomainError
 from meanclt.numerics import (Tolerance, gauss_cdf, gauss_cdf_antideriv, gauss_pdf,
-                              gauss_quantile, integrate_interval, integrate_unit,
-                              phi_deriv_l1, substream)
+                              gauss_quantile, integrate_interval, integrate_many,
+                              integrate_unit, phi_deriv_l1, substream)
+from meanclt.numerics import _EVAL_POINTS, _panel_estimates
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
@@ -118,6 +119,91 @@ class TestQuadrature:
     def test_interval_mapping(self):
         val = integrate_interval(lambda x: x * x, -1.0, 2.0)
         assert val == pytest.approx(3.0, abs=1e-11)
+
+
+def _trig_integrands(seed: int, count: int) -> list:
+    """|random trig polynomial| of 1 to 6 frequencies, each a kinked integrand."""
+    gen = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(gen.integers(1, 7))
+        a, b = gen.normal(size=(2, k))
+        freqs = 2 * np.pi * np.arange(1, k + 1)
+        out.append(lambda x, a=a, b=b, freqs=freqs:
+                   np.abs(np.cos(np.multiply.outer(x, freqs)) @ a
+                          + np.sin(np.multiply.outer(x, freqs)) @ b))
+    return out
+
+
+def _batched(gs):
+    """g(owner, x) for integrate_many: row i of x goes to gs[owner[i]]."""
+    def g(owner, x):
+        out = np.empty_like(x)
+        for i, o in enumerate(owner):
+            out[i] = gs[o](x[i])
+        return out
+    return g
+
+
+class TestIntegrateMany:
+    TOL = Tolerance(1e-12, 1e-12, 44)
+
+    def test_one_integrand_is_integrate_unit(self):
+        for g in _trig_integrands(1, 6):
+            alone = integrate_many(lambda owner, x: g(x.reshape(-1)).reshape(x.shape), 1, self.TOL)
+            assert alone == [integrate_unit(g, self.TOL)]
+
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_members_bit_equal_whatever_the_batch(self, seed):
+        # every integrand gets the bits it gets alone, in any batch and position
+        gs = _trig_integrands(seed, 7)
+        alone = [integrate_unit(g, self.TOL) for g in gs]
+        assert integrate_many(_batched(gs), len(gs), self.TOL) == alone
+        order = np.random.default_rng(seed).permutation(len(gs))
+        shuffled = integrate_many(_batched([gs[i] for i in order]), len(gs), self.TOL)
+        assert shuffled == [alone[i] for i in order]
+        mates = _trig_integrands(seed + 100, 3)
+        mixed = integrate_many(_batched(mates + gs[:2] + mates), 8, self.TOL)
+        assert mixed[3:5] == alone[:2]
+
+    def test_many_panels_split_into_evaluation_calls(self):
+        # a level with more open panels than one call of g takes is evaluated
+        # in several calls, and each member still gets its value alone
+        gs = _trig_integrands(5, 40)
+        sizes = []
+        batched = _batched(gs)
+        values = integrate_many(lambda owner, x: sizes.append(x.size) or batched(owner, x),
+                                len(gs), self.TOL)
+        full = _EVAL_POINTS // 15 * 15
+        assert max(sizes) == full and sizes.count(full) > 1
+        assert values == [integrate_unit(g, self.TOL) for g in gs]
+
+    def test_panel_estimates_independent_of_the_panels_beside_them(self):
+        # every panel's two sums have the same bits in any slice of panels;
+        # a BLAS product rounds some rows differently by the batch's shape
+        gen = np.random.default_rng(6)
+        a = gen.integers(0, 2 ** 12, size=3000) / 2.0 ** 12
+        owner = gen.integers(0, 5, size=a.size)
+        g = lambda o, x: np.sin(1e3 * x + o[:, None]) * np.exp(x)
+        k15, err = _panel_estimates(g, owner, a, 2.0 ** -12)
+        for size in (1, 2, 3, 5, 8, 13, 100, 137, 999):
+            for lo in range(0, a.size, 7 * size):
+                part = slice(lo, lo + size)
+                got = _panel_estimates(g, owner[part], a[part], 2.0 ** -12)
+                assert got[0].tobytes() == k15[part].tobytes()
+                assert got[1].tobytes() == err[part].tobytes()
+
+    def test_failing_member_raises_its_own_estimate(self):
+        step = lambda x: (x > 1.0 / 3.0).astype(float)
+        tol = Tolerance(1e-14, 0.0, 2)
+        with pytest.raises(AccuracyError) as alone:
+            integrate_unit(step, tol)
+        smooth = lambda x: x * x  # exact for both rules: converges at once
+        for gs in ([smooth, step], [step, smooth, step], [smooth, smooth, step]):
+            with pytest.raises(AccuracyError) as err:
+                integrate_many(_batched(gs), len(gs), tol)
+            assert err.value.estimate == alone.value.estimate
+            assert err.value.error_bound == alone.value.error_bound
 
 
 class TestPhiDerivL1:
