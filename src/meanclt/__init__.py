@@ -27,12 +27,14 @@ from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, KernelDeca
                            alpha_tabulation, covariance_bound_check, dispersion_check,
                            frac_part_sum, kernel_decay_sum, mixing_integral,
                            monotone_difference_bound_check, quantile_from_sample,
-                           theta_coeff, weighted_tail_integral)
+                           weighted_tail_integral)
+from .theta import theta_coeff, theta_coeffs
 from .bounds import (BoundReport, CorrectionReport, MomentSummary, RateFit,
                      ThreeMomentDist, cubic_moment_sum, martingale_d1_bound, moments,
                      nonadapted_correction, projective_d1_bound, projective_drift_norms,
                      rate_fit, second_moment_norms, three_moment_distribution,
-                     variance_drift_norms, variance_l32_norm, zolotarev_bound)
+                     variance_drift_norms, variance_l32_norm, variance_l32_norms,
+                     zolotarev_bound)
 from .harness import (AppendixReport, DiagnosisReport, ExperimentConfig, RunManifest,
                       check_appendix, diagnose_conditions, merge_reports, preset_config,
                       render_csv, run)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
 from .fourier import FourierFn, FourierStack, constant_fn, lebesgue_inner, product
-from .numerics import RandomStream, Tolerance, integrate_many, integrate_unit
+from .numerics import RandomStream, Tolerance, by_integrand, integrate_many, integrate_unit
 from .processes import (IIDLaw, ProcessSpec, is_martingale, long_run_variance,
                         resolvent_tail, transfer)
 
@@ -363,15 +363,32 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
 
 def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int,
                       tol: Tolerance = _NORM_TOL) -> float:
-    """|| E_0(X_l^2) - Var X0 ||_{3/2} for a martingale-difference observable."""
-    if l < 1:
+    """|| E_0(X_l^2) - Var X0 ||_{3/2} for a martingale-difference observable:
+    `variance_l32_norms` of the one lag l."""
+    return variance_l32_norms(spec, f, [l], tol)[0]
+
+
+def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence[int],
+                       tol: Tolerance = _NORM_TOL) -> list:
+    """[variance_l32_norm(spec, f, l, tol) for l in lags].
+
+    The nonzero norms come from one integrate_many, in which each lag's rows
+    evaluate its own polynomial, so each is the value it gets alone.
+    """
+    lags = list(lags)
+    if any(l < 1 for l in lags):
         raise DomainError("l must be >= 1")
     if isinstance(spec, IIDLaw):
-        return 0.0
-    g = transfer(spec, _variance_compensator(spec, f), l)
-    if g.is_zero():
-        return 0.0
-    return integrate_unit(lambda x: np.abs(g.eval(x)) ** 1.5, tol) ** (2.0 / 3.0)
+        return [0.0] * len(lags)
+    compensator = _variance_compensator(spec, f)
+    gs = [transfer(spec, compensator, l) for l in lags]
+    live = [k for k, g in enumerate(gs) if not g.is_zero()]
+    norms = [0.0] * len(lags)
+    if live:
+        integrand = by_integrand([lambda x, g=gs[k]: np.abs(g.eval(x)) ** 1.5 for k in live])
+        for k, value in zip(live, integrate_many(integrand, len(live), tol)):
+            norms[k] = value ** (2.0 / 3.0)
+    return norms
 
 
 def cubic_moment_sum(spec: ProcessSpec, f: Optional[FourierFn], l: int,

@@ -1,5 +1,6 @@
 """Dependence and mixing coefficients, covariance-inequality oracles, and
-Diophantine sums for the circle walk.
+Diophantine sums for the circle walk.  The dependence coefficients theta
+live in `theta` and are part of this module's API.
 
 The suprema defining the dependence coefficients run over infinite index and
 threshold sets; everything here reports certified lower bounds obtained from
@@ -9,21 +10,18 @@ constant between breakpoints, so finite-law maximizations are exact).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, PrecisionError, ResourceError
-from .fourier import FourierFn, product
-from .numerics import Tolerance, integrate_unit
-from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, ProcessSpec,
-                        SplitReal, transfer)
+from .processes import CircleWalk, DoublingMap, FiniteChain, IIDLaw, ProcessSpec, SplitReal
+from .theta import theta_coeff, theta_coeffs  # noqa: F401 (the theta table, part of this API)
 from .wasserstein import EmpiricalSample, FinitePmf
 
 
@@ -203,161 +201,6 @@ def weighted_tail_integral(a: AlphaSeq, q: QuantileSeq, power: int, weight: int,
             continue
         total += w * (q.integral_pow(power, hi) - q.integral_pow(power, lo))
     return total
-
-
-# ---------------------------------------------------------------------------
-# Dependence coefficients (windowed suprema, exact per index)
-# ---------------------------------------------------------------------------
-
-
-def _nested_future_fn(spec: ProcessSpec, f: FourierFn, gaps: Sequence[int],
-                      cap: int) -> tuple[FourierFn, float]:
-    """K^{g1}(f * K^{g2}(f * ... K^{gr} f)) as a FourierFn, with dropped mass."""
-    dropped = 0.0
-    fn = f
-    for g in reversed(gaps[1:]):
-        fn = transfer(spec, fn, g)
-        fn, d = product(f, fn, cap)
-        dropped += d
-    fn = transfer(spec, fn, gaps[0])
-    return fn, dropped
-
-
-@functools.lru_cache(maxsize=None)
-def _binomial_weights(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    r = np.arange(steps + 1)
-    w = np.array([math.comb(steps, int(j)) for j in r], dtype=float) * 0.5 ** steps
-    offsets = steps - 2 * r
-    w.setflags(write=False)
-    offsets.setflags(write=False)
-    return w, offsets
-
-
-def _theta_windows(i: int, j: int, gap: int, window: int) -> list:
-    """Distinct (past gaps, future gaps) pairs of the multiindices theta_coeff
-    ranges over, in first-seen order; by stationarity the norm depends on
-    nothing else."""
-    def diffs(t: tuple) -> tuple:
-        return tuple(b - a for a, b in zip(t, t[1:]))
-
-    span = range(window + 1)
-    return list(dict.fromkeys(
-        (diffs(past), (gap + fut[0],) + diffs(fut))
-        for past in itertools.combinations_with_replacement(span, i)
-        for fut in itertools.combinations_with_replacement(span, j - i)))
-
-
-def theta_coeff(spec: ProcessSpec, f: Optional[FourierFn], i: int, j: int,
-                gap: int, window: int,
-                tol: Tolerance = Tolerance(1e-10, 1e-10, 40)) -> float:
-    """Windowed lower bound of the product-dependence coefficient.
-
-    Maximum over multiindices 0 = k_1 <= ... <= k_i <= window and
-    k_i + gap <= k_{i+1} <= ... <= k_j <= k_i + gap + window of
-
-        || X_{k_1} ... X_{k_i} ( E_{k_i}(prod future) - E(prod future) ) ||_1.
-
-    The inner conditional expectation is an exact nest of transfer and
-    product operations; the outer L1 norm is a deterministic quadrature
-    (exact enumeration for finite chains).  Enlarging the window never
-    decreases the result.
-    """
-    if not (0 <= i < j <= 4):
-        raise DomainError("need 0 <= i < j <= 4")
-    if window < 0:
-        raise DomainError("window must be nonnegative")
-    if gap < 0:
-        raise DomainError("gap must be nonnegative")
-    if isinstance(spec, IIDLaw):
-        if gap < 1:
-            raise DomainError("iid theta coefficients need gap >= 1")
-        return 0.0
-    if isinstance(spec, FiniteChain):
-        norm = _chain_theta_norm(spec, i)
-    elif isinstance(f, FourierFn):
-        norm = functools.partial(_map_theta_norm, spec, f, i, tol)
-    else:
-        raise TypeError("interval-map theta coefficients need a FourierFn observable")
-    best = 0.0
-    for past_gaps, gaps in _theta_windows(i, j, gap, window):
-        best = max(best, norm(past_gaps, gaps))
-    return best
-
-
-def _map_theta_norm(spec: ProcessSpec, f: FourierFn, i: int, tol: Tolerance,
-                    past_gaps: tuple, gaps: tuple) -> float:
-    h, _ = _nested_future_fn(spec, f, gaps, cap=1 << 14)
-    h0 = h.shift_constant(-h.constant)
-    if h0.is_zero(1e-300):
-        return 0.0
-    if i == 0:
-        return integrate_unit(lambda x: np.abs(h0.eval(x)), tol)
-    if isinstance(spec, DoublingMap):
-        # earlier coordinates are deterministic doubling images of the
-        # latest one, so the whole product is a function of one state
-        dts = [sum(past_gaps[t:]) for t in range(i)]
-
-        def integrand(x):
-            out = np.abs(h0.eval(x))
-            for d in dts:
-                out = out * np.abs(f.eval(np.ldexp(1.0, d) * x))
-            return out
-
-        return integrate_unit(integrand, tol)
-    # CircleWalk: the m-step kernel is a binomial average of shifts,
-    # so the nested conditional of |.|-products evaluates pointwise; each
-    # level evaluates all its shifts of x in one call
-    a_val = spec.a.value
-
-    def chain_cond(x, t=0):
-        if t == len(past_gaps):
-            return np.abs(f.eval(x)) * np.abs(h0.eval(x))
-        w, off = _binomial_weights(past_gaps[t])
-        shifted = np.mod(x + (off * a_val)[:, None], 1.0)
-        rows = chain_cond(shifted.reshape(-1), t + 1).reshape(shifted.shape)
-        out = np.zeros_like(x)
-        for wt, row in zip(w, rows):
-            out += wt * row
-        return np.abs(f.eval(x)) * out
-
-    return integrate_unit(chain_cond, tol)
-
-
-def _chain_theta_norm(spec: FiniteChain, i: int) -> Callable[[tuple, tuple], float]:
-    """The theta norm of a finite chain as a function of (past gaps, future
-    gaps): exact enumeration of the past states, from cached powers of P."""
-    p = spec.transition
-    pi = spec.stationary
-    vc = spec.values - float(pi @ spec.values)
-    n = spec.n_states
-    powers = [np.eye(n)]
-
-    def pk(k: int) -> np.ndarray:
-        while len(powers) <= k:
-            powers.append(powers[-1] @ p)
-        return powers[k]
-
-    def norm(past_gaps: tuple, gaps: tuple) -> float:
-        h = vc
-        for g in reversed(gaps[1:]):
-            h = vc * (pk(g) @ h)
-        h = pk(gaps[0]) @ h
-        h0 = h - float(pi @ h)
-        if i == 0:
-            return float(pi @ np.abs(h0))
-        # joint enumeration over past states s_1 .. s_i
-        val = 0.0
-        for states in itertools.product(range(n), repeat=i):
-            prob = pi[states[0]]
-            for g, a, b in zip(past_gaps, states, states[1:]):
-                prob *= pk(g)[a, b]
-            if prob == 0.0:
-                continue
-            w = np.prod([vc[s] for s in states])
-            val += prob * abs(w) * abs(h0[states[-1]])
-        return val
-
-    return norm
 
 
 # ---------------------------------------------------------------------------

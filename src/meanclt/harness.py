@@ -26,17 +26,18 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from .bounds import (martingale_d1_bound, moments, projective_d1_bound, rate_fit,
-                     second_moment_norms, variance_l32_norm, zolotarev_bound)
+                     second_moment_norms, variance_l32_norms, zolotarev_bound)
 from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation,
                            covariance_bound_check, dispersion_check, JointPmf,
                            mixing_integral, monotone_difference_bound_check,
-                           quantile_from_sample, theta_coeff)
+                           quantile_from_sample)
 from .errors import DomainError, SchemaError, json_typed, reject_unknown_keys, required
 from .fourier import FourierFn, lebesgue_inner
 from .numerics import Tolerance, substream
 from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, characteristic,
                         is_martingale, long_run_variance, process_from_dict, simulate,
                         transfer)
+from .theta import theta_coeffs
 from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sorted_gauss,
                           sorted_gauss_tables, w1_charfn_gauss, w1_pmf_gauss, w1_sorted_gauss)
 
@@ -544,8 +545,11 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
         raise DomainError("kmax must be >= 1")
     theta = {}
     verdicts = {}
+    lags = range(1, kmax + 1)
+    table = iter(theta_coeffs(spec, f, [(p, q, j) for p, q in THETA_PAIRS for j in lags],
+                              window))
     for (p, q) in THETA_PAIRS:
-        values = [theta_coeff(spec, f, p, q, j, window) for j in range(1, kmax + 1)]
+        values = [next(table) for _ in lags]
         partials = list(itertools.accumulate(j * v for j, v in enumerate(values, 1)))
         key = f"theta_{p}{q}"
         theta[key] = {"values": values, "weighted_partials": partials}
@@ -553,14 +557,15 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
 
     jan = None
     if not isinstance(spec, FiniteChain) and (isinstance(spec, IIDLaw) or is_martingale(spec, f)):
-        values = [variance_l32_norm(spec, f, l) for l in range(1, kmax + 1)]
+        values = variance_l32_norms(spec, f, lags)
         partials = list(itertools.accumulate(values))
         jan = {"values": values, "partials": partials}
         verdicts["jan"] = _verdict(partials)
 
     if alpha is None and isinstance(spec, DoublingMap):
         alpha = alpha_tabulation(spec, min(kmax, 12), grid=min(kmax + 1, 12))
-    if quantile is None and f is not None and not isinstance(spec, FiniteChain):
+    if (alpha is not None and quantile is None and f is not None
+            and not isinstance(spec, FiniteChain)):
         grid_pts = (np.arange(1 << 14) + 0.5) / (1 << 14)
         quantile = quantile_from_sample(EmpiricalSample(np.abs(np.asarray(f.eval(grid_pts)))))
     mixing = {}

@@ -9,7 +9,7 @@ from meanclt.bounds import (_l1_norms, _norms, _partial_sums, cubic_moment_sum,
                             nonadapted_correction, projective_d1_bound,
                             projective_drift_norms, rate_fit, second_moment_norms,
                             three_moment_distribution, variance_drift_norms,
-                            variance_l32_norm, zolotarev_bound)
+                            variance_l32_norm, variance_l32_norms, zolotarev_bound)
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError
 from meanclt.fourier import FourierFn, constant_fn, cosine, lebesgue_inner, product
 from meanclt.numerics import substream
@@ -334,6 +334,21 @@ class TestVarianceL32:
 
     def test_iid(self):
         assert variance_l32_norm(iid_rademacher(), None, 1) == 0.0
+        assert variance_l32_norms(iid_rademacher(), None, [1, 2]) == [0.0, 0.0]
+
+    def test_lags_together_match_one_at_a_time(self):
+        # an odd-frequency observable is a martingale difference of the
+        # doubling map, with E_0(X_l^2) - Var X0 nonzero up to l = 3
+        from meanclt.bounds import _NORM_TOL as tol, _variance_compensator
+        from meanclt.numerics import integrate_unit
+        f = FourierFn(0.0, [1.0, 0.0, 0.4, 0.0, 0.3], [0.0, 0.0, 0.5, 0.0, -0.2])
+        want = []
+        for l in range(1, 7):
+            g = transfer(DM, _variance_compensator(DM, f), l)
+            want.append(0.0 if g.is_zero() else
+                        integrate_unit(lambda x: np.abs(g.eval(x)) ** 1.5, tol) ** (2.0 / 3.0))
+        assert variance_l32_norms(DM, f, range(1, 7)) == want
+        assert want[2] > 0.0 and want[3:] == [0.0] * 3
 
 
 class TestCubicMomentSum:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,9 +9,10 @@ from meanclt.coefficients import (AlphaSeq, JointPmf, QuantileSeq, _unique, alph
                                   covariance_bound_check, dispersion_check,
                                   frac_part_sum, kernel_decay_sum, mixing_integral,
                                   monotone_difference_bound_check, quantile_from_sample,
-                                  theta_coeff, weighted_tail_integral)
-from meanclt.errors import DomainError, PrecisionError, ResourceError
+                                  theta_coeff, theta_coeffs, weighted_tail_integral)
+from meanclt.errors import AccuracyError, DomainError, PrecisionError, ResourceError
 from meanclt.fourier import FourierFn, cosine
+from meanclt.numerics import Tolerance
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, iid_rademacher,
                                sqrt2_minus_one)
 from meanclt.wasserstein import EmpiricalSample, FinitePmf
@@ -159,7 +161,7 @@ class TestTheta:
     def test_circle_walk_binomial_kernel_identity(self):
         # the +/-a binomial average used for pointwise conditioning must agree
         # with the coefficient-space operator
-        from meanclt.coefficients import _binomial_weights
+        from meanclt.theta import _binomial_weights
         from meanclt.fourier import FourierFn
         from meanclt.processes import transfer
         gen = np.random.default_rng(3)
@@ -178,7 +180,7 @@ class TestTheta:
                                                   (3, (2, 1), (1,)), (3, (0, 2), (1, 1))])
     def test_circle_walk_shifts_at_once_match_per_shift(self, f, i, past_gaps, gaps):
         # the circle-walk theta integrand, shift by shift as a reference
-        from meanclt.coefficients import _binomial_weights, _map_theta_norm, _nested_future_fn
+        from meanclt.theta import _binomial_weights, _map_theta_norms, _nested_future_fn
         from meanclt.numerics import Tolerance, integrate_unit
         tol = Tolerance(1e-10, 1e-10, 40)
         h, _ = _nested_future_fn(CW, f, gaps, cap=1 << 14)
@@ -194,7 +196,8 @@ class TestTheta:
                 out += wt * per_shift(np.mod(x + o * a_val, 1.0), t + 1)
             return np.abs(f.eval(x)) * out
 
-        assert _map_theta_norm(CW, f, i, tol, past_gaps, gaps) == integrate_unit(per_shift, tol)
+        assert _map_theta_norms(CW, f, [(i, past_gaps, gaps)], tol) == \
+            [integrate_unit(per_shift, tol)]
 
     def test_finite_chain_exact(self):
         fc = iid_two_state()
@@ -256,6 +259,122 @@ class TestTheta:
             theta_coeff(DM, cosine(1), 2, 2, 1, 3)
         with pytest.raises(DomainError):
             theta_coeff(DM, cosine(1), 0, 1, 1, -1)
+
+
+def _window_norm_alone(spec, f, i, past_gaps, gaps, tol):
+    """One theta window's norm by a quadrature of its own, or for a chain by
+    an enumeration from P-powers of its own."""
+    from meanclt.numerics import integrate_unit
+    from meanclt.theta import _binomial_weights, _nested_future_fn
+
+    if isinstance(spec, FiniteChain):
+        p, pi, n = spec.transition, spec.stationary, spec.n_states
+        vc = spec.values - float(pi @ spec.values)
+        powers = [np.eye(n)]
+        for _ in range(max(past_gaps + gaps)):
+            powers.append(powers[-1] @ p)
+        h = vc
+        for g in reversed(gaps[1:]):
+            h = vc * (powers[g] @ h)
+        h = powers[gaps[0]] @ h
+        h0 = h - float(pi @ h)
+        if i == 0:
+            return float(pi @ np.abs(h0))
+        val = 0.0
+        for states in itertools.product(range(n), repeat=i):
+            prob = pi[states[0]]
+            for g, a, b in zip(past_gaps, states, states[1:]):
+                prob *= powers[g][a, b]
+            if prob == 0.0:
+                continue
+            val += prob * abs(np.prod([vc[s] for s in states])) * abs(h0[states[-1]])
+        return val
+
+    h, _ = _nested_future_fn(spec, f, gaps, cap=1 << 14)
+    h0 = h.shift_constant(-h.constant)
+    if h0.is_zero(1e-300):
+        return 0.0
+    if i == 0:
+        return integrate_unit(lambda x: np.abs(h0.eval(x)), tol)
+    if isinstance(spec, DoublingMap):
+        def doubling(x):
+            out = np.abs(h0.eval(x))
+            for d in [sum(past_gaps[t:]) for t in range(i)]:
+                out = out * np.abs(f.eval(np.ldexp(1.0, d) * x))
+            return out
+        return integrate_unit(doubling, tol)
+
+    def chain_cond(x, t=0):
+        if t == len(past_gaps):
+            return np.abs(f.eval(x)) * np.abs(h0.eval(x))
+        w, off = _binomial_weights(past_gaps[t])
+        shifted = np.mod(x + (off * spec.a.value)[:, None], 1.0)
+        rows = chain_cond(shifted.reshape(-1), t + 1).reshape(shifted.shape)
+        out = np.zeros_like(x)
+        for wt, row in zip(w, rows):
+            out += wt * row
+        return np.abs(f.eval(x)) * out
+    return integrate_unit(chain_cond, tol)
+
+
+def _theta_one_at_a_time(spec, f, i, j, gap, window, tol):
+    """theta_coeff as one window norm at a time, in window order."""
+    from meanclt.theta import _theta_windows
+    best = 0.0
+    for past_gaps, gaps in _theta_windows(i, j, gap, window):
+        best = max(best, _window_norm_alone(spec, f, i, past_gaps, gaps, tol))
+    return best
+
+
+THETA_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+THETA_CASES = {
+    "doubling-cos2": (DM, cosine(2)),
+    "circle-cos1": (CW, cosine(1)),
+    "circle4": (CW, FourierFn(0.0, [1.0, 0.5, 0.25, 0.125], [0.0, 0.3])),
+    "chain3": (FiniteChain(np.array([[0.5, 0.3, 0.2], [0.1, 0.6, 0.3], [0.25, 0.25, 0.5]]),
+                           values=np.array([-1.0, 0.5, 2.0])), None),
+}
+
+
+class TestThetaTable:
+    TOL = Tolerance(1e-10, 1e-10, 40)
+    REQUESTS = [(i, j, gap) for i, j in THETA_PAIRS for gap in (1, 2, 3)]  # kmax 3
+
+    @pytest.mark.parametrize("case", list(THETA_CASES))
+    def test_table_equals_one_window_at_a_time(self, case):
+        spec, f = THETA_CASES[case]
+        want = [_theta_one_at_a_time(spec, f, i, j, gap, 3, self.TOL)
+                for i, j, gap in self.REQUESTS]
+        assert theta_coeffs(spec, f, self.REQUESTS, 3, self.TOL) == want
+        assert any(v > 0.0 for v in want)
+
+    @pytest.mark.parametrize("case", ["doubling-cos2", "circle-cos1"])
+    def test_norm_independent_of_its_batch(self, case, monkeypatch):
+        import meanclt.theta as theta
+        from meanclt.theta import _map_theta_norms, _theta_windows
+        spec, f = THETA_CASES[case]
+        keys = list(dict.fromkeys((i, past_gaps, gaps) for i, j, gap in self.REQUESTS[::2]
+                                  for past_gaps, gaps in _theta_windows(i, j, gap, 1)))
+        together = _map_theta_norms(spec, f, keys, self.TOL)
+        assert len(keys) > 32 and len({k[:2] for k in keys}) > 4  # several batches and groups
+        assert together == [_window_norm_alone(spec, f, *k, self.TOL) for k in keys]
+        assert _map_theta_norms(spec, f, keys[::-1], self.TOL) == together[::-1]
+        monkeypatch.setattr(theta, "_LEAF_POINTS", 1)  # circle-walk rows one by one
+        assert _map_theta_norms(spec, f, keys, self.TOL) == together
+
+    @pytest.mark.parametrize("case,max_depth", [("circle-cos1", 4), ("doubling-cos2", 6)])
+    def test_depth_failure_is_the_one_at_a_time_failure(self, case, max_depth):
+        # circle-cos1 first fails at the 163rd distinct window, doubling-cos2
+        # at the 29th; each has later windows failing in the same batch
+        spec, f = THETA_CASES[case]
+        tol = Tolerance(1e-10, 1e-10, max_depth)
+        with pytest.raises(AccuracyError) as want:
+            for i, j, gap in self.REQUESTS:
+                _theta_one_at_a_time(spec, f, i, j, gap, 3, tol)
+        with pytest.raises(AccuracyError) as got:
+            theta_coeffs(spec, f, self.REQUESTS, 3, tol)
+        assert (got.value.estimate, got.value.error_bound) == \
+            (want.value.estimate, want.value.error_bound)
 
 
 class TestAlphaExact:

@@ -355,8 +355,11 @@ class TestDiagnose:
         assert rep.mixing["cubic_tail_b1"]["integral_form"] == pytest.approx(
             rep.mixing["cubic_tail_b1"]["series"], abs=1e-9)
 
-    def test_circle_walk_diagnose_smoke(self):
+    def test_circle_walk_diagnose_smoke(self, monkeypatch):
         from meanclt.processes import CircleWalk, sqrt2_minus_one
+        # with no alpha tabulation the mixing series are not formed, so no
+        # quantile table of |f| is built either
+        monkeypatch.setattr(harness, "quantile_from_sample", None)
         rep = diagnose_conditions(CircleWalk(sqrt2_minus_one()), cosine(1),
                                   kmax=2, window=1)
         assert "theta_01" in rep.theta
@@ -460,6 +463,17 @@ class TestCli:
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 3
         got = float(re.search(r"best estimate ([^,]+),", capsys.readouterr().err).group(1))
         assert got == pytest.approx(estimate, rel=1e-12)
+
+    def test_window_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # --window 100 would range over about 1.8e7 multiindices for the pair
+        # (3, 4) alone; the count is checked before any is enumerated
+        import meanclt.theta as theta
+        from meanclt.cli import main
+        monkeypatch.setattr(theta, "_theta_windows", None)  # never called
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"process": CIRCLE, "observable": {"cos": [1.0]}}))
+        assert main(["diagnose", "--config", str(path), "--window", "100"]) == 3
+        assert "--window" in capsys.readouterr().err
 
     def test_commands_import_no_numpy_ma(self, tmp_path):
         # numpy.ma costs about 0.6 MiB resident and np.unique imports it; a run
