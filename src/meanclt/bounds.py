@@ -16,14 +16,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
-from .fourier import FourierFn, FourierStack, constant_fn, lebesgue_inner, product
-from .numerics import RandomStream, Tolerance, by_integrand, integrate_many, integrate_unit
+from .fourier import FourierFn, FourierStack, constant_fn, l1_norms, lebesgue_inner, product
+from .numerics import RandomStream, Tolerance, integrate_many, integrate_unit
 from .processes import (IIDLaw, ProcessSpec, is_martingale, long_run_variance,
                         resolvent_tail, transfer)
 
 _NORM_TOL = Tolerance(1e-12, 1e-12, 44)
 _STABLE_EPS = 1e-16
-_NORM_BATCH = 32  # norms integrated in one lockstep quadrature
 _TAIL_CHUNK = 64  # resolvent tails of the non-adapted correction per batch request
 
 # Quadrature results per observable: the bounds at each n of a run integrate
@@ -40,41 +39,27 @@ def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
     """[||g||_1 for ("l1", g), ||f g||_1 for ("weighted", g)], remembered for
     the run's observable f.
 
-    The norms not yet remembered are integrated _NORM_BATCH at a time, in
-    request order, in one lockstep quadrature of a `FourierStack`; each
-    one's value depends only on its own panels, so not on its batch.  The
-    requests are read one by one, so a generator of them keeps no more than
-    one batch of functions alive.
+    The norms not yet remembered go to `fourier.l1_norms` in request order,
+    a weighted one as the exact product f g, formed only then.  The requests
+    are read one by one, so a generator of them keeps no more than one batch
+    of functions alive.
     """
     memo = _QUAD_MEMO.setdefault(f, {})
-    keys, batch = [], {}
-    for kind, g in requests:
-        key = _memo_key(kind, g, tol)
-        keys.append(key)
-        if key not in memo and key not in batch and not g.is_zero():
-            batch[key] = (kind, g)
-            if len(batch) == _NORM_BATCH:
-                memo.update(_integrate_norms(f, batch, tol))
-                batch = {}
-    if batch:
-        memo.update(_integrate_norms(f, batch, tol))
+    keys, misses = [], {}
+
+    def items():
+        for kind, g in requests:
+            key = _memo_key(kind, g, tol)
+            keys.append(key)
+            if key not in memo and key not in misses and not g.is_zero():
+                misses[key] = None
+                exact = f.max_freq + g.max_freq
+                yield (product(f, g, exact).fn if kind == "weighted" else g), ()
+
+    norms = list(l1_norms(items(), tol))
+    memo.update(zip(misses, norms))
     # a zero g is never integrated and never remembered
     return [memo.get(key, 0.0) for key in keys]
-
-
-def _integrate_norms(f: FourierFn, batch: dict, tol: Tolerance):
-    """(key, norm) pairs of a batch {key: (kind, g)}, from one integrate_many."""
-    stack = FourierStack([g for _, g in batch.values()])
-    weighted = np.array([kind == "weighted" for kind, _ in batch.values()])
-
-    def integrand(owner, x):
-        y = stack.eval(x, owner[:, None])
-        rows = weighted[owner]
-        if rows.any():
-            y[rows] *= f.eval(x[rows])
-        return np.abs(y)
-
-    return zip(batch, integrate_many(integrand, len(batch), tol))
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +357,8 @@ def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence
                        tol: Tolerance = _NORM_TOL) -> list:
     """[variance_l32_norm(spec, f, l, tol) for l in lags].
 
-    The nonzero norms come from one integrate_many, in which each lag's rows
-    evaluate its own polynomial, so each is the value it gets alone.
+    The nonzero norms come from one integrate_many of a `FourierStack` of
+    their polynomials; each keeps its own panels, so it is its value alone.
     """
     lags = list(lags)
     if any(l < 1 for l in lags):
@@ -385,8 +370,10 @@ def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence
     live = [k for k, g in enumerate(gs) if not g.is_zero()]
     norms = [0.0] * len(lags)
     if live:
-        integrand = by_integrand([lambda x, g=gs[k]: np.abs(g.eval(x)) ** 1.5 for k in live])
-        for k, value in zip(live, integrate_many(integrand, len(live), tol)):
+        stack = FourierStack([gs[k] for k in live])
+        values = integrate_many(lambda owner, x: np.abs(stack.eval(x, owner[:, None])) ** 1.5,
+                                len(live), tol)
+        for k, value in zip(live, values):
             norms[k] = value ** (2.0 / 3.0)
     return norms
 

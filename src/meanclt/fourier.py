@@ -8,18 +8,21 @@ action (and hence every conditional expectation downstream) exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, SchemaError, json_numbers, json_typed, reject_unknown_keys
+from .numerics import Tolerance, integrate_many
 
 ArrayLike = Union[float, np.ndarray]
 
 DEFAULT_PRODUCT_CAP = 4096
+_NORM_BATCH = 32  # norms integrated in one lockstep quadrature
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
@@ -214,6 +217,31 @@ class FourierStack:
             s += c
             s *= z
         return s.real + const
+
+
+def l1_norms(items: Iterable[tuple[FourierFn, tuple]], tol: Tolerance,
+             f: Optional[FourierFn] = None) -> Iterator[float]:
+    """Yield the integral over [0, 1] of |p(x)| prod_{d in ds} |f(2^d x)|,
+    factors in ds order, for each (p, ds) of items, in order.
+
+    Items are read _NORM_BATCH at a time (a generator keeps one batch alive),
+    each batch one integrate_many of a `FourierStack` of its p.  A norm keeps
+    its own panels, so it is its value alone; the first failing item raises.
+    """
+    items = iter(items)
+    while batch := list(itertools.islice(items, _NORM_BATCH)):
+        stack = FourierStack([p for p, _ in batch])
+        width = max(len(ds) for _, ds in batch)
+        exps = np.array([ds + (-1,) * (width - len(ds)) for _, ds in batch], dtype=int)
+
+        def integrand(owner, x):
+            y = stack.eval(x, owner[:, None])
+            for e in exps.T[:, owner]:  # each row's t-th d, or -1 where it has none
+                rows = e >= 0
+                y[rows] *= f.eval(np.ldexp(x[rows], e[rows, None]))
+            return np.abs(y)
+
+        yield from integrate_many(integrand, len(batch), tol)
 
 
 def cosine(freq: int, amplitude: float = 1.0) -> FourierFn:

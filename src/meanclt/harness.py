@@ -45,6 +45,7 @@ SCHEMA_VERSION = "1"
 
 TARGETS = ("empirical_d1", "ks", "martingale_bound", "projective_bound",
            "second_moment_terms", "rate_fit", "zolotarev")
+_MOMENT_TARGETS = ("martingale_bound", "projective_bound", "second_moment_terms", "zolotarev")
 
 CSV_COLUMNS = ("process", "observable", "n", "reps", "d1_normalized",
                "d1_unnormalized", "d1_boot_se", "ks", "bound_martingale",
@@ -100,6 +101,10 @@ class ExperimentConfig:
             raise DomainError(f"exact_pmf must be {str(rademacher).lower()} (field: exact_pmf)")
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
             raise DomainError("empirical targets require reps >= 100")
+        moment_targets = [t for t in self.targets if t in _MOMENT_TARGETS]  # bounds need moments
+        if moment_targets and self.observable is None and not isinstance(self.process, IIDLaw):
+            raise DomainError(f"targets {moment_targets} need a FourierFn observable or an i.i.d. "
+                              f"law, not a {self.process.to_dict()['type']} process (field: targets)")
 
     def to_dict(self) -> dict:
         return {"process": self.process.to_dict(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -268,23 +268,6 @@ def _runs(owner: np.ndarray) -> list:
     """(o, lo, hi) for each run owner[lo:hi] of one value o, in order."""
     cuts = [0, *(np.flatnonzero(owner[1:] != owner[:-1]) + 1).tolist(), owner.size]
     return [(owner[lo], lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-
-
-def by_integrand(fns: Sequence[Callable[[np.ndarray], np.ndarray]]):
-    """g(owner, x) for integrate_many, from one callable per integrand.
-
-    With owner sorted, as integrate_many keeps it, fns[o] gets all the rows
-    of x that integrand o owns in one call, as one contiguous slice, and
-    returns its values in that shape; so each point gets the value that
-    fns[o] gives it in a quadrature of its own.
-    """
-    def g(owner, x):
-        out = np.empty_like(x)
-        for o, lo, hi in _runs(owner):
-            out[lo:hi] = fns[o](x[lo:hi])
-        return out
-
-    return g
 
 
 def integrate_many(g: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int,

@@ -9,6 +9,7 @@ quadrature (exact enumeration for finite chains).
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -16,38 +17,30 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
-from .fourier import FourierFn, product
-from .numerics import Tolerance, by_integrand, integrate_many
-from .processes import DoublingMap, FiniteChain, IIDLaw, ProcessSpec, transfer
+from .errors import DomainError, PreconditionError, ResourceError
+from .fourier import FourierFn, l1_norms, product
+from .numerics import Tolerance
+from .processes import DoublingMap, FiniteChain, IIDLaw, ProcessSpec, exact_frac, transfer
 
 _THETA_TOL = Tolerance(1e-10, 1e-10, 40)
-_THETA_BATCH = 32  # theta window norms integrated in one lockstep quadrature
 _WINDOW_BUDGET = 1 << 16  # multiindices one theta table may range over
-_LEAF_POINTS = 8192  # points per circle-walk theta leaf evaluation: 128 KiB complex
 
 
-def _nested_future_fn(spec: ProcessSpec, f: FourierFn, gaps: Sequence[int],
-                      cap: int) -> tuple[FourierFn, float]:
-    """K^{g1}(f * K^{g2}(f * ... K^{gr} f)) as a FourierFn, with dropped mass."""
-    dropped = 0.0
+def _centred_nest(spec: ProcessSpec, f: FourierFn, gaps: Sequence[int]) -> FourierFn:
+    """h - E h for the exact nest h = K^{g1}(f * K^{g2}(f * ... K^{gr} f))."""
     fn = f
     for g in reversed(gaps[1:]):
-        fn = transfer(spec, fn, g)
-        fn, d = product(f, fn, cap)
-        dropped += d
+        fn = _product(f, transfer(spec, fn, g))
     fn = transfer(spec, fn, gaps[0])
-    return fn, dropped
+    return fn.shift_constant(-fn.constant)
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial_weights(steps: int) -> tuple[np.ndarray, np.ndarray]:
-    r = np.arange(steps + 1)
-    w = np.array([math.comb(steps, int(j)) for j in r], dtype=float) * 0.5 ** steps
-    offsets = steps - 2 * r
-    w.setflags(write=False)
-    offsets.setflags(write=False)
-    return w, offsets
+def _binomial_shifts(steps: int) -> tuple:
+    """(weight, offset) pairs of the circle walk's steps-step kernel, the
+    binomial average of the shifts by offset * a: C(steps, r) / 2^steps and
+    steps - 2r for r = 0..steps."""
+    return tuple((math.comb(steps, r) * 0.5 ** steps, steps - 2 * r) for r in range(steps + 1))
 
 
 def _theta_windows(i: int, j: int, gap: int, window: int) -> list:
@@ -91,8 +84,8 @@ def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[t
     future gaps is built once, and a finite chain's powers of P are shared.
     Raises ResourceError, before enumerating anything, when the requests
     range over more than _WINDOW_BUDGET multiindices in all.  A quadrature
-    that fails raises the AccuracyError of the window that a request-by-
-    request, window-by-window order meets first.
+    that fails raises the AccuracyError of the first failing term (see
+    `_window_terms`) in a request-by-request, window-by-window order.
     """
     requests = list(requests)
     if window < 0:
@@ -109,6 +102,8 @@ def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[t
     if isinstance(spec, FiniteChain):
         norms_of = functools.partial(_chain_theta_norms, spec)
     elif isinstance(f, FourierFn):
+        if not f.centered:
+            raise PreconditionError("theta coefficients need a centered observable")
         norms_of = functools.partial(_map_theta_norms, spec, f, tol=tol)
     else:
         raise TypeError("interval-map theta coefficients need a FourierFn observable")
@@ -122,99 +117,66 @@ def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[t
                for i, j, gap in requests]
     keys = list(dict.fromkeys(key for w in windows for key in w))
     norms = dict(zip(keys, norms_of(keys)))
-    out = []
-    for w in windows:
-        best = 0.0
-        for key in w:
-            best = max(best, norms[key])
-        out.append(best)
-    return out
+    return [max([0.0] + [norms[key] for key in w]) for w in windows]
 
 
 def _map_theta_norms(spec: ProcessSpec, f: FourierFn, keys: Sequence[tuple],
                      tol: Tolerance) -> list:
     """The theta norms of an interval map's windows keys[k] = (i, past gaps,
-    future gaps), in order.
+    future gaps), in order: the terms of every window with a nonzero future
+    nest stream through one `fourier.l1_norms`, and each window's norm is its
+    terms' weighted sum, in order."""
+    nest = functools.lru_cache(maxsize=None)(functools.partial(_centred_nest, spec, f))
+    owners = collections.deque()  # (window, weight) of each term not yet integrated
 
-    The nonzero norms are integrated _THETA_BATCH at a time, in order, each
-    batch by one integrate_many; each norm keeps its own panels, so it is
-    the value a quadrature of it alone gets.
-    """
-    h0s = {}
-    for _, _, gaps in keys:
-        if gaps not in h0s:
-            h, _ = _nested_future_fn(spec, f, gaps, cap=1 << 14)
-            h0s[gaps] = h.shift_constant(-h.constant)
+    def terms():
+        for k, (i, past_gaps, gaps) in enumerate(keys):
+            if not nest(gaps).is_zero(1e-300):
+                for weight, p, ds in _window_terms(spec, f, i, past_gaps, nest(gaps)):
+                    owners.append((k, weight))
+                    yield p, ds
+
     norms = [0.0] * len(keys)
-    live = [k for k, (_, _, gaps) in enumerate(keys) if not h0s[gaps].is_zero(1e-300)]
-    for lo in range(0, len(live), _THETA_BATCH):
-        batch = live[lo:lo + _THETA_BATCH]
-        integrand = _theta_integrand(spec, f, [keys[k][:2] for k in batch],
-                                     [h0s[keys[k][2]] for k in batch])
-        for k, value in zip(batch, integrate_many(integrand, len(batch), tol)):
-            norms[k] = value
+    for value in l1_norms(terms(), tol, f):
+        k, weight = owners.popleft()
+        norms[k] += weight * value
     return norms
 
 
-def _theta_integrand(spec: ProcessSpec, f: FourierFn, pasts: Sequence[tuple],
-                     h0s: Sequence[FourierFn]):
-    """g(owner, x) for integrate_many: at the points of row x[r], the theta
-    integrand of the window with (i, past gaps) = pasts[owner[r]] and
-    centred future nest h0s[owner[r]].
+def _window_terms(spec: ProcessSpec, f: FourierFn, i: int, past_gaps: tuple,
+                  h0: FourierFn):
+    """(weight, p, ds) terms whose sum of weight * integral |p| prod_{d in ds}
+    |f(2^d x)| is the norm of the window (i, past gaps) with centred nest h0.
 
-    Rows are taken in groups of one (i, past gaps), which fixes all but h0,
-    and each integrand's rows evaluate its own h0 in one h0.eval, so every
-    point gets the value it gets alone (a FourierStack would round the
-    polynomials of at most 2 nonzero terms differently).
+    i = 0 is |h0| alone.  The doubling map's earlier coordinates are its
+    latest one doubled sum(past_gaps[t:]) times: dilated factors of f h0.
+    The circle walk's kernel is a binomial average of shifts (_binomial_shifts),
+    so there is one term per shift tuple, f(x) f(x + s_1 a) ... (f h0)(x + s_{i-1} a)
+    with s_t the offsets' partial sums.  Every product is exact.
     """
-    group_ids = {}
-    group = np.array([group_ids.setdefault(p, len(group_ids)) for p in pasts])
-    group_past = list(group_ids)
-    h0_abs = by_integrand([lambda x, h0=h0: np.abs(h0.eval(x)) for h0 in h0s])
+    if i == 0:
+        yield 1.0, h0, ()
+    elif isinstance(spec, DoublingMap):
+        yield 1.0, _product(f, h0), tuple(sum(past_gaps[t:]) for t in range(i - 1))
+    else:
+        fh0 = _product(f, h0)
+        for shifts in itertools.product(*map(_binomial_shifts, past_gaps)):
+            s = list(itertools.accumulate((o for _, o in shifts), initial=0))
+            factors = [_shifted(spec, f, t) for t in s[:-1]] + [_shifted(spec, fh0, s[-1])]
+            yield math.prod(w for w, _ in shifts), functools.reduce(_product, factors), ()
 
-    def doubling(own, x, past_gaps):
-        # earlier coordinates are deterministic doubling images of the
-        # latest one, so the whole product is a function of one state
-        out = h0_abs(own, x)
-        for d in [sum(past_gaps[t:]) for t in range(len(past_gaps) + 1)]:
-            out = out * np.abs(f.eval(np.ldexp(1.0, d) * x))
-        return out
 
-    def circle(own, x, past_gaps):
-        # the m-step kernel is a binomial average of shifts, so the nested
-        # conditional of |.|-products evaluates pointwise; each level shifts
-        # every point of a row at once, the row's points staying together
-        if not past_gaps:
-            return np.abs(f.eval(x)) * h0_abs(own, x)
-        w, off = _binomial_weights(past_gaps[0])
-        shifted = np.mod(x[:, None, :] + (off * spec.a.value)[:, None], 1.0)
-        rows = circle(own, shifted.reshape(len(x), -1), past_gaps[1:]).reshape(shifted.shape)
-        out = np.zeros_like(x)
-        for s, wt in enumerate(w):
-            out += wt * rows[:, s]
-        return np.abs(f.eval(x)) * out
+def _product(f: FourierFn, g: FourierFn) -> FourierFn:
+    return product(f, g, f.max_freq + g.max_freq).fn
 
-    def g(owner, x):
-        out = np.empty_like(x)
-        groups = group[owner]
-        for gid in dict.fromkeys(groups.tolist()):
-            mask = groups == gid
-            own, gx = owner[mask], x[mask]
-            i, past_gaps = group_past[gid]
-            if i == 0:
-                out[mask] = h0_abs(own, gx)
-            elif isinstance(spec, DoublingMap):
-                out[mask] = doubling(own, gx, past_gaps)
-            else:
-                # a chunk of rows at a time, so that a leaf evaluation
-                # (complex Horner values) has at most _LEAF_POINTS points
-                leaf = gx.shape[1] * math.prod(d + 1 for d in past_gaps)
-                step = max(1, _LEAF_POINTS // leaf)
-                out[mask] = np.concatenate([circle(own[lo:lo + step], gx[lo:lo + step], past_gaps)
-                                            for lo in range(0, len(gx), step)])
-        return out
 
-    return g
+def _shifted(spec: ProcessSpec, g: FourierFn, s: int) -> FourierFn:
+    """g(x + s a) for the circle walk's step a, by the exact phase {k s a} of frequency k."""
+    if s == 0:
+        return g
+    th = np.array([exact_frac(spec.a, k * s) for k in range(1, g.max_freq + 1)])
+    c = (g.cos_coeffs - 1j * g.sin_coeffs) * np.exp(2j * math.pi * th)
+    return FourierFn(g.constant, c.real, -c.imag)
 
 
 def _chain_theta_norms(spec: FiniteChain, keys: Sequence[tuple]) -> list:

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanclt.errors import DomainError
-from meanclt.fourier import (FourierFn, FourierStack, constant_fn, cosine, lebesgue_inner,
-                             product, sine)
+import meanclt.fourier as fourier
+from meanclt.errors import AccuracyError, DomainError
+from meanclt.fourier import (FourierFn, FourierStack, constant_fn, cosine, l1_norms,
+                             lebesgue_inner, product, sine)
+from meanclt.numerics import Tolerance, integrate_unit
 
 
 def random_fn(seed: int, k: int = 4) -> FourierFn:
@@ -120,6 +122,67 @@ class TestFourierStack:
         f = STACK[0]
         x = np.random.default_rng(13).random(33)
         assert f.eval(x).tobytes() == FourierStack([f]).eval(x).tobytes()
+
+
+def _l1_norm_alone(p, ds, f, tol):
+    """integral |p(x)| prod_{d in ds} |f(2^d x)| dx by a quadrature of its own."""
+    def g(x):
+        y = FourierStack([p]).eval(x)
+        for d in ds:
+            y = y * f.eval(np.ldexp(1.0, d) * x)
+        return np.abs(y)
+    return integrate_unit(g, tol)
+
+
+class TestL1Norms:
+    TOL = Tolerance(1e-12, 1e-12, 44)
+    F = FourierFn(0.0, [0.0, 1.0], [0.3])  # the dilated factor
+    ITEMS = [(p, ds) for k, p in enumerate(STACK)
+             for ds in [(), (1,), (3, 1), (2, 2), (0,)][k % 5:] + [(5,)]]
+
+    def test_each_norm_is_its_value_alone(self):
+        # 8 polynomials of degree 0 to 12, with 0 to 2 dilated factors each,
+        # over two batches: every norm is bit for bit its quadrature alone
+        want = [_l1_norm_alone(p, ds, self.F, self.TOL) for p, ds in self.ITEMS]
+        assert len(self.ITEMS) > 32
+        assert list(l1_norms(self.ITEMS, self.TOL, self.F)) == want
+        assert list(l1_norms(self.ITEMS[::-1], self.TOL, self.F)) == want[::-1]
+
+    def test_dilated_factors_against_a_midpoint_sum(self):
+        # |cos 2 pi x| |f(2 x)| |f(8 x)|: kinks in the integrand, so O(h^2)
+        x = (np.arange(1 << 20) + 0.5) / (1 << 20)
+        oracle = float(np.mean(np.abs(np.cos(2 * np.pi * x) * self.F.eval(2 * x)
+                                      * self.F.eval(8 * x))))
+        got, = l1_norms([(cosine(1), (1, 3))], self.TOL, self.F)
+        assert got == pytest.approx(oracle, abs=1e-9)
+
+    def test_reads_one_batch_at_a_time(self):
+        pulled = []
+
+        def items():
+            for k in range(70):
+                pulled.append(k)
+                yield cosine(1 + k % 3), ()
+
+        norms = l1_norms(items(), self.TOL)
+        assert next(norms) == pytest.approx(2.0 / math.pi, rel=1e-12)
+        assert len(pulled) == 32
+        assert len(list(norms)) == 69 and len(pulled) == 70
+
+    def test_failure_is_the_first_failing_item(self, monkeypatch):
+        # at max_depth 3 only a few items converge; the error is the one of
+        # the first failing item alone, whatever its batch
+        tol = Tolerance(1e-12, 1e-12, 3)
+        items = [(constant_fn(1.0), ()), (STACK[5], (1,)), (STACK[1], ())]
+        with pytest.raises(AccuracyError) as want:
+            for p, ds in items:
+                _l1_norm_alone(p, ds, self.F, tol)
+        for batch in (32, 1):
+            monkeypatch.setattr(fourier, "_NORM_BATCH", batch)
+            with pytest.raises(AccuracyError) as got:
+                list(l1_norms(items, tol, self.F))
+            assert (got.value.estimate, got.value.error_bound) == \
+                (want.value.estimate, want.value.error_bound)
 
 
 class TestAlgebra:

@@ -475,6 +475,30 @@ class TestCli:
         assert main(["diagnose", "--config", str(path), "--window", "100"]) == 3
         assert "--window" in capsys.readouterr().err
 
+    def test_bound_on_a_finite_chain_fails_before_simulating(self, tmp_path, capsys,
+                                                             monkeypatch):
+        from meanclt.cli import main
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulate was called")
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"process": CHAIN, "n_grid": [64, 1024, 16384],
+                                    "reps": 4000, "seed": 1,
+                                    "targets": ["empirical_d1", "martingale_bound"]}))
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "martingale_bound" in err and "finite_chain" in err and "targets" in err
+
+    def test_diagnose_rejects_an_uncentered_observable(self, tmp_path, capsys):
+        from meanclt.cli import main
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"process": {"type": "doubling_map"},
+                                    "observable": {"constant": 0.5, "cos": [1.0]}}))
+        assert main(["diagnose", "--config", str(path)]) == 2
+        assert "centered" in capsys.readouterr().err
+
     def test_commands_import_no_numpy_ma(self, tmp_path):
         # numpy.ma costs about 0.6 MiB resident and np.unique imports it; a run
         # with a rate fit, a diagnosis and the appendix oracle have no use for it
