@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, PrecisionError, ResourceError
 from .processes import CircleWalk, DoublingMap, FiniteChain, IIDLaw, ProcessSpec, SplitReal
 from .theta import theta_coeff, theta_coeffs  # noqa: F401 (the theta table, part of this API)
-from .wasserstein import EmpiricalSample, FinitePmf
+from .wasserstein import EmpiricalSample, FinitePmf, merge_weighted
 
 
 def _unique(values) -> np.ndarray:
@@ -254,21 +254,12 @@ def _alpha_doubling(indices: Sequence[int], grid: int) -> float:
     return min(best, 1.0)
 
 
-def _threshold_grid(coords: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct values (the value itself when
-    there is only one): every distinct indicator column, once."""
-    uniq = _unique(coords)
-    if uniq.size == 1:
-        return uniq
-    return 0.5 * (uniq[:-1] + uniq[1:])
-
-
 def _alpha_finite_chain(spec: FiniteChain, indices: Sequence[int]) -> float:
     n = spec.n_states
     p = spec.transition
     pi = spec.stationary
     vals = spec.values
-    thresholds = _threshold_grid(vals)
+    thresholds = _threshold_grids(vals[None])[0]
     steps = [np.linalg.matrix_power(p, indices[0])] + \
         [np.linalg.matrix_power(p, b - a) for a, b in zip(indices[:-1], indices[1:])]
     marg_cdf = {x: float(pi[vals <= x].sum()) for x in thresholds}
@@ -316,7 +307,7 @@ def alpha_exact(spec: ProcessSpec, indices: Sequence[int], grid: int = 10) -> fl
     if isinstance(spec, FiniteChain):
         # the threshold grid is exact, one threshold per distinct indicator, and
         # `grid` is unused; the budget is what the default grid used to allow
-        if len(_threshold_grid(spec.values)) ** len(indices) > 1 << 20:
+        if len(_threshold_grids(spec.values[None])[0]) ** len(indices) > 1 << 20:
             raise ResourceError("threshold enumeration too large: more than 2^20 tuples")
         return _alpha_finite_chain(spec, indices)
     if isinstance(spec, IIDLaw):
@@ -341,9 +332,21 @@ def alpha_tabulation(spec: ProcessSpec, kmax: int, grid: int = 8) -> AlphaSeq:
 # ---------------------------------------------------------------------------
 
 
+# The checks run on batches of joints with one coordinate count k: `points`
+# (B, N, k) and `probs` (B, N) hold each joint's support in its first
+# `counts` rows, padded to N with zero-probability points (`joint_arrays`).
+# Each value is the one its joint gives alone, bit for bit: a sum numpy
+# would take over a joint's own points is taken over just those, in numpy's
+# order for that length (`_row_sums`); a running total adds the same terms
+# in the same order, padding adding exact zeros; the grids are the joint's
+# own, padded with empty steps.
+
+_BATCH_DOUBLES = 1 << 13  # the largest temporary of the threshold search: 64 KiB
+
+
 @dataclass(frozen=True, eq=False)
 class JointPmf:
-    """A finitely supported law on R^k, k <= 4, support <= 64 points."""
+    """A finitely supported law on R^k, 1 <= k <= 4, support <= 64 points."""
 
     points: np.ndarray
     probs: np.ndarray
@@ -353,11 +356,14 @@ class JointPmf:
         pr = np.asarray(self.probs, dtype=float).reshape(-1)
         if pts.ndim != 2 or pts.shape[0] != pr.size:
             raise DomainError("points must be (n, k) with matching probabilities")
-        if pts.shape[1] > 4:
-            raise DomainError("at most 4 coordinates are supported")
+        if not 1 <= pts.shape[1] <= 4:
+            raise DomainError("between 1 and 4 coordinates are supported")
         if pts.shape[0] > 64:
             raise DomainError("at most 64 support points are supported")
-        if np.any(pr < 0.0) or abs(pr.sum() - 1.0) > 1e-12:
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("points must be finite")
+        # written so that NaN fails it: NaN < 0 and |NaN - 1| > tol are both False
+        if not (np.all(pr >= 0.0) and abs(pr.sum() - 1.0) <= 1e-12):
             raise DomainError("probabilities must be nonnegative and sum to 1 within 1e-12")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
@@ -379,48 +385,171 @@ class JointPmf:
         return {"points": self.points.tolist(), "probs": self.probs.tolist()}
 
 
+def joint_arrays(joints: Sequence[JointPmf]) -> tuple:
+    """(points, probs, counts) of joints with one coordinate count, padded
+    with zero-probability points at the origin."""
+    k = joints[0].k
+    if any(j.k != k for j in joints):
+        raise DomainError("a batch of joints needs one coordinate count")
+    counts = np.array([j.points.shape[0] for j in joints])
+    points = np.zeros((len(joints), int(counts.max()), k))
+    probs = np.zeros(points.shape[:2])
+    for b, j in enumerate(joints):
+        points[b, :counts[b]] = j.points
+        probs[b, :counts[b]] = j.probs
+    return points, probs, counts
+
+
+def _row_sums(rows: np.ndarray, counts) -> np.ndarray:
+    """The sum of each row's first `counts` entries as numpy sums that many
+    alone: from 8 terms on numpy sums pairwise, so a zero-padded row would
+    round differently."""
+    counts = np.broadcast_to(counts, rows.shape[:-1])
+    out = np.zeros(rows.shape[:-1])
+    for m in _unique(counts):
+        sel = counts == m
+        out[sel] = rows[sel, :m].sum(axis=-1)
+    return out
+
+
+def _masked_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """values[mask].sum() of each row (values broadcast against mask)."""
+    order = np.argsort(~mask, axis=-1, kind="stable")
+    return _row_sums(np.take_along_axis(values, order, axis=-1), mask.sum(axis=-1))
+
+
+def _distinct_values(values: np.ndarray, real: np.ndarray) -> tuple:
+    """Each row's distinct real values ascending in its first places, +inf
+    after them, and their count."""
+    s = np.sort(np.where(real, values, np.inf), axis=-1)
+    first = np.isfinite(s)
+    first[..., 1:] &= s[..., 1:] != s[..., :-1]
+    order = np.argsort(~first, axis=-1, kind="stable")
+    first = np.take_along_axis(first, order, axis=-1)
+    return np.where(first, np.take_along_axis(s, order, axis=-1), np.inf), first.sum(axis=-1)
+
+
+def _threshold_grids(values: np.ndarray, real=True) -> np.ndarray:
+    """Midpoints between consecutive distinct real values of each row (the
+    value itself when there is only one), +inf after them: every distinct
+    indicator column once, then columns that no value exceeds."""
+    u, d = _distinct_values(values, real)
+    above = np.concatenate([u[..., 1:], np.full(u.shape[:-1] + (1,), np.inf)], axis=-1)
+    grids = np.where((d == 1)[..., None], u, 0.5 * (u + above))
+    return grids[..., :int(d.max(initial=2)) - 1]
+
+
 def _step_values(edges: np.ndarray, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The step function equal to vals[i] on [edges[i], edges[i+1]), at u."""
-    return vals[np.searchsorted(edges, u, side="right") - 1]
+    """Row by row, the step function equal to vals[..., i] on
+    [edges[..., i], edges[..., i+1]), at u >= edges[..., 0]."""
+    idx = np.zeros(u.shape, dtype=np.min_scalar_type(edges.shape[-1]))
+    for i in range(1, edges.shape[-1]):
+        idx += edges[..., i:i + 1] <= u
+    return np.take_along_axis(vals, idx, axis=-1)
 
 
-def _tail_quantile_steps(values, probs) -> tuple[np.ndarray, np.ndarray]:
-    """Q(u) = the smallest v with P(V > v) <= u, for V = values[i] with
-    probability probs[i], as (edges, values) steps on [0, 1)."""
-    law = FinitePmf.from_weighted(values, probs)
-    strict_tail = np.cumsum(law.probs[::-1])[::-1][1:]  # P(V > atom) but the last
-    edges = np.concatenate([[0.0], strict_tail[::-1], [1.0]])
-    return edges, law.atoms[::-1]
+def _tail_quantile_steps(values: np.ndarray, probs: np.ndarray) -> tuple:
+    """Row by row, Q(u) = the smallest v with P(V > v) <= u, for V =
+    values[..., i] with probability probs[..., i], as (edges, values) steps
+    on [0, 1), padded with empty steps at 1."""
+    atoms, p, counts = merge_weighted(values, probs)
+    j = np.arange(atoms.shape[-1])
+    live = j < counts[..., None]
+    down = np.maximum(counts[..., None] - 1 - j, 0)  # the atoms, largest first
+    tails = np.cumsum(np.where(live, np.take_along_axis(p, down, axis=-1), 0.0), axis=-1)
+    edges = np.concatenate([np.zeros(tails.shape[:-1] + (1,)),
+                            np.where(j < counts[..., None] - 1, tails, 1.0)], axis=-1)
+    return edges, np.where(live, np.take_along_axis(atoms, down, axis=-1), 0.0)
 
 
-def _dispersion_steps(pmf: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
-    """D(u) = (F^{-1}(1-u) - F^{-1}(u))_+ as a step function on (0, 1/2),
-    with F^{-1}(q) = inf{x : F(x) >= q}."""
-    br, atoms = np.cumsum(pmf.probs)[:-1], pmf.atoms
-    cuts = _unique(np.concatenate([br, 1.0 - br, [0.5]]))
-    cuts = cuts[(cuts > 0.0) & (cuts < 0.5)]
-    edges = np.concatenate([[0.0], cuts, [0.5]])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    finv = lambda q: atoms[np.searchsorted(br, q, side="left")]
-    vals = np.maximum(finv(1.0 - mids) - finv(mids), 0.0)
-    return edges, vals
+def _dispersion_steps(atoms: np.ndarray, probs: np.ndarray, counts: np.ndarray) -> tuple:
+    """Row by row, D(u) = (F^{-1}(1-u) - F^{-1}(u))_+ on (0, 1/2), with
+    F^{-1}(q) = inf{x : F(x) >= q}, of the law of the first `counts` atoms,
+    as (edges, values) steps padded with empty steps at 1/2."""
+    br = np.cumsum(probs, axis=-1)[..., :-1]
+    live = np.arange(br.shape[-1]) < counts[..., None] - 1
+    cuts = np.concatenate([br, 1.0 - br], axis=-1)
+    cuts = np.sort(np.where(np.concatenate([live, live], axis=-1) & (cuts > 0.0) & (cuts < 0.5),
+                            cuts, 0.5), axis=-1)
+    cuts[..., 1:][cuts[..., 1:] == cuts[..., :-1]] = 0.5
+    cuts = np.sort(cuts, axis=-1)
+    ends = np.zeros(cuts.shape[:-1] + (1,))
+    edges = np.concatenate([ends, cuts, ends + 0.5], axis=-1)
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    br = np.where(live, br, 2.0)  # a padded breakpoint lies above every q
+    finv = lambda q: np.take_along_axis(atoms, (br[..., None, :] < q[..., None]).sum(axis=-1),
+                                        axis=-1)
+    return edges, np.maximum(finv(1.0 - mids) - finv(mids), 0.0)
 
 
-def _product_step_integral(step_fns: Sequence[tuple[np.ndarray, np.ndarray]],
-                           upper: float) -> float:
-    """Exact integral over (0, upper) of a product of step functions."""
-    if upper <= 0.0:
-        return 0.0
-    edges = _unique(np.concatenate([e for e, _ in step_fns] + [[0.0, upper]]))
-    edges = edges[(edges >= 0.0) & (edges <= upper)]
-    if edges[-1] < upper:
-        edges = np.append(edges, upper)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    prod = np.ones(mids.size)
-    for e, v in step_fns:
-        prod *= _step_values(e, v, mids)
+def _product_step_integrals(factors: Sequence[tuple], upper: np.ndarray) -> np.ndarray:
+    """Exact integral over (0, upper) of the product of step functions
+    factors = [(edges, values), ...], row by row (rows shaped like upper)."""
+    edges = [np.broadcast_to(e, upper.shape + e.shape[-1:]) for e, _ in factors]
+    edges = np.concatenate(edges + [np.zeros(upper.shape + (1,)), upper[..., None]], axis=-1)
+    # edges past upper pile up on it as empty intervals
+    edges = np.sort(np.minimum(edges, upper[..., None]), axis=-1)
+    mids = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    prod = np.ones(mids.shape)
+    for e, v in factors:
+        prod = prod * _step_values(e, v, mids)
     # a running total from 0.0, interval by interval
-    return float(np.cumsum(np.concatenate([[0.0], prod * np.diff(edges)]))[-1])
+    return 0.0 + np.cumsum(prod * np.diff(edges, axis=-1), axis=-1)[..., -1]
+
+
+def _centered_product_means(values: np.ndarray, probs: np.ndarray,
+                            counts: np.ndarray) -> np.ndarray:
+    """|E prod_c (V_c - E V_c)| of each joint, V = values (B, N, k)."""
+    out = np.zeros(counts.shape)
+    for n in _unique(counts):
+        sel = counts == n
+        v, p = values[sel, :n], probs[sel, :n]
+        means = np.matmul(p[:, None, :], v)  # each joint's own probs @ values product
+        out[sel] = np.abs((np.prod(v - means, axis=-1) * p).sum(axis=-1))
+    return out
+
+
+def _alphas(points: np.ndarray, probs: np.ndarray, counts: np.ndarray,
+            conditioning: Optional[int] = None) -> np.ndarray:
+    """Largest |E prod_c (1_{X_c > x_c} - P(X_c > x_c))| of each joint over
+    the threshold grids, or with `conditioning` set, the L1 distance of its
+    conditional mean given X_conditioning from its mean, over the grids of
+    the other coordinates.  A padded threshold's column is 0, and so is the
+    mean of every product it enters."""
+    B, N, k = points.shape
+    real = np.arange(N) < counts[:, None]
+    axes = [c for c in range(k) if c != conditioning]
+    x = np.moveaxis(points[:, :, axes], 2, 1)
+    grids = _threshold_grids(x, real[:, None, :])
+    above = (x[:, :, None, :] > grids[..., None]) & real[:, None, None, :]
+    columns = above - _masked_sums(probs[:, None, None, :], above)[..., None]
+    groups = 1
+    if conditioning is not None:
+        values, _ = _distinct_values(points[:, :, conditioning], real)
+        members = (points[:, None, :, conditioning] == values[..., None]) & real[:, None, :]
+        group_probs = _masked_sums(probs[:, None, :], members)[:, None, :]
+        groups = members.shape[1]
+    size = grids.shape[-1]
+    tuples = size ** len(axes)
+    block = max(1, _BATCH_DOUBLES // (B * N * groups))
+    best = np.zeros(B)
+    for start in range(0, tuples, block):
+        t = np.arange(start, min(start + block, tuples))
+        g = np.ones((B, t.size, N))
+        for i in range(len(axes)):
+            g = g * columns[:, i, t // size ** (len(axes) - 1 - i) % size]
+        g = g * probs[:, None, :]
+        overall = _row_sums(g, counts[:, None])
+        if conditioning is None:
+            norms = np.abs(overall)
+        else:
+            cond_means = (_masked_sums(g[:, :, None, :], members[:, None])
+                          / np.where(group_probs == 0.0, 1.0, group_probs))
+            terms = np.where(group_probs == 0.0, 0.0,
+                             group_probs * np.abs(cond_means - overall[..., None]))
+            norms = np.cumsum(terms, axis=-1)[..., -1]  # a running total over the groups
+        best = np.maximum(best, norms.max(axis=-1))
+    return best
 
 
 @dataclass(frozen=True)
@@ -431,34 +560,53 @@ class CovarianceBoundReport:
     holds: bool
 
 
-def _alpha_joint(j: JointPmf, cond: Optional[int] = None) -> float:
-    """Largest |E prod_c (1_{X_c > x_c} - P(X_c > x_c))| over the threshold
-    grids, or with `cond` set, the L1 distance of its conditional mean given
-    X_cond from its mean, over the grids of the other coordinates."""
-    pts, pr = j.points, j.probs
-    columns = [[(pts[:, c] > x) - float(pr[pts[:, c] > x].sum())
-                for x in _threshold_grid(pts[:, c])]
-               for c in range(j.k) if c != cond]
-    groups = [] if cond is None else [
-        (mask, float(pr[mask].sum()))
-        for mask in (pts[:, cond] == v for v in _unique(pts[:, cond]))]
-    best = 0.0
-    for cols in itertools.product(*columns):
-        g = np.ones(pts.shape[0])
-        for col in cols:
-            g *= col
-        overall = float((g * pr).sum())
-        if cond is None:
-            norm = abs(overall)
-        else:
-            norm = 0.0
-            for mask, pv in groups:
-                if pv == 0.0:
-                    continue
-                cond_mean = float((g[mask] * pr[mask]).sum()) / pv
-                norm += pv * abs(cond_mean - overall)
-        best = max(best, norm)
-    return best
+def _reports(lhs: np.ndarray, alpha: np.ndarray, rhs: np.ndarray) -> list:
+    return [CovarianceBoundReport(lhs=x, alpha=a, rhs=r, holds=x <= r + 1e-12)
+            for x, a, r in zip(lhs.tolist(), alpha.tolist(), rhs.tolist())]
+
+
+def _covariance_bounds(points: np.ndarray, probs: np.ndarray, counts: np.ndarray,
+                       conditioning: Optional[int] = None) -> tuple:
+    """(lhs, alpha, rhs) of the covariance bound of each joint, then its
+    marginal laws and their dispersion steps."""
+    laws = merge_weighted(np.moveaxis(points, 2, 1), probs[:, None, :])
+    edges, vals = steps = _dispersion_steps(*laws)
+    alpha = _alphas(points, probs, counts, conditioning)
+    factors = [(edges[:, c], vals[:, c]) for c in range(points.shape[2])]
+    rhs = 2.0 * _product_step_integrals(factors, alpha / 2.0)
+    return _centered_product_means(points, probs, counts), alpha, rhs, laws, steps
+
+
+def _corollary_bounds(branches: tuple, probs: np.ndarray, counts: np.ndarray,
+                      alpha: np.ndarray) -> tuple:
+    """(lhs, rhs) of the monotone-difference corollary of each joint, given
+    the branch values branches = (g1(X), g2(X)), each (B, N, k)."""
+    g1, g2 = branches
+    k = g1.shape[2]
+    # tail quantiles of |g(X_c)| for each coordinate's two branches: (B, k, 2, .)
+    edges, vals = _tail_quantile_steps(np.abs(np.stack(branches, axis=1)).transpose(0, 3, 1, 2),
+                                       probs[:, None, None, :])
+    choice = np.array(list(itertools.product((0, 1), repeat=k)))
+    factors = [(edges[:, c, choice[:, c]], vals[:, c, choice[:, c]]) for c in range(k)]
+    upper = np.repeat(alpha[:, None] / 2.0, choice.shape[0], axis=1)
+    integrals = _product_step_integrals(factors, upper)
+    rhs = (0.0 + np.cumsum(integrals, axis=-1)[:, -1]) * 2.0 ** (k + 1)
+    return _centered_product_means(g1 - g2, probs, counts), rhs
+
+
+def appendix_checks(points: np.ndarray, probs: np.ndarray, counts: np.ndarray,
+                    branches: tuple) -> tuple:
+    """The three checks of `check-appendix` on a batch of joints
+    (`joint_arrays`): the covariance bound, the monotone-difference corollary
+    for the branch values (g1(X), g2(X)), and `dispersion_check` of every
+    marginal.  Returns the two lists of reports and one bool per joint;
+    alpha and the marginals are computed once for all three."""
+    lhs, alpha, rhs, laws, steps = _covariance_bounds(points, probs, counts)
+    cor_lhs, cor_rhs = _corollary_bounds(branches, probs, counts, alpha)
+    # one coordinate at a time: a marginal's grid has about 150 points
+    dispersion = np.logical_and.reduce([_dispersion_ok(*(a[:, c] for a in laws + steps))
+                                        for c in range(points.shape[2])])
+    return _reports(lhs, alpha, rhs), _reports(cor_lhs, alpha, cor_rhs), dispersion
 
 
 def covariance_bound_check(j: JointPmf, conditioning: Optional[int] = None
@@ -470,14 +618,8 @@ def covariance_bound_check(j: JointPmf, conditioning: Optional[int] = None
     a coordinate); the right side integrates the product of the exact
     inter-quantile dispersion steps.
     """
-    pts, pr = j.points, j.probs
-    means = pr @ pts
-    lhs = abs(float((np.prod(pts - means, axis=1) * pr).sum()))
-    alpha = _alpha_joint(j, conditioning)
-    steps = [_dispersion_steps(j.marginal(c)) for c in range(j.k)]
-    rhs = 2.0 * _product_step_integral(steps, alpha / 2.0)
-    return CovarianceBoundReport(lhs=lhs, alpha=alpha, rhs=rhs,
-                                 holds=lhs <= rhs + 1e-12)
+    lhs, alpha, rhs, _, _ = _covariance_bounds(*joint_arrays([j]), conditioning)
+    return _reports(lhs, alpha, rhs)[0]
 
 
 def monotone_difference_bound_check(j: JointPmf, transforms) -> CovarianceBoundReport:
@@ -490,51 +632,53 @@ def monotone_difference_bound_check(j: JointPmf, transforms) -> CovarianceBoundR
     """
     if len(transforms) != j.k:
         raise DomainError("one transform pair per coordinate is required")
-    pts, pr = j.points, j.probs
-    branches = [(np.asarray(g1(pts[:, c])), np.asarray(g2(pts[:, c])))
-                for c, (g1, g2) in enumerate(transforms)]
-    fvals = np.column_stack([b1 - b2 for b1, b2 in branches])
-    means = pr @ fvals
-    lhs = abs(float((np.prod(fvals - means, axis=1) * pr).sum()))
-    alpha = _alpha_joint(j)
-    # tail quantiles of |g(X_c)| for each coordinate's two branches
-    quantiles = [[_tail_quantile_steps(np.abs(b), pr) for b in pair] for pair in branches]
-    rhs = 0.0
-    for branch in itertools.product((0, 1), repeat=j.k):
-        steps = [quantiles[c][b] for c, b in enumerate(branch)]
-        rhs += _product_step_integral(steps, alpha / 2.0)
-    rhs *= 2.0 ** (j.k + 1)
-    return CovarianceBoundReport(lhs=lhs, alpha=alpha, rhs=rhs, holds=lhs <= rhs + 1e-12)
+    points, probs, counts = joint_arrays([j])
+    branches = tuple(np.column_stack([np.asarray(pair[b](j.points[:, c]), dtype=float)
+                                      for c, pair in enumerate(transforms)])[None]
+                     for b in (0, 1))
+    alpha = _alphas(points, probs, counts)
+    lhs, rhs = _corollary_bounds(branches, probs, counts, alpha)
+    return _reports(lhs, alpha, rhs)[0]
+
+
+def _dispersion_ok(atoms: np.ndarray, probs: np.ndarray, counts: np.ndarray,
+                   edges: np.ndarray, dvals: np.ndarray) -> np.ndarray:
+    """`dispersion_check` of each row's law (its first `counts` atoms), given
+    its D steps (edges, dvals) from `_dispersion_steps`."""
+    cum = np.cumsum(probs, axis=-1)
+    fixed = np.broadcast_to(np.linspace(0.0, 0.5, 129), cum.shape[:-1] + (129,))
+    grid = np.sort(np.concatenate([edges, cum, 1.0 - cum, fixed], axis=-1), axis=-1)
+    lo, hi = grid[..., :-1], grid[..., 1:]
+    # the inequalities hold almost everywhere; sample every constancy
+    # interval at its midpoint so step conventions at breakpoints don't bite
+    mids = 0.5 * (lo + hi)
+    sampled = (lo != hi) & (lo >= 0.0) & (hi <= 0.5) & (mids > 0.0) & (mids < 0.5)
+    mids = np.where(sampled, mids, 0.25)
+    dv = _step_values(edges, dvals, mids)
+    qp, qm, qa = (_step_values(*_tail_quantile_steps(v, probs), mids)
+                  for v in (np.maximum(atoms, 0.0), np.maximum(-atoms, 0.0), np.abs(atoms)))
+    ok = np.all(~sampled | ((dv >= -1e-12) & (dv <= qp + qm + 1e-12)
+                            & (qp + qm <= 2.0 * qa + 1e-12)), axis=-1)
+    live = np.arange(atoms.shape[-1]) < counts[..., None]
+    zero_is_median = ((_masked_sums(probs, live & (atoms <= 0.0)) >= 0.5 - 1e-12)
+                      & (_masked_sums(probs, live & (atoms >= 0.0)) >= 0.5 - 1e-12))
+    equal = np.all(~sampled | (np.abs(dv - (qp + qm)) <= 1e-12), axis=-1)
+    return ok & (~zero_is_median | equal)
 
 
 def dispersion_check(marginal: FinitePmf) -> bool:
     """Verify 0 <= D(u) <= Q_{X+}(u) + Q_{X-}(u) <= 2 Q_{|X|}(u) on (0, 1/2).
 
-    Checked on all breakpoints of the four step functions (plus midpoints);
-    additionally requires equality of the middle comparison when 0 is a
-    median of the law.
+    Sampled at the midpoint of every interval of one grid on [0, 1/2]: the
+    edges of D, the cumulative probabilities F(a_i) and 1 - F(a_i), and 129
+    equally spaced points.  The Q steps' own breakpoints are not all on it:
+    those of Q_{|X|}, at P(X > v) + P(X < -v), often fall between its
+    points.  Additionally requires equality of the middle comparison when 0
+    is a median of the law.
     """
-    atoms, probs = marginal.atoms, marginal.probs
-    edges, dvals = _dispersion_steps(marginal)
-    cum = np.cumsum(probs)
-    grid = _unique(np.concatenate([edges, cum, 1.0 - cum,
-                                   np.linspace(0.0, 0.5, 129)]))
-    grid = grid[(grid >= 0.0) & (grid <= 0.5)]
-    # the inequalities hold almost everywhere; sample every constancy
-    # interval at its midpoint so step conventions at breakpoints don't bite
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    mids = mids[(mids > 0.0) & (mids < 0.5)]
-    dv = _step_values(edges, dvals, mids)
-    qp, qm, qa = (_step_values(*_tail_quantile_steps(v, probs), mids)
-                  for v in (np.maximum(atoms, 0.0), np.maximum(-atoms, 0.0), np.abs(atoms)))
-    ok = (np.all(dv >= -1e-12)
-          and np.all(dv <= qp + qm + 1e-12)
-          and np.all(qp + qm <= 2.0 * qa + 1e-12))
-    zero_is_median = (float(probs[atoms <= 0.0].sum()) >= 0.5 - 1e-12
-                      and float(probs[atoms >= 0.0].sum()) >= 0.5 - 1e-12)
-    if ok and zero_is_median:
-        ok = bool(np.all(np.abs(dv - (qp + qm)) <= 1e-12))
-    return bool(ok)
+    atoms, probs = marginal.atoms[None], marginal.probs[None]
+    counts = np.array([atoms.size])
+    return bool(_dispersion_ok(atoms, probs, counts, *_dispersion_steps(atoms, probs, counts))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -62,9 +62,10 @@ class FinitePmf:
             raise DomainError("atoms must be finite")
         if np.any(np.diff(a) <= 0.0):
             raise DomainError("atoms must be strictly increasing")
-        if np.any(p < 0.0):
+        # written so that NaN fails them: NaN < 0 and |NaN - 1| > tol are both False
+        if not np.all(p >= 0.0):
             raise DomainError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise DomainError("probabilities must sum to 1 within 1e-12")
         object.__setattr__(self, "atoms", a)
         object.__setattr__(self, "probs", p)
@@ -74,17 +75,44 @@ class FinitePmf:
     @classmethod
     def from_weighted(cls, atoms, probs) -> "FinitePmf":
         """Build from unsorted atoms, dropping zero-prob entries and merging duplicates
-        into their first occurrence (a merged +-0 keeps its first sign); np.unique is
-        slower on the few-atom laws that the coefficient checks build by the thousand."""
-        a = np.asarray(atoms, dtype=float).reshape(-1)
-        p = np.asarray(probs, dtype=float).reshape(-1)
-        order = np.argsort(a, kind="stable")
-        a, p = a[order], p[order]
-        first = np.ones(a.size, dtype=bool)
-        first[1:] = a[1:] != a[:-1]
-        a, p = a[first], np.bincount(np.cumsum(first) - 1, weights=p)
-        nz = p > 0.0
-        return cls(a[nz], p[nz])
+        into their first occurrence (a merged +-0 keeps its first sign)."""
+        a = np.asarray(atoms, dtype=float).reshape(1, -1)
+        p = np.asarray(probs, dtype=float).reshape(1, -1)
+        if a.size != p.size:
+            raise DomainError("atoms and probs must be equal-length and nonempty")
+        if not np.all(p >= 0.0):
+            raise DomainError("probabilities must be nonnegative")
+        a, p, n = merge_weighted(a, p)
+        return cls(a[0, :n[0]], p[0, :n[0]])
+
+
+def merge_weighted(atoms: np.ndarray, probs: np.ndarray) -> tuple:
+    """`FinitePmf.from_weighted` of each row of `atoms` (probabilities `probs`,
+    broadcast to its shape) at once, as (atoms, probs, count): each row's
+    distinct atoms of positive merged probability ascending in its first
+    `count` places, zeros after them up to the largest count.
+
+    Duplicates merge into their first occurrence in a stable sort, their
+    probabilities added one by one from 0.0 in that order; entries of
+    probability 0 drop out, so rows can be padded with them.  np.unique is
+    slower on the few-atom laws that the coefficient checks build by the
+    thousand.
+    """
+    probs = np.broadcast_to(probs, atoms.shape)
+    order = np.argsort(atoms, axis=-1, kind="stable")
+    a = np.take_along_axis(atoms, order, axis=-1)
+    p = np.take_along_axis(probs, order, axis=-1)
+    first = np.ones(a.shape, dtype=bool)
+    first[..., 1:] = a[..., 1:] != a[..., :-1]
+    merged = np.zeros(a.shape)
+    # every row starts a group, so one bincount serves all rows
+    merged[first] = np.bincount(np.cumsum(first) - 1, weights=p.reshape(-1))
+    keep = first & (merged > 0.0)
+    counts = keep.sum(axis=-1)
+    order = np.argsort(~keep, axis=-1, kind="stable")[..., :int(counts.max(initial=0))]
+    keep = np.take_along_axis(keep, order, axis=-1)
+    return (np.where(keep, np.take_along_axis(a, order, axis=-1), 0.0),
+            np.where(keep, np.take_along_axis(merged, order, axis=-1), 0.0), counts)
 
 
 def _check_sigma(sigma: float) -> float:

@@ -510,6 +510,14 @@ class TestAlphaExact:
 
 
 class TestCovarianceBound:
+    def test_joint_rejects_nan_and_infinite_entries(self):
+        pts = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for bad_pts, bad_probs in ((pts, [math.nan, math.nan]), (pts, [math.nan, 1.0]),
+                                   (np.array([[0.0, math.nan], [1.0, 0.0]]), [0.5, 0.5]),
+                                   (np.array([[0.0, math.inf], [1.0, 0.0]]), [0.5, 0.5])):
+            with pytest.raises(DomainError):
+                JointPmf(bad_pts, np.array(bad_probs))
+
     def test_rademacher_equality(self):
         j = JointPmf(np.array([[-1.0, -1.0], [1.0, 1.0]]), np.array([0.5, 0.5]))
         rep = covariance_bound_check(j)
@@ -566,17 +574,18 @@ class TestTailQuantileSteps:
             # multiples of 1/16, often zero: every tail sum is exact, so the
             # breakpoints themselves can be checked
             probs = gen.multinomial(16, gen.dirichlet(np.ones(values.size))) / 16.0
-            edges, vals = _tail_quantile_steps(values, probs)
+            (edges,), (vals,) = _tail_quantile_steps(values[None], probs[None])
             us = np.concatenate([edges[:-1], 0.5 * (edges[:-1] + edges[1:]), gen.random(8)])
             for u, q in zip(us, _step_values(edges, vals, us)):
                 assert q == min(v for v in values if probs[values > v].sum() <= u)
 
     def test_product_integral_matches_the_interval_loop(self):
-        from meanclt.coefficients import _product_step_integral, _tail_quantile_steps
+        from meanclt.coefficients import _product_step_integrals, _tail_quantile_steps
         gen = np.random.default_rng(9)
         for _ in range(100):
-            steps = [_tail_quantile_steps(np.round(gen.normal(0, 1, 4), 1),
-                                          gen.dirichlet(np.ones(4))) for _ in range(3)]
+            steps = [tuple(a[0] for a in _tail_quantile_steps(np.round(gen.normal(0, 1, (1, 4)), 1),
+                                                              gen.dirichlet(np.ones(4))[None]))
+                     for _ in range(3)]
             upper = float(gen.uniform(0.0, 0.5))
             edges = np.unique(np.concatenate([e for e, _ in steps] + [[0.0, upper]]))
             edges = edges[edges <= upper]
@@ -586,7 +595,7 @@ class TestTailQuantileSteps:
                 for e, v in steps:
                     prod *= float(v[np.searchsorted(e, 0.5 * (lo + hi), side="right") - 1])
                 total += prod * (hi - lo)
-            assert _product_step_integral(steps, upper) == total
+            assert _product_step_integrals(steps, np.array(upper)) == total
 
     def test_marginal_drops_zero_probability_points(self):
         j = JointPmf(np.array([[0.0, 1.0], [2.0, 1.0], [5.0, 3.0]]),
@@ -605,10 +614,9 @@ class TestDispersion:
 
     def test_shift_invariance_of_dispersion(self):
         from meanclt.coefficients import _dispersion_steps
-        base = FinitePmf([-1.0, 0.0, 2.0], [0.3, 0.4, 0.3])
-        shifted = FinitePmf([9.0, 10.0, 12.0], [0.3, 0.4, 0.3])
-        eb, vb = _dispersion_steps(base)
-        es, vs = _dispersion_steps(shifted)
+        probs, counts = np.array([[0.3, 0.4, 0.3]]), np.array([3])
+        eb, vb = _dispersion_steps(np.array([[-1.0, 0.0, 2.0]]), probs, counts)
+        es, vs = _dispersion_steps(np.array([[9.0, 10.0, 12.0]]), probs, counts)
         assert np.allclose(eb, es) and np.allclose(vb, vs)
 
     def test_random_laws(self):

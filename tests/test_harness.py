@@ -337,6 +337,35 @@ class TestAppendixFuzz:
         b = check_appendix(10, seed=9).to_dict()
         assert a == b
 
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_chunk_boundaries(self, extra, monkeypatch):
+        count = harness.APPENDIX_CHUNK + extra
+        want = check_appendix(count, seed=11).to_dict()
+        for chunk in (1, 7):
+            monkeypatch.setattr(harness, "APPENDIX_CHUNK", chunk)
+            assert check_appendix(count, seed=11).to_dict() == want
+
+    def test_failures_in_instance_order_across_chunks(self, monkeypatch):
+        import dataclasses
+        real = harness.appendix_checks
+
+        def failing(*args):
+            cov, cor, disp = real(*args)
+            flip = lambda reps: [dataclasses.replace(r, holds=False) for r in reps]
+            return flip(cov), flip(cor), ~disp
+
+        monkeypatch.setattr(harness, "appendix_checks", failing)
+        monkeypatch.setattr(harness, "APPENDIX_CHUNK", 7)
+        rep = check_appendix(10, seed=4)
+        assert rep.covariance_passes == rep.corollary_passes == rep.dispersion_passes == 0
+        assert [(f["index"], f["kind"]) for f in rep.failures] == [
+            (i, kind) for i in range(10) for kind in ("covariance", "corollary", "dispersion")]
+        gen = substream(4, 0).generator()
+        for i in range(10):
+            j = harness._random_joint(gen)
+            [harness._random_monotone_pair(gen) for _ in range(j.k)]
+            assert all(f["joint"] == j.to_dict() for f in rep.failures[3 * i:3 * i + 3])
+
 
 class TestDiagnose:
     def test_doubling_mds_verdicts(self):

@@ -167,6 +167,14 @@ class TestPmfGauss:
         with pytest.raises(DomainError):
             FinitePmf(np.array([0.0]), np.array([0.9]))
 
+    def test_rejects_nan_probabilities(self):
+        # NaN fails neither p < 0 nor |sum - 1| > tol, so both checks must reject it
+        for probs in ([math.nan, math.nan], [math.nan, 1.0]):
+            with pytest.raises(DomainError):
+                FinitePmf(np.array([0.0, 1.0]), np.array(probs))
+            with pytest.raises(DomainError):
+                FinitePmf.from_weighted(np.array([0.0, 1.0]), np.array(probs))
+
 
 class TestSampleSample:
     def test_identical(self):
