@@ -204,25 +204,30 @@ def _bootstrap_se(tables: tuple, sigma: float, count: int, stream) -> float:
     """Bootstrap standard error of the plug-in W1 over resampled replicates.
 
     `tables` is `sorted_gauss_tables(sample, sigma)`.  A resample draws
-    indices into the unsorted sample; its sorted values and their Gaussian
-    tables are the sorted ones, each repeated as often as the resample drew
-    it, so no resample is sorted or evaluated again.  The gathers and the
-    slab sum write into buffers allocated once.
+    indices into the unsorted sample; through `rank`, the inverse of the
+    sort order, they become positions in the sorted sample, and sorted they
+    are each position repeated as often as the resample drew it.  The tables
+    gathered there are those of the sorted resample, so no value is sorted
+    or evaluated again, only int32 positions.  The positions, the gathers
+    and the slab sum write into buffers allocated once.
     """
     if count < 2:
         return 0.0
     order, x, cdf, pdf = tables
     gen = stream.generator()
     m = x.size
-    positions = np.arange(m)
+    rank = np.empty(m, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
+    j = np.empty(m, dtype=np.int32)
     # five arrays the size of the temporaries they replace, not one (5, m)
     # block, which is mapped fresh and raised the peak RSS
-    xs, cs, ps, u0, g0 = (np.empty(m) for _ in range(5))
-    scratch = (u0, g0, np.empty(m, dtype=bool))
+    xs, cs, ps, piece, term = (np.empty(m) for _ in range(5))
+    scratch = (piece, term, np.empty(m, dtype=bool))
     vals = np.empty(count)
     for b in range(count):
-        c = np.bincount(gen.integers(0, m, m), minlength=m)[order]
-        j = np.repeat(positions, c)  # one index and three gathers beat three np.repeat calls
+        # for m < 2**31 the int32 draw is the int64 one, from the same raw words
+        np.take(rank, gen.integers(0, m, m, dtype=np.int32), out=j, mode="clip")
+        j.sort()  # np.repeat(arange(m), counts): the same sorted multiset
         for table, out in ((x, xs), (cdf, cs), (pdf, ps)):
             np.take(table, j, out=out, mode="clip")  # j is in range: clip skips buffering
         vals[b] = w1_sorted_gauss(xs, cs, ps, sigma, scratch)

@@ -285,7 +285,9 @@ def integrate_many(g: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int
 
     Returns the integrals as floats.  Raises AccuracyError, with the best
     estimate and error bound of the first integrand that fails, when some
-    panel still fails at depth tol.max_depth.
+    panel still fails at depth tol.max_depth, or at once when some panel's
+    estimate is not finite: such a panel never converges, and bisecting it
+    to max_depth would double the panels at every depth.
     """
     owner = np.arange(count)  # kept sorted: each integrand's panels together
     a = np.zeros(count)  # left ends; all panels of one depth have one width
@@ -294,7 +296,15 @@ def integrate_many(g: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int
     eps = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(k15))
     total, total_err = [0.0] * count, [0.0] * count
 
+    def failure(message, first):
+        mine = owner == first
+        return AccuracyError(message, total[first] + float(k15[mine].sum()),
+                             total_err[first] + float(err[mine].sum()))
+
     for depth in range(tol.max_depth):
+        finite = np.isfinite(err)  # not finite where k15 or the Gauss sum is not
+        if not finite.all():
+            raise failure("quadrature estimate is not finite", owner[finite.argmin()])
         ok = err <= eps[owner] * width
         done_k15, done_err = k15[ok], err[ok]
         if owner[0] == owner[-1]:  # one integrand open
@@ -316,11 +326,7 @@ def integrate_many(g: Callable[[np.ndarray, np.ndarray], np.ndarray], count: int
             order = np.argsort(owner, kind="stable")
             a, owner = a[order], owner[order]
         k15, err = _panel_estimates(g, owner, a, width)
-    first = owner[0]
-    mine = owner == first
-    raise AccuracyError("quadrature did not converge within max_depth",
-                        total[first] + float(k15[mine].sum()),
-                        total_err[first] + float(err[mine].sum()))
+    raise failure("quadrature did not converge within max_depth", owner[0])
 
 
 def integrate_unit(g: Callable[[np.ndarray], np.ndarray],

@@ -165,32 +165,35 @@ def w1_sorted_gauss(x: np.ndarray, cdf: np.ndarray, pdf: np.ndarray, sigma: floa
     """The slab sum of w1_sample_gauss for sorted x, given its Gaussian
     tables cdf = Phi(x/sigma) and pdf = phi(x/sigma).
 
-    Every term is elementwise in (x, cdf, pdf) apart from the slab grid, so
-    a resample of a sorted sample can pass its tables repeated by counts
-    instead of re-evaluating them.  With `scratch`, a tuple (u0, g0, mask)
-    of two float arrays and a bool array of x.size, the sum allocates no
-    array: it overwrites the scratch, and also cdf and pdf, which it reuses
-    once read.  Either way it adds the same terms in the same order.
+    Point i of m has the slab [a, b] = [i/m, (i+1)/m], with G-values ga, gb,
+    and adds x (u0 - a) + sigma (g0 - ga) + sigma (g0 - gb) + x (u0 - b),
+    where u0 = clip(cdf, a, b) and g0 is pdf, ga or gb as u0 is cdf, a or b.
+    Below its slab (cdf < a) the first two terms are signed zeros, so the
+    piece is exactly x (a - b) + sigma (ga - gb); above it (cdf > b) it is
+    exactly the negative of that.  Only the points in their slab, edges
+    included, take the general form.  Every term is elementwise in
+    (x, cdf, pdf) apart from the slab grid, so a resample of a sorted sample
+    can pass its tables gathered at its sorted positions instead of
+    re-evaluating them.  It never writes x, cdf or pdf.  With `scratch`, a
+    tuple (piece, term, mask) of two float arrays and a bool array of
+    x.size, it works in the scratch and allocates arrays of the in-slab
+    points only.
     """
     grid, g_grid = _slab_tables(x.size)
     a, b = grid[:-1], grid[1:]
     ga, gb = g_grid[:-1], g_grid[1:]
     if scratch is None:
-        cdf, pdf = cdf.copy(), pdf.copy()
         scratch = (np.empty(x.size), np.empty(x.size), np.empty(x.size, dtype=bool))
-    u0, g0, mask = scratch
-    np.clip(cdf, a, b, out=u0)
-    # g0 = pdf where u0 == cdf, else ga where u0 == a, else gb
-    np.copyto(g0, gb)
-    np.copyto(g0, ga, where=np.equal(u0, a, out=mask))
-    np.copyto(g0, pdf, where=np.equal(u0, cdf, out=mask))
-    # piece = x (u0 - a) + sigma (g0 - ga) + sigma (g0 - gb) + x (u0 - b),
-    # added left to right in cdf, each term built in pdf
-    piece, term = cdf, pdf
-    np.multiply(x, np.subtract(u0, a, out=piece), out=piece)
-    piece += np.multiply(sigma, np.subtract(g0, ga, out=term), out=term)
-    piece += np.multiply(sigma, np.subtract(g0, gb, out=term), out=term)
-    piece += np.multiply(x, np.subtract(u0, b, out=term), out=term)
+    piece, term, mask = scratch
+    # every point as if outside its slab, negated where above it
+    np.multiply(x, np.subtract(a, b, out=piece), out=piece)
+    piece += np.multiply(sigma, np.subtract(ga, gb, out=term), out=term)
+    np.negative(piece, out=piece, where=np.greater(cdf, b, out=mask))
+    np.less_equal(cdf, b, out=mask)
+    np.greater_equal(cdf, a, out=mask, where=mask)  # a <= cdf <= b: u0 = cdf, g0 = pdf
+    i = np.flatnonzero(mask)
+    xi, ci, pi = x[i], cdf[i], pdf[i]
+    piece[i] = xi * (ci - a[i]) + sigma * (pi - ga[i]) + sigma * (pi - gb[i]) + xi * (ci - b[i])
     return float(piece.sum())
 
 

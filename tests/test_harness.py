@@ -283,11 +283,12 @@ def bootstrap_se_by_sorting(sample, sigma, count, stream):
 
 
 class TestBootstrap:
-    # resampling by counts must add the very arrays that sorting each resample
-    # gave, so the standard error is equal, not merely close
+    # resampling by sorted ranks must add the very arrays that sorting each
+    # resample gave, so the standard error is equal, not merely close
 
-    @pytest.mark.parametrize("m", [1, 2, 2048, 20_000])
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 2048, 2049, 20_000])
     def test_matches_sorting_every_resample(self, m):
+        # odd lengths run through the tails of the vectorized int sort
         sample = substream(3, m).generator().normal(0.0, 0.7, m)
         tables = sorted_gauss_tables(sample, 0.7)
         for count in (2, 25):
@@ -297,8 +298,19 @@ class TestBootstrap:
     def test_ties_and_signed_zeros(self):
         base = np.array([0.0, -0.0, 1.5, -0.0, 1.5, -2.0, 0.0, 1.5, 3.25, -2.0, -40.0, 9.0])
         sample = substream(1, 0).generator().permutation(np.repeat(base, 25))
-        got = _bootstrap_se(sorted_gauss_tables(sample, 1.3), 1.3, 40, substream(2, 0))
-        assert got == bootstrap_se_by_sorting(sample, 1.3, 40, substream(2, 0)) > 0.0
+        tables = sorted_gauss_tables(sample, 1.3)
+        for count in (40, 100):
+            got = _bootstrap_se(tables, 1.3, count, substream(2, 0))
+            assert got == bootstrap_se_by_sorting(sample, 1.3, count, substream(2, 0)) > 0.0
+
+    @pytest.mark.parametrize("m,size", [(1, 1), (2, 2), (3, 3), (17, 17), (2049, 2049),
+                                        (20_000, 20_000), (65_537, 999), (2 ** 31 - 1, 999)])
+    def test_int32_draw_is_the_int64_draw(self, m, size):
+        # the resample loop draws int32 indices; the oracle draws int64 ones
+        narrow, wide = substream(5, m).generator(), substream(5, m).generator()
+        assert np.array_equal(narrow.integers(0, m, size, dtype=np.int32),
+                              wide.integers(0, m, size))
+        assert narrow.bit_generator.random_raw() == wide.bit_generator.random_raw()
 
     def test_fewer_than_two_resamples(self):
         tables = sorted_gauss_tables(np.array([0.5, -1.0, 2.0]), 1.0)
@@ -434,14 +446,14 @@ class TestReportMerge:
 
 
 class TestCli:
-    def _run(self, *args):
+    def _run(self, *args, **kwargs):
         # the child imports the meanclt under test, whether pytest found it
         # through PYTHONPATH, the pytest pythonpath setting or an install
         src = str(Path(harness.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         return subprocess.run([sys.executable, "-m", "meanclt.cli", *args],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=env, **kwargs)
 
     def test_preset_exact(self, tmp_path):
         out = self._run("preset", "iid-rademacher-exact", "--n-max", "128",
@@ -492,6 +504,23 @@ class TestCli:
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 3
         got = float(re.search(r"best estimate ([^,]+),", capsys.readouterr().err).group(1))
         assert got == pytest.approx(estimate, rel=1e-12)
+
+    @pytest.mark.parametrize("cos", [[1e103], [1e150], [1e308, 1e308]])
+    def test_overflowing_moment_exit_code(self, tmp_path, cos):
+        # |f|^3 overflows to inf; the quadrature stops at its first panels
+        # instead of bisecting NaN error indicators until memory runs out
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"process": {"type": "doubling_map"},
+                                    "observable": {"cos": cos}, "n_grid": [16], "reps": 200,
+                                    "targets": ["martingale_bound"]}))
+        out = self._run("run", "--config", str(path), timeout=60, preexec_fn=limit_memory)
+        assert out.returncode == 3, out.stderr
+        assert "quadrature estimate is not finite" in out.stderr
 
     def test_window_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # --window 100 would range over about 1.8e7 multiindices for the pair

@@ -206,6 +206,35 @@ class TestIntegrateMany:
             assert err.value.error_bound == alone.value.error_bound
 
 
+    def test_non_finite_estimate_raises_at_once(self):
+        # an inf - inf error indicator is NaN, which no budget accepts: without
+        # the check every panel would be bisected to max_depth
+        calls = []
+
+        def g(owner, x):
+            calls.append(x.shape[0])
+            return np.where(owner[:, None] == 1, np.inf, x)
+
+        with pytest.raises(AccuracyError, match="not finite") as err:
+            integrate_many(g, 3, self.TOL)
+        assert calls == [3]
+        assert math.isinf(err.value.estimate)
+
+    def test_overflowing_integrand_raises_at_depth_zero(self):
+        calls = []
+
+        def cube(x):
+            calls.append(x.size)
+            return np.abs(1e150 * np.cos(2 * np.pi * x)) ** 3
+
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(AccuracyError, match="not finite"):
+                integrate_unit(cube, self.TOL)
+        assert calls == [15]
+        with pytest.raises(AccuracyError, match="not finite"):
+            integrate_unit(lambda x: np.full_like(x, np.nan), self.TOL)
+
+
 class TestPhiDerivL1:
     def test_first(self):
         v = phi_deriv_l1(1)

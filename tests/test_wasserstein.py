@@ -384,6 +384,61 @@ class TestSortedScratch:
         assert np.array_equal(cdf, kept[0]) and np.array_equal(pdf, kept[1])
 
 
+class TestSlabEdges:
+    # synthetic (x, cdf, pdf) tables that put points exactly on, below, above
+    # and inside their slabs [i/m, (i+1)/m]: the closed form outside a slab
+    # and the general form inside must add the terms of the one expression
+
+    PLACES = ("at_a", "at_b", "below", "above", "inside")
+
+    @staticmethod
+    def cdf_at(m, place):
+        grid, _ = _slab_tables(m)
+        a, b = grid[:-1], grid[1:]
+        # below and above stay in [0, 1]: on the first and last slab they
+        # fall on the edge
+        return {"at_a": a, "at_b": b, "below": 0.5 * a, "above": b + 0.5 * (1.0 - b),
+                "inside": a + 0.25 * (b - a)}[place].copy()
+
+    @classmethod
+    def tables(cls):
+        gen = np.random.default_rng(23)
+        for m in (1, 2, 3, 8, 257):
+            for place in cls.PLACES + ("mixed",):
+                if place == "mixed":
+                    pick = gen.integers(0, len(cls.PLACES), m)
+                    cdf = np.choose(pick, [cls.cdf_at(m, p) for p in cls.PLACES])
+                else:
+                    cdf = cls.cdf_at(m, place)
+                pdf = gen.uniform(0.0, 0.4, m)
+                xs = (np.sort(gen.normal(0.0, 2.0, m)),
+                      np.sort(gen.choice([-2.0, -0.0, 0.0, 1.5, 1.5, 3.25], m)),
+                      np.zeros(m), np.full(m, -0.0))
+                for x in xs:
+                    yield m, place, x, cdf, pdf
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+    def test_equals_the_where_expression(self, sigma):
+        for m, place, x, cdf, pdf in self.tables():
+            kept = cdf.copy(), pdf.copy()
+            want = slab_sum_by_where(x, cdf, pdf, sigma)
+            scratch = (np.full(m, np.nan), np.full(m, np.nan), np.ones(m, dtype=bool))
+            assert w1_sorted_gauss(x, cdf, pdf, sigma) == want, (m, place, x)
+            assert w1_sorted_gauss(x, cdf, pdf, sigma, scratch) == want, (m, place, x)
+            assert np.array_equal(cdf, kept[0]) and np.array_equal(pdf, kept[1])
+
+    def test_places_are_what_they_say(self):
+        # the tables above do reach every branch: below a, at a, inside, at b
+        # and above b, apart from the first and last slab's clamped edges
+        grid, _ = _slab_tables(8)
+        a, b = grid[:-1], grid[1:]
+        assert np.all(self.cdf_at(8, "at_a") == a) and np.all(self.cdf_at(8, "at_b") == b)
+        assert np.all(self.cdf_at(8, "below")[1:] < a[1:])
+        assert np.all(self.cdf_at(8, "above")[:-1] > b[:-1])
+        inside = self.cdf_at(8, "inside")
+        assert np.all((a < inside) & (inside < b))
+
+
 class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "sample.csv"
