@@ -181,8 +181,45 @@ class DoublingMap(ProcessSpec):
         return sigma2
 
     def _simulate_block(self, f, n, gens):
-        for w in _doubling_states(*_draw_bit_paths(gens, n)):
-            yield f.eval(w.astype(np.float64) * 2.0 ** -64)
+        # per frequency j the phase j w mod 2^64 is exact: (cos, sin) of its top
+        # _PHASE_BITS bits come from tables, of its low bits (< 1.6e-3 rad) from a short
+        # series, joined by the angle-sum rule.  The constant of the centered f is dropped
+        cos_h, sin_h = _phase_tables()
+        top = np.uint64(64 - _PHASE_BITS)
+        low = np.uint64((1 << (64 - _PHASE_BITS)) - 1)
+        terms = [(np.uint64(j), f.cos_coeffs[j - 1], f.sin_coeffs[j - 1])
+                 for j in np.flatnonzero((f.cos_coeffs != 0.0) | (f.sin_coeffs != 0.0)) + 1]
+        for w in _doubling_states(*_draw_words(gens, n)):
+            x = None
+            for j, a, b in terms:
+                th = w if j == 1 else w * j
+                h = (th >> top).view(np.int64)
+                c, s = cos_h.take(h), sin_h.take(h)
+                phi = (th & low).view(np.int64) * _TURN
+                p = phi * phi
+                # cos phi - 1 = p (-1/2 + p/24), sin phi = phi (1 + p (-1/6 + p/120)), in
+                # place: a fresh temporary costs about as much as the arithmetic on it
+                cm1 = p / 24.0
+                cm1 += -0.5
+                cm1 *= p
+                sn = p / 120.0
+                sn += -1.0 / 6.0
+                sn *= p
+                sn += 1.0
+                sn *= phi
+                if a != 0.0:  # a (c + (c cm1 - s sn)), then b (s + (s cm1 + c sn))
+                    t = c * cm1
+                    t -= s * sn
+                    t += c
+                    t *= a
+                    x = t if x is None else x + t
+                if b != 0.0:
+                    t = s * cm1
+                    t += c * sn
+                    t += s
+                    t *= b
+                    x = t if x is None else x + t
+            yield x
 
     def _characteristic(self, f, n, taus):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
@@ -345,14 +382,12 @@ class FiniteChain(ProcessSpec):
         return var0 + 2.0 * float(pi @ (v * (fundamental - v)))
 
     def _simulate_block(self, f, n, gens):
-        u = np.empty((len(gens), n + 1))
-        for r, g in enumerate(gens):
-            u[r] = g.random(n + 1)
+        u = _chunked_draws(gens, n + 1, lambda g, k: g.random(k))
         last = self.n_states - 1
-        state = np.searchsorted(np.cumsum(self.stationary), u[:, 0], side="right").clip(0, last)
+        state = np.searchsorted(np.cumsum(self.stationary), next(u), side="right").clip(0, last)
         p_cum = np.cumsum(self.transition, axis=1)
-        for t in range(1, n + 1):
-            state = (p_cum[state] < u[:, t][:, None]).sum(axis=1).clip(0, last)
+        for ut in u:
+            state = (p_cum[state] < ut[:, None]).sum(axis=1).clip(0, last)
             yield self.values[state]
 
 
@@ -388,10 +423,8 @@ class IIDLaw(ProcessSpec):
         return self.var
 
     def _simulate_block(self, f, n, gens):
-        draws = np.empty((len(gens), n))
-        for r, g in enumerate(gens):
-            draws[r] = self.sampler(g, n)
-        yield from draws.T
+        for x in _chunked_draws(gens, n, self.sampler):
+            yield x.copy()
 
 
 def iid_rademacher() -> IIDLaw:
@@ -690,37 +723,75 @@ class PathEnsemble:
 
 _BITS_PER_WORD = 64
 _CHUNK_WORDS = 16  # step words per replicate and raw call: a block holds reps * 16 at a time
+_CHUNK_STEPS = _CHUNK_WORDS * _BITS_PER_WORD  # a chain's or i.i.d. law's draws per call
+_PHASE_BITS = 12  # the doubling kernel's (cos, sin) tables hold 2^12 angles, 32 KiB each
+_TURN = 2.0 * math.pi * 2.0 ** -64  # radians per unit of a 64-bit phase
 
 
-def _draw_bit_paths(gens, n: int):
+def _phase_tables() -> tuple:
+    """cos and sin of 2 pi h / 2^_PHASE_BITS for every h, built in about 30 us.  Only
+    the first octant is evaluated, where the argument pi h / 2^(_PHASE_BITS - 1) < 1
+    rounds least; the rest follows by symmetry, exactly."""
+    q = 1 << (_PHASE_BITS - 3)
+    x = np.arange(q + 1) * (math.pi / (4 * q))
+    c8, s8 = np.cos(x), np.sin(x)
+    c4, s4 = np.concatenate([c8, s8[q - 1:0:-1]]), np.concatenate([s8, c8[q - 1:0:-1]])
+    return np.concatenate([c4, -s4, -c4, s4]), np.concatenate([s4, c4, -s4, -c4])
+
+
+def _draw_words(gens, n: int):
     """Per replicate, 1 + ceil(n/64) raw 64-bit words, _CHUNK_WORDS per call as the
     steps reach them: a head word (in the first call), then n step bits packed low
     bit first.  They are the words of a full-range uint64 `Generator.integers` call,
     and `Generator.random` is (head >> 11) * 2^-53 of the head word.  Returns the
-    head words and an iterator over the n per-step bit columns."""
+    head words and an iterator over (step words, steps in them), one row over the
+    replicates per word; a row is overwritten once the iterator moves on."""
     n_words = (n + _BITS_PER_WORD - 1) // _BITS_PER_WORD
     words = np.empty((1 + min(_CHUNK_WORDS, n_words), len(gens)), dtype=np.uint64)
     for r, g in enumerate(gens):
         words[:, r] = g.bit_generator.random_raw(len(words))
 
-    def bits(chunk):
+    def rows(chunk):
         for w in range(n_words):
             if w and w % _CHUNK_WORDS == 0:
                 chunk = chunk[:n_words - w]
                 for r, g in enumerate(gens):
                     chunk[:, r] = g.bit_generator.random_raw(len(chunk))
-            for s in range(min(_BITS_PER_WORD, n - w * _BITS_PER_WORD)):
-                yield (chunk[w % _CHUNK_WORDS] >> np.uint64(s)) & np.uint64(1)
+            yield chunk[w % _CHUNK_WORDS], min(_BITS_PER_WORD, n - w * _BITS_PER_WORD)
 
-    return words[0], bits(words[1:])
+    return words[0], rows(words[1:])
 
 
-def _doubling_states(w, bits):
+def _draw_bit_paths(gens, n: int):
+    """The head words of `_draw_words` and an iterator over the n per-step bit
+    columns of its step words, the circle walk's +1/-1 steps."""
+    head, words = _draw_words(gens, n)
+    bits = ((word >> np.uint64(s)) & np.uint64(1) for word, k in words for s in range(k))
+    return head, bits
+
+
+def _doubling_states(w, words):
     """The doubling-map states xi_{t+1} = (xi_t + B_t)/2, t >= 0, from xi_0 = w and
-    the step bits B_t, exactly, in 64-bit fixed point."""
-    for b in bits:
-        w = (w >> np.uint64(1)) | (b << np.uint64(63))
-        yield w
+    the step words, exactly, in 64-bit fixed point: s steps into a word its low s
+    bits, last bit on top, sit above the state it started from, shifted down by s."""
+    for word, k in words:
+        base = w
+        for s in range(1, k + 1):
+            w = (base >> np.uint64(s)) | (word << np.uint64(_BITS_PER_WORD - s))
+            yield w
+
+
+def _chunked_draws(gens, size: int, draw):
+    """Per replicate `size` values of draw(g, k), at most _CHUNK_STEPS per call as the
+    steps reach them; yields one array over the replicates per value, a row of one
+    buffer that the next chunk overwrites.  Chunked `Generator.random`, `integers`
+    and `standard_normal` calls return the values of one call, bit for bit."""
+    chunk = np.empty((min(_CHUNK_STEPS, size), len(gens)))
+    for start in range(0, size, _CHUNK_STEPS):
+        rows = chunk[:min(_CHUNK_STEPS, size - start)]
+        for r, g in enumerate(gens):
+            rows[:, r] = draw(g, len(rows))
+        yield from rows
 
 
 def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
@@ -730,8 +801,12 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
 
     Replicate r consumes substream(seed, r) only, so ensembles are
     reproducible bit for bit and independent of block scheduling.  The
-    doubling map runs in 64-bit fixed point (the map (x+B)/2 is exact there);
-    the circle walk reads (cos, sin)(2 pi {j k a}), {j k a} exact, from tables at its walk k.
+    doubling map's states are 64-bit fixed-point words (the map (x+B)/2 is
+    exact there), each taken straight from its step word, and it reads
+    (cos, sin)(2 pi j w 2^-64) from the exact phase j w mod 2^64 and a table;
+    the circle walk reads (cos, sin)(2 pi {j k a}), {j k a} exact, from tables
+    at its walk k.  Neither calls FourierFn.eval.  A finite chain and an i.i.d.
+    law draw at most 1024 values per replicate at a time.
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")
@@ -760,15 +835,17 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
 
 
 def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.ndarray:
-    """Each replicate's state at time `step` on the path `simulate` walks (diagnostics)."""
+    """Each replicate's state at time `step` on the path `simulate` walks (diagnostics):
+    the doubling map's fixed-point word from the kernel's `_doubling_states`, rounded
+    once to a double; the circle walk's x0 + {k a} mod 1."""
     if step < 0:
         raise DomainError("step must be nonnegative")
     if reps < 1:
         raise DomainError("reps must be >= 1")
     gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
-        w, bits = _draw_bit_paths(gens, step)
-        for w in _doubling_states(w, bits):
+        w, words = _draw_words(gens, step)
+        for w in _doubling_states(w, words):
             pass
         return w.astype(np.float64) * 2.0 ** -64
     if isinstance(spec, CircleWalk):

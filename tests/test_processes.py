@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from meanclt.errors import DivergenceError, DomainError, PreconditionError, SchemaError
 from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
 from meanclt.numerics import integrate_unit
-from meanclt.processes import (_BAND_TAIL, _CHUNK_WORDS, CircleWalk, DoublingMap, FiniteChain,
-                               SplitReal, _draw_bit_paths, _exp_i_tau_f, characteristic,
+from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS, CircleWalk,
+                               DoublingMap, FiniteChain, SplitReal, _draw_bit_paths,
+                               _exp_i_tau_f, _phase_tables, characteristic,
                                exact_frac, iid_gaussian, iid_rademacher, is_martingale,
                                long_run_variance, process_from_dict, resolvent_tail,
                                sample_states, simulate, sqrt2_minus_one, transfer)
@@ -73,6 +75,52 @@ def replay_circle_split(g, n, f=cosine(1)):
     return f.eval(np.mod(x0 + k * CW.a.hi + k * CW.a.lo, 1.0))
 
 
+def doubling_states(g, n):
+    """The doubling-map states w_1..w_n as Python ints: the head word, then the
+    packed step bits shifted in from the top."""
+    w = int(row_bit_words(g, 1)[0])
+    states = []
+    for bit in step_bits(row_bit_words(g, (n + 63) // 64), n):
+        w = (w >> 1) | (bit << 63)
+        states.append(w)
+    return states
+
+
+def doubling_phase(w, j, tables=_phase_tables()):
+    """(cos, sin) 2 pi j w 2^-64 by the doubling kernel's float operations, the phase
+    j w mod 2^64 split into its top _PHASE_BITS bits h and the rest l as Python ints."""
+    cos_h, sin_h = tables
+    th = j * w % (1 << 64)
+    h, l = th >> (64 - _PHASE_BITS), th & ((1 << (64 - _PHASE_BITS)) - 1)
+    phi = float(l) * (2.0 * math.pi * 2.0 ** -64)
+    p = phi * phi
+    cm1 = p * (-0.5 + p / 24.0)
+    sn = phi * (1.0 + p * (-1.0 / 6.0 + p / 120.0))
+    c, s = float(cos_h[h]), float(sin_h[h])
+    return c + (c * cm1 - s * sn), s + (s * cm1 + c * sn)
+
+
+def replay_doubling(g, n, f=cosine(1)):
+    """Doubling-map kernel by hand: X_t = sum_j (a_j cos + b_j sin) 2 pi j w_t 2^-64,
+    increasing j, cos before sin, each from `doubling_phase`; f is centered."""
+    xs = []
+    for w in doubling_states(g, n):
+        x = None
+        for j in range(1, f.max_freq + 1):
+            c, s = doubling_phase(w, j)
+            for coef, v in ((f.cos_coeffs[j - 1], c), (f.sin_coeffs[j - 1], s)):
+                if coef != 0.0:
+                    x = float(coef) * v if x is None else x + float(coef) * v
+        xs.append(x)
+    return xs
+
+
+def replay_doubling_eval(g, n, f=cosine(1)):
+    """The doubling-map kernel before the phase tables: f.eval at w_t 2^-64 rounded to
+    double, whose error grows with the frequency."""
+    return f.eval(np.array(doubling_states(g, n), dtype=np.float64) * 2.0 ** -64)
+
+
 class FixedWords:
     """A stand-in generator whose raw words are `head`, then `fill` for ever."""
 
@@ -111,6 +159,10 @@ def replay_chain(g, n):
 
 def replay_iid(g, n):
     return iid_gaussian(1.5).sampler(g, n)
+
+
+def replay_rademacher(g, n):
+    return iid_rademacher().sampler(g, n)
 
 
 class TestSplitReal:
@@ -469,13 +521,66 @@ class TestSimulate:
         n, reps, seed = 75, 6, 314
         ens = simulate(DM, f, n, reps, checkpoints=[n], seed=seed)
         for r in range(reps):
-            g = substream(seed, r).generator()
-            w = int(row_bit_words(g, 1)[0])
             s = 0.0
-            for bit in step_bits(row_bit_words(g, (n + 63) // 64), n):
-                w = (w >> 1) | (bit << 63)
-                s += float(f.eval(np.float64(w) * 2.0 ** -64))
+            for x in replay_doubling(substream(seed, r).generator(), n, f):
+                s += x
             assert s == ens.partial_sums[r, 0]
+
+    def test_doubling_kernel_replay_mixed_observable(self):
+        # cosines at j = 1 and 3 and a sine at j = 3, step by step; 3 w wraps mod 2^64
+        from meanclt.numerics import substream
+        f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
+        n, reps, seed = 200, 5, 17
+        xs = np.array(list(DM._simulate_block(
+            f, n, [substream(seed, r).generator() for r in range(reps)])))
+        wraps = 0
+        for r in range(reps):
+            wraps += sum(3 * w >> 64 for w in doubling_states(substream(seed, r).generator(), n))
+            assert xs[:, r].tolist() == replay_doubling(substream(seed, r).generator(), n, f)
+        assert wraps > 0
+
+    def test_doubling_kernel_per_step_accuracy(self):
+        # cos and sin 2 pi j w 2^-64 against 40 digits at the exact states w: the table
+        # entry's error (under 0.51 ulp(1)) and the last rounding (under 0.25 ulp(1));
+        # replay_doubling_eval's rounded state loses up to 2 pi j 2^-54 more
+        from meanclt.numerics import substream
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        n, reps, seed = 100, 4, 29
+        gens = lambda: [substream(seed, r).generator() for r in range(reps)]
+        states = [doubling_states(g, n) for g in gens()]
+        for j in (1, 2, 3, 7, 64):
+            for f, fn in ((cosine(j), mpmath.cos), (sine(j), mpmath.sin)):
+                xs = np.array(list(DM._simulate_block(f, n, gens())))
+                err = max(abs(float(xs[t, r] - fn(2 * mpmath.pi * j * mpmath.mpf(w) / 2 ** 64)))
+                          for r in range(reps) for t, w in enumerate(states[r]))
+                assert err <= 2.0 ** -52, (j, fn, err)
+
+    def test_doubling_kernel_near_eval_formula(self):
+        # per step the kernel is within ulp(1) of cos 2 pi w 2^-64 and f.eval at the
+        # rounded state within 2 pi (2^-54 + 2 u) + 2 ulp(1), u = 2^-53; each float
+        # sum adds u |S_t| at step t
+        from meanclt.numerics import substream
+        n, reps, seed = 16384, 4, 11
+        u = 2.0 ** -53
+        per_step = 2 * u + 2.0 * math.pi * (u / 2 + 2 * u) + 4 * u
+        ens = simulate(DM, cosine(1), n, reps, checkpoints=list(range(1, n + 1)), seed=seed)
+        for r in range(reps):
+            old = np.cumsum(replay_doubling_eval(substream(seed, r).generator(), n))
+            new = ens.partial_sums[r]
+            bound = n * per_step + u * (np.abs(old).sum() + np.abs(new).sum())
+            assert abs(old[-1] - new[-1]) <= bound
+
+    def test_phase_tables(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        cos_h, sin_h = _phase_tables()
+        size = 1 << _PHASE_BITS
+        assert cos_h.shape == sin_h.shape == (size,)
+        for h in range(size):
+            angle = 2 * mpmath.pi * h / size
+            assert abs(float(cos_h[h] - mpmath.cos(angle))) <= 2.0 ** -53 * 1.02
+            assert abs(float(sin_h[h] - mpmath.sin(angle))) <= 2.0 ** -53 * 1.02
 
     @pytest.mark.parametrize("step", [0, 1, 64, 100])
     def test_sample_states_replay(self, step):
@@ -590,6 +695,37 @@ class TestSimulate:
         ens = simulate(fc, None, 50, 200, checkpoints=[1, 50], seed=2)
         assert ens.partial_sums.shape == (200, 2)
         assert set(np.unique(ens.partial_sums[:, 0])) <= {-1.0, 2.0}
+
+    @pytest.mark.parametrize("spec, replay", [
+        (two_state_chain(), replay_chain), (iid_gaussian(1.5), replay_iid),
+        (iid_rademacher(), replay_rademacher)], ids=["chain", "gaussian", "rademacher"])
+    def test_chunked_draws_are_one_call(self, spec, replay):
+        # draws come _CHUNK_STEPS at a time; the replays draw each path in one call
+        from meanclt.numerics import substream
+        n, reps, seed = 2 * _CHUNK_STEPS + 5, 3, 41
+        cps = [_CHUNK_STEPS - 1, _CHUNK_STEPS, _CHUNK_STEPS + 1, 2 * _CHUNK_STEPS, n]
+        ens = simulate(spec, None, n, reps, checkpoints=cps, seed=seed)
+        for r in range(reps):
+            partial = np.cumsum(replay(substream(seed, r).generator(), n))
+            assert np.array_equal(partial[np.array(cps) - 1], ens.partial_sums[r])
+
+    def test_chain_draws_take_bounded_memory(self):
+        # the draws are held _CHUNK_STEPS at a time: once n passes one chunk, the
+        # peak no longer grows with n; at n = 4096 it stays under half of what a
+        # (reps, n + 1) array of the draws alone would take
+        fc = FiniteChain([[0.9, 0.1], [0.1, 0.9]], values=[-1.0, 1.0])
+        reps = 256
+
+        def peak(n):
+            tracemalloc.start()
+            simulate(fc, None, n, reps, seed=4)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top
+
+        small, mid, large = peak(512), peak(4096), peak(8192)
+        assert small <= mid and abs(large - mid) <= 64 * 1024
+        assert mid < 8 * 4097 * reps / 2
 
     def test_column_lookup(self):
         ens = simulate(DM, cosine(1), 64, 50, checkpoints=[16, 64], seed=1)
