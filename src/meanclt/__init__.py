@@ -21,9 +21,9 @@ from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, LongRunVar
                         process_from_dict, resolvent_tail, sample_states, simulate,
                         sqrt2_minus_one, transfer)
 from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
-                          sample_from_csv, w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
+                          w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
 from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, KernelDecaySum,
-                           MixingIntegralReport, QuantileSeq, alpha_exact, alpha_inverse,
+                           MixingIntegralReport, QuantileSeq, alpha_exact,
                            alpha_tabulation, covariance_bound_check, dispersion_check,
                            frac_part_sum, kernel_decay_sum, mixing_integral,
                            monotone_difference_bound_check, quantile_from_sample,

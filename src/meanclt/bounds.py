@@ -53,8 +53,7 @@ def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
             keys.append(key)
             if key not in memo and key not in misses and not g.is_zero():
                 misses[key] = None
-                exact = f.max_freq + g.max_freq
-                yield (product(f, g, exact).fn if kind == "weighted" else g), ()
+                yield (product(f, g).fn if kind == "weighted" else g), ()
 
     norms = list(l1_norms(items(), tol))
     memo.update(zip(misses, norms))

@@ -68,13 +68,6 @@ class AlphaSeq:
         return float(self.values[k])
 
 
-def alpha_inverse(a: AlphaSeq, u: float) -> int:
-    """Count of tabulated indices i with u < alpha(i)."""
-    if not 0.0 < u < 1.0:
-        raise DomainError("u must lie in (0,1)")
-    return int(np.count_nonzero(u < a.values))
-
-
 @dataclass(frozen=True, eq=False)
 class QuantileSeq:
     """A nonincreasing, nonnegative step function u -> Q(u) on (0,1).

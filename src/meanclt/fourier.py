@@ -21,7 +21,6 @@ from .numerics import Tolerance, integrate_many
 
 ArrayLike = Union[float, np.ndarray]
 
-DEFAULT_PRODUCT_CAP = 4096
 _NORM_BATCH = 32  # norms integrated in one lockstep quadrature
 
 
@@ -300,23 +299,7 @@ class ProductResult(NamedTuple):
     dropped_l1: float
 
 
-def product(f: FourierFn, g: FourierFn, cap: int = DEFAULT_PRODUCT_CAP) -> ProductResult:
-    """Pointwise product by coefficient convolution.
-
-    Exact when max_freq(f) + max_freq(g) <= cap; otherwise frequencies above
-    cap are dropped and their l1 coefficient mass (a sup-norm bound on the
-    discarded part) is reported rather than raised.
-    """
-    if cap < 0:
-        raise DomainError("cap must be nonnegative")
-    cf, cg = _to_complex(f), _to_complex(g)
-    conv = np.convolve(cf, cg)
-    k = f.max_freq + g.max_freq
-    dropped = 0.0
-    if k > cap:
-        mid = k
-        keep = np.zeros(2 * cap + 1, dtype=complex)
-        keep[:] = conv[mid - cap: mid + cap + 1]
-        dropped = float(np.abs(conv[: mid - cap]).sum() + np.abs(conv[mid + cap + 1:]).sum())
-        conv = keep
-    return ProductResult(_from_complex(conv), dropped)
+def product(f: FourierFn, g: FourierFn) -> ProductResult:
+    """Pointwise product by coefficient convolution, exact at every frequency;
+    `dropped_l1` is always 0.0."""
+    return ProductResult(_from_complex(np.convolve(_to_complex(f), _to_complex(g))), 0.0)

@@ -5,10 +5,12 @@ A run simulates one checkpointed path ensemble, computes the exact W1
 distance of each checkpoint sample to the analytic Gaussian limit, evaluates
 the requested deterministic bounds, fits the empirical rate, and writes a
 CSV table plus a JSON manifest.  Where the process family has an exact law
-of S_n (the doubling map), the d1 columns come from that law wherever it can
-be inverted accurately, and the sample distance stays alongside as a Monte
-Carlo cross-check.  Everything is keyed by substreams of the config seed, so
-re-running a config reproduces the outputs byte for byte.
+of S_n (`processes.exact_law`), a pmf (i.i.d. signs) gives the distances and
+nothing is simulated; a characteristic function (the doubling map) gives the
+d1 columns wherever it can be inverted accurately, and the sample distance
+stays alongside as a Monte Carlo cross-check.  Everything is keyed by
+substreams of the config seed, so re-running a config reproduces the outputs
+byte for byte.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,10 +32,11 @@ from .bounds import (martingale_d1_bound, moments, projective_d1_bound, rate_fit
 from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation, appendix_checks,
                            covariance_bound_check, JointPmf, joint_arrays,
                            mixing_integral, quantile_from_sample)
-from .errors import DomainError, SchemaError, json_typed, reject_unknown_keys, required
+from .errors import (DomainError, PreconditionError, SchemaError, json_typed,
+                     reject_unknown_keys, required)
 from .fourier import FourierFn, lebesgue_inner
 from .numerics import Tolerance, substream
-from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, characteristic,
+from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, exact_law,
                         is_martingale, long_run_variance, process_from_dict, simulate,
                         transfer)
 from .theta import theta_coeffs
@@ -74,8 +77,10 @@ class ExperimentConfig:
     targets: tuple
     tolerance: Tolerance = Tolerance()
     output: Optional[str] = None
-    exact_pmf: Optional[bool] = None  # None: the process decides
     bootstrap: int = 100
+    # whether the process's law of S_n is a pmf, so that the run simulates nothing;
+    # not an argument, and a config file may only repeat it
+    exact_pmf: bool = field(init=False, default=False)
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -93,17 +98,19 @@ class ExperimentConfig:
         if self.output is not None and not isinstance(self.output, str):
             raise SchemaError(f"output must be a path string or null, got {self.output!r} "
                               "(field: output)")
-        rademacher = isinstance(self.process, IIDLaw) and self.process.name == "rademacher"
-        if self.exact_pmf is None:  # only the Rademacher law's S_n has a known exact pmf
-            object.__setattr__(self, "exact_pmf", rademacher)
-        elif self.exact_pmf != rademacher:
-            raise DomainError(f"exact_pmf must be {str(rademacher).lower()} (field: exact_pmf)")
+        object.__setattr__(self, "exact_pmf",
+                           isinstance(exact_law(self.process, self.observable, 1), FinitePmf))
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
             raise DomainError("empirical targets require reps >= 100")
         moment_targets = [t for t in self.targets if t in _MOMENT_TARGETS]  # bounds need moments
-        if moment_targets and self.observable is None and not isinstance(self.process, IIDLaw):
-            raise DomainError(f"targets {moment_targets} need a FourierFn observable or an i.i.d. "
-                              f"law, not a {self.process.to_dict()['type']} process (field: targets)")
+        if moment_targets and not isinstance(self.process, IIDLaw):  # i.i.d. moments are given
+            if self.observable is None:
+                raise DomainError(f"targets {moment_targets} need a FourierFn observable or an "
+                                  f"i.i.d. law, not a {self.process.to_dict()['type']} process "
+                                  "(field: targets)")
+            if "martingale_bound" in self.targets and not is_martingale(self.process,
+                                                                        self.observable):
+                raise PreconditionError("the observable must be a martingale difference")
 
     def to_dict(self) -> dict:
         return {"process": self.process.to_dict(),
@@ -125,17 +132,20 @@ class ExperimentConfig:
         for k, v in tol.items():
             json_typed(v, int if k == "max_depth" else float, f"tolerance.{k}")
         grid = json_typed(required(d, "n_grid"), list, "n_grid")
-        return cls(process=process, observable=observable,
-                   n_grid=tuple(json_typed(n, int, f"n_grid[{i}]") for i, n in enumerate(grid)),
-                   reps=json_typed(required(d, "reps"), int, "reps"),
-                   seed=json_typed(d.get("seed", 0), int, "seed"),
-                   targets=tuple(json_typed(d.get("targets", ["empirical_d1", "rate_fit"]),
-                                             list, "targets")),
-                   tolerance=Tolerance(**tol),
-                   output=d.get("output"),
-                   exact_pmf=(json_typed(d["exact_pmf"], bool, "exact_pmf")
-                              if "exact_pmf" in d else None),
-                   bootstrap=json_typed(d.get("bootstrap", 100), int, "bootstrap"))
+        exact_pmf = json_typed(d["exact_pmf"], bool, "exact_pmf") if "exact_pmf" in d else None
+        config = cls(process=process, observable=observable,
+                     n_grid=tuple(json_typed(n, int, f"n_grid[{i}]") for i, n in enumerate(grid)),
+                     reps=json_typed(required(d, "reps"), int, "reps"),
+                     seed=json_typed(d.get("seed", 0), int, "seed"),
+                     targets=tuple(json_typed(d.get("targets", ["empirical_d1", "rate_fit"]),
+                                               list, "targets")),
+                     tolerance=Tolerance(**tol),
+                     output=d.get("output"),
+                     bootstrap=json_typed(d.get("bootstrap", 100), int, "bootstrap"))
+        if exact_pmf not in (None, config.exact_pmf):
+            raise DomainError(f"exact_pmf must be {str(config.exact_pmf).lower()} "
+                              "(field: exact_pmf)")
+        return config
 
 
 def read_process(d: dict) -> tuple:
@@ -187,17 +197,6 @@ def preset_config(name: str, n_max: Optional[int] = None, reps: Optional[int] = 
 # ---------------------------------------------------------------------------
 # Running experiments
 # ---------------------------------------------------------------------------
-
-
-def _rademacher_pmf(n: int) -> FinitePmf:
-    """Exact law of S_n / sqrt(n) for i.i.d. signs, via log binomial weights."""
-    k = np.arange(n + 1)
-    logp = (np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-                      for i in k]) - n * math.log(2.0))
-    probs = np.exp(logp)
-    atoms = (2.0 * k - n) / math.sqrt(n)
-    keep = probs > 0.0
-    return FinitePmf(atoms[keep], probs[keep])
 
 
 def _bootstrap_se(tables: tuple, sigma: float, count: int, stream) -> float:
@@ -300,8 +299,8 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _exact_d1(spec: ProcessSpec, f, n: int, sigma: float) -> tuple:
-    """(d1, err) from the exact law of S_n/sqrt(n).  d1 is None, with a warning,
+def _exact_d1(spec: ProcessSpec, f, n: int, sigma: float, phi) -> tuple:
+    """(d1, err) from phi, the characteristic function of S_n.  d1 is None, with a warning,
     where EXACT_SPREAD or EXACT_REL_ERR fails; err is None where the law was
     not inverted.  The spread is sqrt(Var S_n / n), from c_k = lambda(f K^k f)
     for k < n until K^k f vanishes."""
@@ -315,8 +314,8 @@ def _exact_d1(spec: ProcessSpec, f, n: int, sigma: float) -> tuple:
                       f"{EXACT_SPREAD:g} sigma = {EXACT_SPREAD * sigma:.4g}; d1 stays the "
                       f"Monte Carlo value", RuntimeWarning, stacklevel=3)
         return None, None
-    d1, err = w1_charfn_gauss(lambda ts: characteristic(spec, f, n, ts / math.sqrt(n)),
-                              sigma, spread=spread, rel_err=EXACT_REL_ERR)
+    d1, err = w1_charfn_gauss(lambda ts: phi(ts / math.sqrt(n)), sigma, spread=spread,
+                              rel_err=EXACT_REL_ERR)
     if err > EXACT_REL_ERR * d1:
         warnings.warn(f"n = {n}: the exact d1 {d1:.6g} has error estimate {err:.3g}, more "
                       f"than {EXACT_REL_ERR:.0%} of it; d1 stays the Monte Carlo value",
@@ -341,32 +340,30 @@ def run(config: ExperimentConfig) -> RunManifest:
 
     per_n = [dict(n=n) for n in config.n_grid]
 
-    if config.exact_pmf:
+    if "empirical_d1" in config.targets or "ks" in config.targets:
+        if not config.exact_pmf:  # a pmf is the whole law: nothing to simulate
+            t = time.perf_counter()
+            ens = simulate(spec, f, config.n_grid[-1], config.reps,
+                           checkpoints=config.n_grid, seed=config.seed)
+            timings["simulate"] = time.perf_counter() - t
         t = time.perf_counter()
-        for rec in per_n:
-            pmf = _rademacher_pmf(rec["n"])
-            d1 = w1_pmf_gauss(pmf, sigma)
-            rec["d1_normalized"] = d1
-            rec["d1_unnormalized"] = math.sqrt(rec["n"]) * d1
-            if "ks" in config.targets:
-                rec["ks"] = ks_pmf_gauss(pmf, sigma)
-        timings["exact_pmf"] = time.perf_counter() - t
-    elif "empirical_d1" in config.targets or "ks" in config.targets:
-        t = time.perf_counter()
-        ens = simulate(spec, f, config.n_grid[-1], config.reps,
-                       checkpoints=config.n_grid, seed=config.seed)
-        timings["simulate"] = time.perf_counter() - t
-        t = time.perf_counter()
-        exact_law = type(spec)._characteristic is not ProcessSpec._characteristic
         for gi, rec in enumerate(per_n):
             n = rec["n"]
+            law = exact_law(spec, f, n)
+            if isinstance(law, FinitePmf):
+                if "empirical_d1" in config.targets:
+                    rec["d1_normalized"] = d1 = w1_pmf_gauss(law, sigma)
+                    rec["d1_unnormalized"] = math.sqrt(n) * d1
+                if "ks" in config.targets:
+                    rec["ks"] = ks_pmf_gauss(law, sigma)
+                continue
             tables = sorted_gauss_tables(ens.normalized(n), sigma)
             _, x, cdf, pdf = tables
             if "empirical_d1" in config.targets:
                 d1 = w1_sorted_gauss(x, cdf, pdf, sigma)
-                if exact_law:
+                if law is not None:  # the characteristic function of S_n
                     rec["d1_mc_normalized"] = d1
-                    exact, rec["d1_exact_err"] = _exact_d1(spec, f, n, sigma)
+                    exact, rec["d1_exact_err"] = _exact_d1(spec, f, n, sigma, law)
                     rec["d1_estimator"] = "monte_carlo" if exact is None else "exact"
                     d1 = d1 if exact is None else exact
                 rec["d1_normalized"] = d1

@@ -32,6 +32,7 @@ from .errors import (DegenerateVarianceError, DivergenceError, DomainError,
                      reject_unknown_keys, required)
 from .fourier import FourierFn, constant_fn, lebesgue_inner
 from .numerics import substream
+from .wasserstein import FinitePmf
 
 MARTINGALE_TOL = 1e-14
 # l1 mass the band of exp(i tau f) may drop from the Jacobi-Anger tails, per step of S_n
@@ -115,10 +116,9 @@ def exact_frac(a: Union[SplitReal, float], k: int) -> float:
 class ProcessSpec:
     """Base class of the process families; concrete variants are frozen dataclasses.
 
-    A family implements four hooks, and a fifth, `_characteristic`, where it
-    has an exact law of S_n.  The module functions `transfer`,
-    `resolvent_tail`, `long_run_variance`, `simulate` and `characteristic`
-    check their arguments and then call the hook of the same name.
+    A family implements five hooks.  The module functions `transfer`,
+    `resolvent_tail`, `long_run_variance`, `simulate` and `exact_law` check
+    their arguments and then call the hook of the same name.
     """
 
     label: str = "process"
@@ -143,9 +143,9 @@ class ProcessSpec:
         replicate r draws from gens[r] only, always in the same order."""
         raise NotImplementedError
 
-    def _characteristic(self, f, n: int, taus: np.ndarray) -> Optional["Characteristic"]:
-        """E exp(i tau S_n) at each tau for a checked observable, or None where the
-        family has no exact law (the default)."""
+    def _exact_law(self, f, n: int):
+        """The law of S_n / sqrt(n) for n >= 1, as a FinitePmf, or S_n's as a function
+        tau -> Characteristic, or None where the family has no exact law (the default)."""
         return None
 
 
@@ -221,21 +221,27 @@ class DoublingMap(ProcessSpec):
                     x = t if x is None else x + t
             yield x
 
-    def _characteristic(self, f, n, taus):
+    def _exact_law(self, f, n):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
         # |k| <= B from the FFT of its samples; bound: truncation, aliasing and
         # rounding leave |g_B| <= 1 + eps and K contracts sup norms, so the n-fold product
         # moves by at most (1 + eps)^n - 1
-        flat = taus.reshape(-1)
-        order = np.argsort(np.abs(flat), kind="stable")
-        batches = [order[s:s + _TAU_BATCH] for s in range(0, flat.size, _TAU_BATCH)]
-        gs, eps = _exp_i_tau_f(f, flat, batches, _BAND_TAIL / n)
-        even = not f.sin_coeffs.any()
-        values = np.empty(flat.size, dtype=complex)
-        for rows, g in zip(batches, gs):
-            values[rows] = _twisted_power(g, n, even)
-        bound = np.expm1(n * np.log1p(eps))
-        return Characteristic(values.reshape(taus.shape), bound.reshape(taus.shape))
+        f = _require_fourier(self, f)
+
+        def phi(taus) -> Characteristic:
+            taus = np.asarray(taus, dtype=float)
+            flat = taus.reshape(-1)
+            order = np.argsort(np.abs(flat), kind="stable")
+            batches = [order[s:s + _TAU_BATCH] for s in range(0, flat.size, _TAU_BATCH)]
+            gs, eps = _exp_i_tau_f(f, flat, batches, _BAND_TAIL / n)
+            even = not f.sin_coeffs.any()
+            values = np.empty(flat.size, dtype=complex)
+            for rows, g in zip(batches, gs):
+                values[rows] = _twisted_power(g, n, even)
+            bound = np.expm1(n * np.log1p(eps))
+            return Characteristic(values.reshape(taus.shape), bound.reshape(taus.shape))
+
+        return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +431,18 @@ class IIDLaw(ProcessSpec):
     def _simulate_block(self, f, n, gens):
         for x in _chunked_draws(gens, n, self.sampler):
             yield x.copy()
+
+    def _exact_law(self, f, n):
+        # of the i.i.d. laws only the signs' S_n has a known law: binomial, by log weights
+        if self.name != "rademacher":
+            return None
+        k = np.arange(n + 1)
+        logp = (np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                          for i in k]) - n * math.log(2.0))
+        probs = np.exp(logp)
+        atoms = (2.0 * k - n) / math.sqrt(n)
+        keep = probs > 0.0
+        return FinitePmf(atoms[keep], probs[keep])
 
 
 def iid_rademacher() -> IIDLaw:
@@ -655,19 +673,19 @@ def is_martingale(spec: ProcessSpec, f) -> bool:
     return bool(np.max(np.abs(kf), initial=0.0) < MARTINGALE_TOL)
 
 
-def characteristic(spec: ProcessSpec, f, n: int, taus) -> Optional[Characteristic]:
-    """phi_n(tau) = E exp(i tau S_n) of the stationary partial sum S_n, exactly.
+def exact_law(spec: ProcessSpec, f, n: int):
+    """The exact law of the stationary partial sum S_n, or None where the family
+    has none.
 
-    Returns the values with a bound on each one's error, or None
-    where the family has no exact law.  The doubling map iterates the twisted
-    transfer operator h -> exp(i tau f) K(h) (Nagaev-Guivarc'h) on Fourier
+    The i.i.d. Rademacher law gives the FinitePmf of S_n / sqrt(n).  The
+    doubling map gives tau -> Characteristic: phi_n(tau) = E exp(i tau S_n)
+    at each tau with a bound on each value's error, from the twisted transfer
+    operator h -> exp(i tau f) K(h) (Nagaev-Guivarc'h) iterated on Fourier
     coefficients: phi_n = integral of h_n, with h_0 = 1.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if not isinstance(spec, (FiniteChain, IIDLaw)):
-        f = _require_fourier(spec, f)
-    return spec._characteristic(f, n, np.asarray(taus, dtype=float))
+    return spec._exact_law(f, n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ weak-dependence route, for interval maps and finite chains.
 Each coefficient is a maximum of L1 norms over a finite window of
 multiindices, so it is a certified lower bound of the supremum; a norm is an
 exact nest of transfer and product operations under a deterministic
-quadrature (exact enumeration for finite chains).
+quadrature (an exact sum for finite chains).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def theta_coeff(spec: ProcessSpec, f: Optional[FourierFn], i: int, j: int,
 
     The inner conditional expectation is an exact nest of transfer and
     product operations; the outer L1 norm is a deterministic quadrature
-    (exact enumeration for finite chains).  Enlarging the window never
+    (an exact sum for finite chains).  Enlarging the window never
     decreases the result.  `theta_coeffs` of the one request (i, j, gap).
     """
     return theta_coeffs(spec, f, [(i, j, gap)], window, tol)[0]
@@ -167,7 +167,7 @@ def _window_terms(spec: ProcessSpec, f: FourierFn, i: int, past_gaps: tuple,
 
 
 def _product(f: FourierFn, g: FourierFn) -> FourierFn:
-    return product(f, g, f.max_freq + g.max_freq).fn
+    return product(f, g).fn
 
 
 def _shifted(spec: ProcessSpec, g: FourierFn, s: int) -> FourierFn:
@@ -181,13 +181,15 @@ def _shifted(spec: ProcessSpec, g: FourierFn, s: int) -> FourierFn:
 
 def _chain_theta_norms(spec: FiniteChain, keys: Sequence[tuple]) -> list:
     """The theta norms of a finite chain's windows keys[k] = (i, past gaps,
-    future gaps), in order: exact enumeration of the past states, from
-    cached powers of P shared by every window."""
+    future gaps), in order, from cached powers of P shared by every window.
+    The sum over past states s_1 .. s_i of pi(s_1) prod P^g(s_t, s_t+1)
+    prod |v_c(s_t)| |h0(s_i)| is taken one state at a time, forward:
+    u <- pi o |v_c|, then u <- (u P^g) o |v_c| per past gap g, then u . |h0|."""
     p = spec.transition
     pi = spec.stationary
     vc = spec.values - float(pi @ spec.values)
-    n = spec.n_states
-    powers = [np.eye(n)]
+    abs_vc = np.abs(vc)
+    powers = [np.eye(spec.n_states)]
 
     def pk(k: int) -> np.ndarray:
         while len(powers) <= k:
@@ -202,16 +204,9 @@ def _chain_theta_norms(spec: FiniteChain, keys: Sequence[tuple]) -> list:
         h0 = h - float(pi @ h)
         if i == 0:
             return float(pi @ np.abs(h0))
-        # joint enumeration over past states s_1 .. s_i
-        val = 0.0
-        for states in itertools.product(range(n), repeat=i):
-            prob = pi[states[0]]
-            for g, a, b in zip(past_gaps, states, states[1:]):
-                prob *= pk(g)[a, b]
-            if prob == 0.0:
-                continue
-            w = np.prod([vc[s] for s in states])
-            val += prob * abs(w) * abs(h0[states[-1]])
-        return val
+        u = pi * abs_vc
+        for g in past_gaps:
+            u = (u @ pk(g)) * abs_vc
+        return float(u @ np.abs(h0))
 
     return [norm(*key) for key in keys]

@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -363,13 +362,3 @@ def _w1_charfn_on_grid(charfn, sigma: float, h: float, count: int) -> tuple[floa
                                        (base, h, points // 2)):
         err += abs(_gil_pelaez_w1(psi_alt, h_alt, alt_points) - d1)
     return d1, err
-
-
-def sample_from_csv(path: Union[str, Path]) -> EmpiricalSample:
-    """Read one value per line (blank lines ignored) into a sample."""
-    values = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            values.append(float(line))
-    return EmpiricalSample(np.array(values))

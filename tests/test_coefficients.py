@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from meanclt.coefficients import (AlphaSeq, JointPmf, QuantileSeq, _unique, alpha_exact,
-                                  alpha_inverse, alpha_tabulation,
+                                  alpha_tabulation,
                                   covariance_bound_check, dispersion_check,
                                   frac_part_sum, kernel_decay_sum, mixing_integral,
                                   monotone_difference_bound_check, quantile_from_sample,
@@ -76,19 +76,6 @@ class TestQuantileSeq:
 
 
 class TestAlphaSeq:
-    def test_inverse_counts(self):
-        a = AlphaSeq(np.array([1.0, 0.5, 0.25, 0.125]))
-        assert alpha_inverse(a, 0.3) == 2
-
-    def test_inverse_above_alpha0(self):
-        a = AlphaSeq(np.array([0.5, 0.25]))
-        assert alpha_inverse(a, 0.6) == 0
-
-    def test_inverse_zero_sequence(self):
-        a = AlphaSeq(np.zeros(5))
-        for u in (0.1, 0.5, 0.9):
-            assert alpha_inverse(a, u) == 0
-
     def test_clipping_warns(self):
         with pytest.warns(UserWarning):
             a = AlphaSeq(np.array([1.5, 0.2]))
@@ -405,8 +392,27 @@ class TestThetaTable:
         spec, f = THETA_CASES[case]
         want = [_theta_one_at_a_time(spec, f, i, j, gap, 3, self.TOL)
                 for i, j, gap in self.REQUESTS]
-        assert theta_coeffs(spec, f, self.REQUESTS, 3, self.TOL) == want
+        got = theta_coeffs(spec, f, self.REQUESTS, 3, self.TOL)
+        if isinstance(spec, FiniteChain):
+            # a chain sums forward over states, the oracle over state tuples: both
+            # sum nonnegative terms, so they agree to a few ulps relative
+            assert got == pytest.approx(want, rel=4e-15, abs=0.0)
+        else:
+            assert got == want
         assert any(v > 0.0 for v in want)
+
+    @pytest.mark.parametrize("states", [2, 3, 4, 5])
+    def test_chain_recursion_matches_the_enumeration(self, states):
+        from meanclt.theta import _chain_theta_norms, _theta_windows
+        gen = np.random.default_rng(100 + states)
+        p = gen.random((states, states)) * (gen.random((states, states)) > 0.25)
+        p += 0.1 * np.eye(states)  # zero transitions, yet irreducible
+        fc = FiniteChain(p / p.sum(axis=1, keepdims=True), values=2.0 * gen.normal(size=states))
+        keys = list(dict.fromkeys((i, past_gaps, gaps) for i, j, gap in self.REQUESTS
+                                  for past_gaps, gaps in _theta_windows(i, j, gap, 2)))
+        want = [_window_one_term_at_a_time(fc, None, *k, self.TOL) for k in keys]
+        assert max(k[0] for k in keys) == 3 and max(want) > 0.0
+        assert _chain_theta_norms(fc, keys) == pytest.approx(want, rel=4e-15, abs=0.0)
 
     @pytest.mark.parametrize("case", ["doubling-cos2", "circle-cos1"])
     def test_norm_independent_of_its_batch(self, case, monkeypatch):

@@ -205,13 +205,14 @@ class TestAlgebra:
         assert fn.constant == pytest.approx(0.0, abs=1e-16)
         assert abs(fn.cos_coeffs).max() < 1e-15
 
-    def test_truncation_reported_not_raised(self):
-        f = cosine(3)
-        fn, dropped = product(f, f, cap=4)
-        # the frequency-6 term is dropped; constant survives
-        assert fn.max_freq <= 4
-        assert dropped == pytest.approx(0.5, abs=1e-15)
-        assert fn.constant == pytest.approx(0.5)
+    def test_product_above_the_old_cap_keeps_its_top_frequency(self):
+        # cos^2(2 pi 2100 x) = 1/2 + cos(2 pi 4200 x)/2, whose top frequency is
+        # above 4096, the cap at which products once truncated
+        fn, dropped = product(cosine(2100), cosine(2100))
+        assert dropped == 0.0
+        assert fn.max_freq == 4200
+        assert fn.cos_coeffs[-1] == pytest.approx(0.5, abs=1e-15)
+        assert fn.constant == pytest.approx(0.5, abs=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31), st.integers(0, 2 ** 31))

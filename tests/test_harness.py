@@ -9,15 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanclt.errors import DomainError, SchemaError
+from meanclt.errors import DomainError, PreconditionError, SchemaError
 from meanclt import harness
 from meanclt.fourier import FourierFn, cosine
 from meanclt.harness import (PRESETS, ExperimentConfig, _bootstrap_se, check_appendix,
                              diagnose_conditions, merge_reports, preset_config, render_csv,
                              run)
 from meanclt.numerics import substream
-from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, characteristic,
-                               iid_gaussian, iid_rademacher, simulate, sqrt2_minus_one)
+from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, exact_law, iid_gaussian,
+                               iid_rademacher, simulate, sqrt2_minus_one)
 from meanclt.wasserstein import (EmpiricalSample, ks_sample_gauss, sorted_gauss_tables,
                                  w1_charfn_gauss, w1_sample_gauss)
 
@@ -42,7 +42,7 @@ class TestConfig:
             small_config(reps=10)
         with pytest.raises(DomainError):
             small_config(targets=("mystery",))
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):  # the process decides; no argument overrides it
             small_config(exact_pmf=True)
         with pytest.raises(DomainError):
             small_config(reps=0)
@@ -67,6 +67,22 @@ class TestConfig:
         for d in (dict(rademacher, exact_pmf=False), dict(PRESETS["mds-doubling"], exact_pmf=True)):
             with pytest.raises(DomainError, match=r"\(field: exact_pmf\)"):
                 ExperimentConfig.from_dict(d)
+        # a file may repeat the value it has
+        for d, value in ((rademacher, True), (PRESETS["mds-doubling"], False)):
+            assert ExperimentConfig.from_dict(dict(d, exact_pmf=value)).exact_pmf is value
+
+    def test_martingale_precondition_fails_in_from_dict(self, monkeypatch):
+        # cos 4 pi x is no martingale difference for the doubling map: the config
+        # fails before anything is simulated
+        monkeypatch.setattr(harness, "simulate", None)
+        d = dict(PRESETS["doubling-nonadapted"], targets=["empirical_d1", "martingale_bound"])
+        with pytest.raises(PreconditionError, match="the observable must be a martingale "
+                                                    "difference"):
+            ExperimentConfig.from_dict(d)
+        for targets in (["martingale_bound"], ["projective_bound", "zolotarev"]):
+            ExperimentConfig.from_dict(dict(PRESETS["mds-doubling"], targets=targets))
+            ExperimentConfig.from_dict(dict(PRESETS["iid-rademacher-exact"], targets=targets))
+        ExperimentConfig.from_dict(dict(d, targets=["projective_bound"]))
 
     def test_round_trip(self):
         cfg = small_config()
@@ -157,8 +173,8 @@ class TestRun:
 
     def test_exact_pmf_run(self):
         cfg = ExperimentConfig(iid_rademacher(), None, (64, 128, 256), reps=1, seed=0,
-                               targets=("empirical_d1", "ks", "rate_fit", "zolotarev"),
-                               exact_pmf=True)
+                               targets=("empirical_d1", "ks", "rate_fit", "zolotarev"))
+        assert cfg.exact_pmf is True
         m = run(cfg)
         assert m.zolotarev == 0.5
         for rec in m.per_n:
@@ -166,15 +182,33 @@ class TestRun:
         assert -0.55 < m.fit["slope"] < -0.45
 
     def test_exact_pmf_components(self):
-        from meanclt.harness import _rademacher_pmf
         from meanclt.numerics import gauss_cdf
         from meanclt.wasserstein import ks_pmf_gauss
-        p1 = _rademacher_pmf(1)
+        p1 = exact_law(iid_rademacher(), None, 1)
         assert np.array_equal(p1.atoms, [-1.0, 1.0])
         assert ks_pmf_gauss(p1, 1.0) == pytest.approx(0.5 - float(gauss_cdf(-1.0)),
                                                       abs=1e-15)
-        p_big = _rademacher_pmf(4096)
+        p_big = exact_law(iid_rademacher(), None, 4096)
         assert abs(p_big.probs.sum() - 1.0) < 1e-12
+
+    def test_exact_pmf_run_never_simulates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pmf law needs no simulation")
+
+        monkeypatch.setattr(harness, "simulate", refuse)
+        m = run(preset_config("iid-rademacher-exact", n_max=256))
+        assert "simulate" not in m.timings
+        for rec in m.per_n:
+            assert rec["d1_normalized"] > 0.0 and rec["ks"] > 0.0
+
+    def test_exact_pmf_run_writes_d1_only_as_a_target(self):
+        d = dict(PRESETS["iid-rademacher-exact"], targets=["zolotarev", "martingale_bound"])
+        m = run(ExperimentConfig.from_dict(d))
+        for rec in m.per_n:
+            assert set(rec) == {"n", "bound_martingale"}
+        m = run(ExperimentConfig.from_dict(dict(d, targets=["ks"])))
+        for rec in m.per_n:
+            assert set(rec) == {"n", "ks"}
 
     def test_doubling_d1_from_the_exact_law(self):
         cfg = small_config()
@@ -192,8 +226,8 @@ class TestRun:
             assert rec["d1_boot_se"] == _bootstrap_se(sorted_gauss_tables(sample, sigma), sigma,
                                                       cfg.bootstrap,
                                                       substream(cfg.seed, cfg.reps + gi))
-            d1, err = w1_charfn_gauss(
-                lambda t: characteristic(DoublingMap(), cosine(1), n, t / math.sqrt(n)), sigma)
+            phi = exact_law(DoublingMap(), cosine(1), n)
+            d1, err = w1_charfn_gauss(lambda t: phi(t / math.sqrt(n)), sigma)
             assert (rec["d1_normalized"], rec["d1_exact_err"]) == (d1, err)
             assert rec["d1_unnormalized"] == math.sqrt(n) * d1
             assert err < 0.01 * d1
@@ -505,10 +539,11 @@ class TestCli:
         got = float(re.search(r"best estimate ([^,]+),", capsys.readouterr().err).group(1))
         assert got == pytest.approx(estimate, rel=1e-12)
 
-    @pytest.mark.parametrize("cos", [[1e103], [1e150], [1e308, 1e308]])
+    @pytest.mark.parametrize("cos", [[1e103], [1e150], [1e308, 0.0, 1e308]])
     def test_overflowing_moment_exit_code(self, tmp_path, cos):
         # |f|^3 overflows to inf; the quadrature stops at its first panels
-        # instead of bisecting NaN error indicators until memory runs out
+        # instead of bisecting NaN error indicators until memory runs out.  The
+        # frequencies are odd, so f is a martingale difference and the config is valid
         import resource
 
         def limit_memory():

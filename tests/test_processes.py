@@ -11,8 +11,8 @@ from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
 from meanclt.numerics import integrate_unit
 from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS, CircleWalk,
                                DoublingMap, FiniteChain, SplitReal, _draw_bit_paths,
-                               _exp_i_tau_f, _phase_tables, characteristic,
-                               exact_frac, iid_gaussian, iid_rademacher, is_martingale,
+                               _exp_i_tau_f, _phase_tables, exact_frac, exact_law,
+                               iid_gaussian, iid_rademacher, is_martingale,
                                long_run_variance, process_from_dict, resolvent_tail,
                                sample_states, simulate, sqrt2_minus_one, transfer)
 
@@ -343,7 +343,7 @@ class TestCharacteristic:
     def test_one_step_is_bessel_j0(self):
         mp = pytest.importorskip("mpmath")
         taus = np.linspace(-25.0, 25.0, 101)
-        law = characteristic(DM, cosine(1), 1, taus)
+        law = exact_law(DM, cosine(1), 1)(taus)
         want = np.array([float(mp.besselj(0, float(t))) for t in taus])
         assert np.max(np.abs(law.values - want)) < 1e-15
         # the bound covers the rounding of the coefficients (the error reaches 6e-16)
@@ -378,7 +378,7 @@ class TestCharacteristic:
         for f in (cosine(1), MIXED, FourierFn(0.2, [0.0, -0.7], [0.4])):
             for n in (2, 3, 6):
                 want = np.exp(1j * np.outer(taus, doubling_sum(f, n))).mean(axis=1)
-                got = characteristic(DM, f, n, taus)
+                got = exact_law(DM, f, n)(taus)
                 assert np.max(np.abs(got.values - want)) < 1e-14, (f.describe(), n)
 
     def test_both_power_paths_match_the_dense_loop(self):
@@ -386,7 +386,7 @@ class TestCharacteristic:
         # on the folded even space for a cosine and on the full one otherwise
         for f, n, tau, band in ((cosine(1), 4, 9.0, 60), (cosine(1), 64, 0.8, 30),
                                 (MIXED, 3, 5.0, 130), (MIXED, 1024, 0.1, 60)):
-            got = characteristic(DM, f, n, np.array([tau])).values[0]
+            got = exact_law(DM, f, n)(np.array([tau])).values[0]
             assert abs(got - twisted_loop(f, n, tau, band)) < 1e-13, (f.describe(), n)
 
     def test_curvature_is_finite_n_variance(self):
@@ -397,7 +397,7 @@ class TestCharacteristic:
                 covs = [lebesgue_inner(f, transfer(DM, f, k)) for k in range(n)]
                 var = covs[0] + 2.0 * sum((1.0 - k / n) * c
                                           for k, c in enumerate(covs[1:], 1))
-                phi = characteristic(DM, f, n, np.array([delta])).values[0]
+                phi = exact_law(DM, f, n)(np.array([delta])).values[0]
                 curvature = 2.0 * (1.0 - phi.real) / delta ** 2 / n
                 assert curvature == pytest.approx(var, rel=1e-6), (f.describe(), n)
 
@@ -406,16 +406,36 @@ class TestCharacteristic:
         # exp(i tau f) and of their FFT, at most n sqrt(2B + 1) times its ~1e-14
         # per-sample bound, brings the bound to about 1.5e-11 here
         taus = np.linspace(0.0, 60.0, 200) / math.sqrt(64)
-        law = characteristic(DM, cosine(1), 64, taus)
+        law = exact_law(DM, cosine(1), 64)(taus)
         assert law.values.shape == taus.shape
         assert np.max(law.bound) < 1e-10
 
     def test_other_families_have_no_exact_law(self):
-        assert characteristic(CW, cosine(1), 8, [0.5]) is None
-        assert characteristic(two_state_chain(), None, 8, [0.5]) is None
-        assert characteristic(iid_rademacher(), None, 8, [0.5]) is None
-        with pytest.raises(DomainError):
-            characteristic(DM, cosine(1), 0, [0.5])
+        assert exact_law(CW, cosine(1), 8) is None
+        assert exact_law(two_state_chain(), None, 8) is None
+        assert exact_law(iid_gaussian(), None, 8) is None
+        assert exact_law(iid_gaussian(2.5), None, 8) is None
+        for spec, f in ((DM, cosine(1)), (iid_rademacher(), None)):
+            with pytest.raises(DomainError):
+                exact_law(spec, f, 0)
+
+    def test_rademacher_law_is_the_binomial_pmf(self):
+        for n in (1, 2, 7, 64):
+            pmf = exact_law(iid_rademacher(), None, n)
+            k = np.arange(n + 1)
+            assert np.array_equal(pmf.atoms, (2.0 * k - n) / math.sqrt(n))
+            want = [math.comb(n, i) / 2.0 ** n for i in k]
+            assert np.allclose(pmf.probs, want, rtol=1e-13, atol=0.0)
+        pmf = exact_law(iid_rademacher(), None, 4096)  # far-out atoms underflow and go
+        assert abs(pmf.probs.sum() - 1.0) < 1e-12 and pmf.atoms.size < 4097
+
+    def test_doubling_law_takes_any_array_shape(self):
+        phi = exact_law(DM, cosine(1), 8)
+        law = phi([[0.5, -0.25], [0.0, 1.0]])
+        assert law.values.shape == law.bound.shape == (2, 2)
+        assert law.values[1, 0] == 1.0
+        with pytest.raises(TypeError):
+            exact_law(DM, None, 8)
 
 
 class TestMartingale:

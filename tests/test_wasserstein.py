@@ -9,9 +9,9 @@ from meanclt.errors import DomainError
 from meanclt.fourier import cosine
 from meanclt.numerics import (Tolerance, gauss_cdf, gauss_pdf, gauss_quantile,
                               integrate_interval)
-from meanclt.processes import DoublingMap, characteristic
+from meanclt.processes import DoublingMap, exact_law
 from meanclt.wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
-                                 ks_sorted_gauss, _slab_tables, sample_from_csv, sorted_gauss_tables,
+                                 ks_sorted_gauss, _slab_tables, sorted_gauss_tables,
                                  w1_charfn_gauss, w1_pmf_gauss, w1_sample_gauss,
                                  w1_sample_sample, w1_sorted_gauss)
 
@@ -208,8 +208,8 @@ class TestSampleSample:
 
 def doubling_w1(f, n, sigma, t_max=None, **kw):
     """(d1, err) of the exact law of S_n / sqrt(n) for the doubling map."""
-    return w1_charfn_gauss(lambda t: characteristic(DoublingMap(), f, n, t / math.sqrt(n)),
-                           sigma, t_max, **kw)
+    phi = exact_law(DoublingMap(), f, n)
+    return w1_charfn_gauss(lambda t: phi(t / math.sqrt(n)), sigma, t_max, **kw)
 
 
 def doubling_sample_w1(n, k, sigma):
@@ -437,11 +437,3 @@ class TestSlabEdges:
         assert np.all(self.cdf_at(8, "above")[:-1] > b[:-1])
         inside = self.cdf_at(8, "inside")
         assert np.all((a < inside) & (inside < b))
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "sample.csv"
-        path.write_text("0.5\n\n-1.25\n3.0\n")
-        s = sample_from_csv(path)
-        assert np.array_equal(s.values, np.array([-1.25, 0.5, 3.0]))
