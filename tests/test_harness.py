@@ -71,10 +71,9 @@ class TestConfig:
         for d, value in ((rademacher, True), (PRESETS["mds-doubling"], False)):
             assert ExperimentConfig.from_dict(dict(d, exact_pmf=value)).exact_pmf is value
 
-    def test_martingale_precondition_fails_in_from_dict(self, monkeypatch):
+    def test_martingale_precondition_fails_in_from_dict(self):
         # cos 4 pi x is no martingale difference for the doubling map: the config
-        # fails before anything is simulated
-        monkeypatch.setattr(harness, "simulate", None)
+        # fails when it is read, before anything is simulated
         d = dict(PRESETS["doubling-nonadapted"], targets=["empirical_d1", "martingale_bound"])
         with pytest.raises(PreconditionError, match="the observable must be a martingale "
                                                     "difference"):
