@@ -18,8 +18,8 @@ from .fourier import FourierFn, ProductResult, constant_fn, cosine, lebesgue_inn
 from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, LongRunVariance,
                         PathEnsemble, ProcessSpec, SplitReal, iid_gaussian,
                         iid_rademacher, is_martingale, long_run_variance,
-                        process_from_dict, resolvent_tail, sample_states, simulate,
-                        sqrt2_minus_one, transfer)
+                        process_from_dict, resolvent_tail, simulate, sqrt2_minus_one,
+                        transfer)
 from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
                           w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
 from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, KernelDecaySum,

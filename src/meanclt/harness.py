@@ -29,8 +29,8 @@ import numpy as np
 from . import __version__ as _VERSION
 from .bounds import (martingale_d1_bound, moments, projective_d1_bound, rate_fit,
                      second_moment_norms, variance_l32_norms, zolotarev_bound)
-from .coefficients import (AlphaSeq, QuantileSeq, alpha_tabulation, appendix_checks,
-                           covariance_bound_check, JointPmf, joint_arrays,
+from .coefficients import (QuantileSeq, _tail_quantile_steps, alpha_tabulation,
+                           appendix_checks, covariance_bound_check, JointPmf, joint_arrays,
                            mixing_integral, quantile_from_sample)
 from .errors import (DomainError, PreconditionError, SchemaError, json_typed,
                      reject_unknown_keys, required)
@@ -154,7 +154,11 @@ def read_process(d: dict) -> tuple:
         raise SchemaError("config must be a JSON object")
     reject_unknown_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
     obs = json_typed(d.get("observable"), dict, "observable")
-    return process_from_dict(d.get("process")), FourierFn.from_dict(obs) if obs else None
+    process = process_from_dict(d.get("process"))
+    if obs and process.carries_observable:
+        raise SchemaError(f"the {process.label} process carries its own observable; give none "
+                          "(field: observable)")
+    return process, FourierFn.from_dict(obs) if obs else None
 
 
 # Built-in one-command experiments: each is a config dict, as `run --config` reads it.
@@ -560,16 +564,15 @@ class DiagnosisReport:
 
 
 def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
-                        window: int = 3, alpha: Optional[AlphaSeq] = None,
-                        quantile: Optional[QuantileSeq] = None) -> DiagnosisReport:
+                        window: int = 3) -> DiagnosisReport:
     """Tabulate dependence-coefficient and mixing-integral condition series.
 
     theta columns hold j * theta_{p,q}(j) partial sums for the standard index
     pairs; the mixing entries evaluate the weighted tail-integral series for
     powers p = 3 with weights b in {0, 1} plus the equivalent single-integral
-    form, using exact doubling-map alpha values when no tabulation is given.
-    Each series carries a converging / inconclusive / diverging verdict from
-    its last-decade ratio.
+    form, from the exact alpha values of the doubling map and of a finite
+    chain and the quantile function of |X_0|.  Each series carries a
+    converging / inconclusive / diverging verdict from its last-decade ratio.
     """
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
@@ -592,14 +595,15 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
         jan = {"values": values, "partials": partials}
         verdicts["jan"] = _verdict(partials)
 
-    if alpha is None and isinstance(spec, DoublingMap):
-        alpha = alpha_tabulation(spec, min(kmax, 12), grid=min(kmax + 1, 12))
-    if (alpha is not None and quantile is None and f is not None
-            and not isinstance(spec, FiniteChain)):
-        grid_pts = (np.arange(1 << 14) + 0.5) / (1 << 14)
-        quantile = quantile_from_sample(EmpiricalSample(np.abs(np.asarray(f.eval(grid_pts)))))
     mixing = {}
-    if alpha is not None and quantile is not None:
+    if isinstance(spec, (DoublingMap, FiniteChain)):
+        alpha = alpha_tabulation(spec, min(kmax, 12), grid=min(kmax + 1, 12))
+        if spec.carries_observable:  # the chain's exact law of |v - pi.v| under pi
+            edges, steps = _tail_quantile_steps(np.abs(spec.centered_values), spec.stationary)
+            quantile = QuantileSeq(edges[1:-1], steps)
+        else:
+            grid_pts = (np.arange(1 << 14) + 0.5) / (1 << 14)
+            quantile = quantile_from_sample(EmpiricalSample(np.abs(np.asarray(f.eval(grid_pts)))))
         upto = min(kmax, len(alpha) - 1)
         for weight, label in ((1, "cubic_tail_b1"), (0, "cubic_tail_b0")):
             rep = mixing_integral(alpha, quantile, power=3, weight=weight, kmax=upto)

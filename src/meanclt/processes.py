@@ -122,6 +122,9 @@ class ProcessSpec:
     """
 
     label: str = "process"
+    # True for a family whose observable is part of its definition, so that it
+    # takes no FourierFn: a finite chain's state values, an i.i.d. law's draws
+    carries_observable = False
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -329,6 +332,7 @@ class FiniteChain(ProcessSpec):
     values: np.ndarray
     stationary: Optional[np.ndarray] = None
     label: str = field(default="finite_chain", init=False)
+    carries_observable = True
 
     def __post_init__(self):
         p = np.asarray(self.transition, dtype=float)
@@ -364,6 +368,11 @@ class FiniteChain(ProcessSpec):
     def n_states(self) -> int:
         return self.transition.shape[0]
 
+    @property
+    def centered_values(self) -> np.ndarray:
+        """v - pi.v, the observable X_t = v(xi_t) - E v(xi_0) of the chain."""
+        return self.values - float(self.stationary @ self.values)
+
     def to_dict(self) -> dict:
         return {"type": "finite_chain",
                 "transition": self.transition.tolist(),
@@ -381,7 +390,7 @@ class FiniteChain(ProcessSpec):
         if f is not None:
             raise TypeError("FiniteChain carries its own state-value observable")
         pi = self.stationary
-        v = self.values - float(pi @ self.values)
+        v = self.centered_values
         var0 = float(pi @ (v * v))
         proj = np.outer(np.ones(self.n_states), pi)
         fundamental = np.linalg.solve(np.eye(self.n_states) - self.transition + proj, v)
@@ -392,9 +401,10 @@ class FiniteChain(ProcessSpec):
         last = self.n_states - 1
         state = np.searchsorted(np.cumsum(self.stationary), next(u), side="right").clip(0, last)
         p_cum = np.cumsum(self.transition, axis=1)
+        values = self.centered_values
         for ut in u:
             state = (p_cum[state] < ut[:, None]).sum(axis=1).clip(0, last)
-            yield self.values[state]
+            yield values[state]
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,6 +421,7 @@ class IIDLaw(ProcessSpec):
     third: float = 0.0
     name: str = "iid"
     label: str = field(default="iid", init=False)
+    carries_observable = True
 
     def __post_init__(self):
         if self.var < 0.0 or self.abs3 < 0.0:
@@ -582,8 +593,9 @@ def _twisted_power(g: np.ndarray, n: int, even: bool) -> np.ndarray:
     # per step, two FFTs cost about four times their 2 size log2(size) flops
     # against the squarings' batched products.  At n = 2..16 and 80-760
     # coefficients per row the FFT steps took 1/3 to 1/40 of the time of n
-    # dense row-vector products with A (2 cores)
-    if 8 * n * size * math.log2(size) < (n.bit_length() - 1) * dim ** 3:
+    # dense row-vector products with A (2 cores).  n = 1 counts as one product: its
+    # answer, g_0, is one FFT step away
+    if 8 * n * size * math.log2(size) < max(1, n.bit_length() - 1) * dim ** 3:
         spread = np.zeros((rows, size), dtype=complex)
         spread[:, np.arange(-band, band + 1) % size] = g
         g_hat = np.fft.fft(spread)
@@ -739,6 +751,7 @@ class PathEnsemble:
         return self.column(n) / math.sqrt(n)
 
 
+_BLOCK_SIZE = 4096  # replicates simulated side by side; the sums do not depend on it
 _BITS_PER_WORD = 64
 _CHUNK_WORDS = 16  # step words per replicate and raw call: a block holds reps * 16 at a time
 _CHUNK_STEPS = _CHUNK_WORDS * _BITS_PER_WORD  # a chain's or i.i.d. law's draws per call
@@ -813,8 +826,7 @@ def _chunked_draws(gens, size: int, draw):
 
 
 def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
-             checkpoints: Optional[Sequence[int]] = None, seed: int = 0,
-             block_size: int = 4096) -> PathEnsemble:
+             checkpoints: Optional[Sequence[int]] = None, seed: int = 0) -> PathEnsemble:
     """Simulate `reps` stationary partial-sum paths, recording S at checkpoints.
 
     Replicate r consumes substream(seed, r) only, so ensembles are
@@ -828,20 +840,15 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")
-    if block_size < 1:
-        raise DomainError("block_size must be >= 1")
     checkpoints = tuple(sorted(set(int(c) for c in (checkpoints or [n]))))
     if checkpoints[0] < 1 or checkpoints[-1] > n:
         raise DomainError("checkpoints must lie in [1, n]")
-    if isinstance(spec, (FiniteChain, IIDLaw)):
-        f = None  # these families carry their own observable
-    else:
-        f = _require_fourier(spec, f, "simulate")
+    f = None if spec.carries_observable else _require_fourier(spec, f, "simulate")
 
     column = {c: i for i, c in enumerate(checkpoints)}
     sums = np.empty((reps, len(checkpoints)))
-    for start in range(0, reps, block_size):
-        stop = min(start + block_size, reps)
+    for start in range(0, reps, _BLOCK_SIZE):
+        stop = min(start + _BLOCK_SIZE, reps)
         gens = [substream(seed, r).generator() for r in range(start, stop)]
         s = np.zeros(stop - start)
         for t, x in enumerate(spec._simulate_block(f, n, gens), 1):
@@ -850,25 +857,3 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
                 sums[start:stop, column[t]] = s
     sums.setflags(write=False)
     return PathEnsemble(n=n, reps=reps, checkpoints=checkpoints, partial_sums=sums)
-
-
-def sample_states(spec: ProcessSpec, step: int, reps: int, seed: int = 0) -> np.ndarray:
-    """Each replicate's state at time `step` on the path `simulate` walks (diagnostics):
-    the doubling map's fixed-point word from the kernel's `_doubling_states`, rounded
-    once to a double; the circle walk's x0 + {k a} mod 1."""
-    if step < 0:
-        raise DomainError("step must be nonnegative")
-    if reps < 1:
-        raise DomainError("reps must be >= 1")
-    gens = [substream(seed, r).generator() for r in range(reps)]
-    if isinstance(spec, DoublingMap):
-        w, words = _draw_words(gens, step)
-        for w in _doubling_states(w, words):
-            pass
-        return w.astype(np.float64) * 2.0 ** -64
-    if isinstance(spec, CircleWalk):
-        w0, bits = _draw_bit_paths(gens, step)
-        x0 = (w0 >> np.uint64(11)) * 2.0 ** -53
-        k = sum((2 * b.view(np.int64) - 1 for b in bits), np.zeros(reps, dtype=np.int64))
-        return np.array([(x + exact_frac(spec.a, int(c))) % 1.0 for x, c in zip(x0, k)])
-    raise TypeError("sample_states supports the interval maps only")

@@ -187,7 +187,7 @@ def _chain_theta_norms(spec: FiniteChain, keys: Sequence[tuple]) -> list:
     u <- pi o |v_c|, then u <- (u P^g) o |v_c| per past gap g, then u . |h0|."""
     p = spec.transition
     pi = spec.stationary
-    vc = spec.values - float(pi @ spec.values)
+    vc = spec.centered_values
     abs_vc = np.abs(vc)
     powers = [np.eye(spec.n_states)]
 

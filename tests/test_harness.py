@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -441,11 +442,25 @@ class TestDiagnose:
         assert rep.jan is None
 
     def test_constant_alpha_diverges(self):
-        from meanclt.coefficients import AlphaSeq, QuantileSeq
+        from meanclt.coefficients import AlphaSeq, QuantileSeq, mixing_integral
         alpha = AlphaSeq(np.full(40, 0.25))
-        rep = diagnose_conditions(iid_rademacher(), None, kmax=30, window=1,
-                                  alpha=alpha, quantile=QuantileSeq.constant(1.0))
-        assert rep.verdicts["cubic_tail_b1"] == "diverging"
+        rep = mixing_integral(alpha, QuantileSeq.constant(1.0), power=3, weight=1, kmax=30)
+        assert harness._verdict(rep.partial_sums) == "diverging"
+
+    def test_finite_chain_mixing_series(self):
+        # pi = (2/3, 1/3), |v - pi.v| = 2/3 or 4/3, so Q = 4/3 on [0, 1/3) and 2/3
+        # after; P has eigenvalues 1 and 0.7, so alpha(k) = (4/9) 0.7^k < 1/3
+        from meanclt.processes import process_from_dict
+        rep = diagnose_conditions(process_from_dict(CHAIN), None, kmax=8, window=1)
+        alphas = [4.0 / 9.0 * 0.7 ** k for k in range(1, 9)]
+        for weight in (0, 1):
+            want = list(itertools.accumulate(k ** weight * (4.0 / 3.0) ** 3 * a
+                                             for k, a in enumerate(alphas, 1)))
+            mixing = rep.mixing[f"cubic_tail_b{weight}"]
+            assert mixing["partials"] == pytest.approx(want, rel=1e-12)
+            assert mixing["integral_form"] == pytest.approx(mixing["series"], rel=1e-12)
+            assert f"cubic_tail_b{weight}" in rep.verdicts
+        assert rep.jan is None
 
 
 class TestReportMerge:
@@ -772,6 +787,23 @@ class TestCli:
             m.pop("timings"), m["config"].pop("output")
             manifests.append(m)
         assert manifests[0] == manifests[1]
+
+    @pytest.mark.parametrize("command", ["run", "diagnose"])
+    @pytest.mark.parametrize("process", [CHAIN, {"type": "iid", "law": "gaussian"}],
+                             ids=["chain", "iid"])
+    def test_stray_observable_exit_code(self, tmp_path, capsys, monkeypatch, command, process):
+        # the chain and the i.i.d. law carry their own observable; one given in the
+        # config used to be ignored, and echoed in the manifest as if used
+        from meanclt.cli import main
+        monkeypatch.setattr(harness, "simulate", None)  # never called
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"process": process, "observable": {"cos": [5.0]},
+                                   "n_grid": [16, 64, 256], "reps": 200,
+                                   "targets": ["empirical_d1", "rate_fit"]}))
+        assert main([command, "--config", str(bad), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "own observable" in err and "(field: observable)" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_diagnose_malformed_observable_exit_code(self, tmp_path, capsys):
         # diagnose reads the observable as run does, whatever the process

@@ -8,13 +8,14 @@ import pytest
 
 from meanclt.errors import DivergenceError, DomainError, PreconditionError, SchemaError
 from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
-from meanclt.numerics import integrate_unit
+from meanclt import processes
+from meanclt.numerics import integrate_unit, substream
 from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS, CircleWalk,
-                               DoublingMap, FiniteChain, SplitReal, _draw_bit_paths,
-                               _exp_i_tau_f, _phase_tables, exact_frac, exact_law,
-                               iid_gaussian, iid_rademacher, is_martingale,
-                               long_run_variance, process_from_dict, resolvent_tail,
-                               sample_states, simulate, sqrt2_minus_one, transfer)
+                               DoublingMap, FiniteChain, SplitReal, _doubling_states,
+                               _draw_bit_paths, _draw_words, _exp_i_tau_f, _phase_tables,
+                               exact_frac, exact_law, iid_gaussian, iid_rademacher,
+                               is_martingale, long_run_variance, process_from_dict,
+                               resolvent_tail, simulate, sqrt2_minus_one, transfer)
 
 DM = DoublingMap()
 CW = CircleWalk(sqrt2_minus_one())
@@ -146,15 +147,40 @@ class CountingGenerator:
 
 
 def replay_chain(g, n):
-    """Finite-chain kernel by hand: inverse-cdf draws from pi, then from row P[state]."""
+    """Finite-chain kernel by hand: inverse-cdf draws from pi, then from row P[state];
+    X_t is the state's value less its stationary mean."""
     fc = two_state_chain()
+    mean = float(fc.stationary @ fc.values)
     u = g.random(n + 1)
     state = int(np.searchsorted(np.cumsum(fc.stationary), u[0], side="right"))
     xs = []
     for t in range(1, n + 1):
         state = int((np.cumsum(fc.transition[state]) < u[t]).sum())
-        xs.append(float(fc.values[state]))
+        xs.append(float(fc.values[state] - mean))
     return xs
+
+
+def simulate_in_blocks(block_size, *args, **kwargs):
+    """simulate(*args, **kwargs) with `block_size` replicates side by side."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(processes, "_BLOCK_SIZE", block_size)
+        return simulate(*args, **kwargs)
+
+
+def sample_states(spec, step: int, reps: int, seed: int = 0) -> np.ndarray:
+    """Each replicate's state at time `step` on the path `simulate` walks: the
+    doubling map's fixed-point word from the kernel's `_doubling_states`, rounded
+    once to a double; the circle walk's x0 + {k a} mod 1."""
+    gens = [substream(seed, r).generator() for r in range(reps)]
+    if isinstance(spec, DoublingMap):
+        w, words = _draw_words(gens, step)
+        for w in _doubling_states(w, words):
+            pass
+        return w.astype(np.float64) * 2.0 ** -64
+    w0, bits = _draw_bit_paths(gens, step)
+    x0 = (w0 >> np.uint64(11)) * 2.0 ** -53
+    k = sum((2 * b.view(np.int64) - 1 for b in bits), np.zeros(reps, dtype=np.int64))
+    return np.array([(x + exact_frac(spec.a, int(c))) % 1.0 for x, c in zip(x0, k)])
 
 
 def replay_iid(g, n):
@@ -374,9 +400,10 @@ class TestCharacteristic:
                     assert np.all(err.max(axis=1) <= eps[rows]), (f.describe(), tail)
 
     def test_matches_direct_quadrature(self):
-        taus = np.array([-2.5, 0.0, 0.3, 1.0, 4.0])
+        # at n = 1 the exact law is the grid mean of exp(i tau f) itself
+        taus = np.array([-2.5, 0.0, 0.3, 1.0, 4.0, 20.0])
         for f in (cosine(1), MIXED, FourierFn(0.2, [0.0, -0.7], [0.4])):
-            for n in (2, 3, 6):
+            for n in (1, 2, 3, 6):
                 want = np.exp(1j * np.outer(taus, doubling_sum(f, n))).mean(axis=1)
                 got = exact_law(DM, f, n)(taus)
                 assert np.max(np.abs(got.values - want)) < 1e-14, (f.describe(), n)
@@ -476,13 +503,13 @@ class TestSimulate:
         assert np.array_equal(a.partial_sums, b.partial_sums)
 
     def test_block_size_invariance(self):
-        a = simulate(CW, cosine(1), 100, 257, seed=6, block_size=4096)
-        b = simulate(CW, cosine(1), 100, 257, seed=6, block_size=31)
+        a = simulate_in_blocks(4096, CW, cosine(1), 100, 257, seed=6)
+        b = simulate_in_blocks(31, CW, cosine(1), 100, 257, seed=6)
         assert np.array_equal(a.partial_sums, b.partial_sums)
         for spec, f in ((DM, cosine(1)), (CW, FourierFn(0.0, [1.0, 0.5], [0.0, 0.3])),
                         (two_state_chain(), None), (iid_rademacher(), None)):
-            sums = [simulate(spec, f, 130, 23, checkpoints=[1, 64, 65, 130], seed=8,
-                             block_size=bs).partial_sums for bs in (1, 7, 4096)]
+            sums = [simulate_in_blocks(bs, spec, f, 130, 23, checkpoints=[1, 64, 65, 130],
+                                       seed=8).partial_sums for bs in (1, 7, 4096)]
             assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
 
     def test_doubling_mds_mean_and_variance(self):
@@ -520,18 +547,6 @@ class TestSimulate:
             simulate(DM, cosine(1), 10, 5, checkpoints=[0, 5], seed=0)
         with pytest.raises(DomainError):
             simulate(DM, cosine(1), 10, 5, checkpoints=[20], seed=0)
-
-    @pytest.mark.parametrize("block_size", [0, -3])
-    def test_block_size_validation(self, block_size):
-        # -3 used to return sums read from uninitialised memory, 0 a bare ValueError
-        with pytest.raises(DomainError, match="block_size"):
-            simulate(DM, cosine(1), 10, 5, seed=0, block_size=block_size)
-
-    @pytest.mark.parametrize("reps", [0, -2])
-    def test_sample_states_reps_validation(self, reps):
-        for spec in (DM, CW):
-            with pytest.raises(DomainError, match="reps"):
-                sample_states(spec, 3, reps, seed=0)
 
     def test_doubling_fixed_point_replay(self):
         # bit-exact contract: row r consumes substream(seed, r) as one word for
@@ -637,7 +652,7 @@ class TestSimulate:
         # row r consumes substream(seed, r) only, in the order replayed here
         from meanclt.numerics import substream
         n, reps, seed = 75, 6, 314
-        ens = simulate(spec, f, n, reps, checkpoints=[1, 40, n], seed=seed, block_size=4)
+        ens = simulate_in_blocks(4, spec, f, n, reps, checkpoints=[1, 40, n], seed=seed)
         for r in range(reps):
             partial = np.cumsum(replay(substream(seed, r).generator(), n))
             assert np.array_equal(partial[[0, 39, n - 1]], ens.partial_sums[r])
@@ -689,8 +704,9 @@ class TestSimulate:
         from meanclt.numerics import substream
         reps, seed = 9, 23
         for spec in (DM, CW):
-            sums = [simulate(spec, cosine(1), n, reps, checkpoints=[1, 63, 64, 65, n], seed=seed,
-                             block_size=bs).partial_sums for bs in (1, 7, 4096)]
+            sums = [simulate_in_blocks(bs, spec, cosine(1), n, reps,
+                                       checkpoints=[1, 63, 64, 65, n], seed=seed).partial_sums
+                    for bs in (1, 7, 4096)]
             assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
         for r in (0, reps - 1):
             partial = np.cumsum(replay_circle(substream(seed, r).generator(), n))
@@ -714,7 +730,15 @@ class TestSimulate:
         fc = two_state_chain()
         ens = simulate(fc, None, 50, 200, checkpoints=[1, 50], seed=2)
         assert ens.partial_sums.shape == (200, 2)
-        assert set(np.unique(ens.partial_sums[:, 0])) <= {-1.0, 2.0}
+        assert set(np.unique(ens.partial_sums[:, 0])) <= set(fc.values - fc.stationary @ fc.values)
+
+    def test_finite_chain_sums_are_centered(self):
+        # values [1, -1] with pi = (2/3, 1/3) have mean 1/3: E S_n = 0, not n/3
+        fc = FiniteChain([[0.9, 0.1], [0.2, 0.8]], values=[1.0, -1.0])
+        n, reps = 64, 2000
+        s = simulate(fc, None, n, reps, seed=0).normalized(n)
+        sigma = math.sqrt(long_run_variance(fc).sigma2)
+        assert abs(s.mean()) < 5.0 * sigma / math.sqrt(reps)
 
     @pytest.mark.parametrize("spec, replay", [
         (two_state_chain(), replay_chain), (iid_gaussian(1.5), replay_iid),
