@@ -18,8 +18,8 @@ import numpy as np
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
 from .fourier import FourierFn, FourierStack, constant_fn, l1_norms, lebesgue_inner, product
 from .numerics import RandomStream, Tolerance, integrate_many, integrate_unit
-from .processes import (IIDLaw, ProcessSpec, is_martingale, long_run_variance,
-                        resolvent_tail, transfer)
+from .processes import (IIDLaw, ProcessSpec, check_observable, is_martingale,
+                        long_run_variance, resolvent_tail, transfer)
 
 _NORM_TOL = Tolerance(1e-12, 1e-12, 44)
 _STABLE_EPS = 1e-16
@@ -83,26 +83,25 @@ class MomentSummary:
         return math.sqrt(self.sigma2)
 
 
-def moments(spec: ProcessSpec, f: Optional[FourierFn] = None,
-            tol: Tolerance = _NORM_TOL) -> MomentSummary:
-    """Marginal and long-run moment summary of the observed process."""
+def moments(spec: ProcessSpec, f: Optional[FourierFn] = None) -> MomentSummary:
+    """Marginal and long-run moment summary of the observed process: an i.i.d.
+    law's given moments, or those of a centered FourierFn observable."""
+    f = check_observable(spec, f, centered=True)
     if isinstance(spec, IIDLaw):
         if spec.var <= 0.0:
             raise DegenerateVarianceError("iid law has zero variance")
         return MomentSummary(sigma2=spec.var, var0=spec.var, abs3=spec.abs3,
                              lam=spec.abs3 / spec.var)
-    if not isinstance(f, FourierFn):
-        raise TypeError("interval-map moments need a FourierFn observable")
-    if not f.centered:
-        raise PreconditionError("moments requires a centered observable")
+    if f is None:
+        raise NotImplementedError(f"the {spec.label} process has no moment summary")
     sigma2 = long_run_variance(spec, f).sigma2
     if sigma2 <= 0.0:
         raise DegenerateVarianceError("long-run variance is not positive")
     var0 = lebesgue_inner(f, f)
     memo = _QUAD_MEMO.setdefault(f, {})
-    key = _memo_key("abs3", f, tol)
+    key = _memo_key("abs3", f, _NORM_TOL)
     if key not in memo:
-        memo[key] = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, tol)
+        memo[key] = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, _NORM_TOL)
     abs3 = memo[key]
     return MomentSummary(sigma2=sigma2, var0=var0, abs3=abs3, lam=abs3 / sigma2)
 
@@ -345,16 +344,14 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
     return tuple(_l1_norms(f, [("l1", total), ("l1", j_m)], tol))
 
 
-def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int,
-                      tol: Tolerance = _NORM_TOL) -> float:
+def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int) -> float:
     """|| E_0(X_l^2) - Var X0 ||_{3/2} for a martingale-difference observable:
     `variance_l32_norms` of the one lag l."""
-    return variance_l32_norms(spec, f, [l], tol)[0]
+    return variance_l32_norms(spec, f, [l])[0]
 
 
-def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence[int],
-                       tol: Tolerance = _NORM_TOL) -> list:
-    """[variance_l32_norm(spec, f, l, tol) for l in lags].
+def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence[int]) -> list:
+    """[variance_l32_norm(spec, f, l) for l in lags], each to _NORM_TOL.
 
     The nonzero norms come from one integrate_many of a `FourierStack` of
     their polynomials; each keeps its own panels, so it is its value alone.
@@ -371,14 +368,13 @@ def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence
     if live:
         stack = FourierStack([gs[k] for k in live])
         values = integrate_many(lambda owner, x: np.abs(stack.eval(x, owner[:, None])) ** 1.5,
-                                len(live), tol)
+                                len(live), _NORM_TOL)
         for k, value in zip(live, values):
             norms[k] = value ** (2.0 / 3.0)
     return norms
 
 
-def cubic_moment_sum(spec: ProcessSpec, f: Optional[FourierFn], l: int,
-                     tol: Tolerance = _NORM_TOL) -> float:
+def cubic_moment_sum(spec: ProcessSpec, f: Optional[FourierFn], l: int) -> float:
     """Third-moment matching target of a length-l dependency window:
 
         E(X0^3) + 3 sum_{i<=l} E(X0 X_i^2 + X0^2 X_i)

@@ -32,8 +32,8 @@ from .bounds import (martingale_d1_bound, moments, projective_d1_bound, rate_fit
 from .coefficients import (QuantileSeq, _tail_quantile_steps, alpha_tabulation,
                            appendix_checks, covariance_bound_check, JointPmf, joint_arrays,
                            mixing_integral, quantile_from_sample)
-from .errors import (DomainError, PreconditionError, SchemaError, json_typed,
-                     reject_unknown_keys, required)
+from .errors import (DegenerateVarianceError, DomainError, PreconditionError, SchemaError,
+                     json_typed, reject_unknown_keys, required)
 from .fourier import FourierFn, lebesgue_inner
 from .numerics import Tolerance, substream
 from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, exact_law,
@@ -98,6 +98,9 @@ class ExperimentConfig:
         if self.output is not None and not isinstance(self.output, str):
             raise SchemaError(f"output must be a path string or null, got {self.output!r} "
                               "(field: output)")
+        # checks the observable, and fails a degenerate run before any work
+        if long_run_variance(self.process, self.observable).sigma2 <= 0.0:
+            raise DegenerateVarianceError("long-run variance is not positive")
         object.__setattr__(self, "exact_pmf",
                            isinstance(exact_law(self.process, self.observable, 1), FinitePmf))
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
@@ -155,10 +158,10 @@ def read_process(d: dict) -> tuple:
     reject_unknown_keys(d, [f.name for f in fields(ExperimentConfig)], "config")
     obs = json_typed(d.get("observable"), dict, "observable")
     process = process_from_dict(d.get("process"))
-    if obs and process.carries_observable:
+    if obs is not None and process.carries_observable:
         raise SchemaError(f"the {process.label} process carries its own observable; give none "
                           "(field: observable)")
-    return process, FourierFn.from_dict(obs) if obs else None
+    return process, None if obs is None else FourierFn.from_dict(obs)
 
 
 # Built-in one-command experiments: each is a config dict, as `run --config` reads it.
@@ -589,7 +592,7 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
         verdicts[key] = _verdict(partials)
 
     jan = None
-    if not isinstance(spec, FiniteChain) and (isinstance(spec, IIDLaw) or is_martingale(spec, f)):
+    if isinstance(spec, IIDLaw) or not spec.carries_observable and is_martingale(spec, f):
         values = variance_l32_norms(spec, f, lags)
         partials = list(itertools.accumulate(values))
         jan = {"values": values, "partials": partials}
@@ -597,7 +600,10 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
 
     mixing = {}
     if isinstance(spec, (DoublingMap, FiniteChain)):
-        alpha = alpha_tabulation(spec, min(kmax, 12), grid=min(kmax + 1, 12))
+        # the doubling map's alpha(k) enumerates 2^k branches, so its table stops
+        # at 12; a chain's costs one matrix power per lag
+        alpha = alpha_tabulation(spec, kmax if spec.carries_observable else min(kmax, 12),
+                                 grid=min(kmax + 1, 12))
         if spec.carries_observable:  # the chain's exact law of |v - pi.v| under pi
             edges, steps = _tail_quantile_steps(np.abs(spec.centered_values), spec.stationary)
             quantile = QuantileSeq(edges[1:-1], steps)

@@ -7,13 +7,15 @@ Four process families are supported:
 * ``CircleWalk`` -- the symmetric +/-a random walk on the circle for an
   irrational step a; invariant law is Lebesgue.
 * ``FiniteChain`` -- a finite-state chain given by a row-stochastic matrix,
-  observed through a state-to-value map (no Fourier representation).
-* ``IIDLaw`` -- an i.i.d. sequence sampled directly; the observable is the
-  identity and moments are carried explicitly.
+  observed through its own state-to-value map (no Fourier representation).
+* ``IIDLaw`` -- an i.i.d. sequence of centered draws, sampled directly, with
+  its moments carried explicitly.
 
-For the two interval maps the one-step conditional expectation operator K
-acts exactly on FourierFn coefficients, which is what every bound evaluation
-downstream relies on.
+The two interval maps are observed through a FourierFn, on whose coefficients
+the one-step conditional expectation operator K acts exactly, which is what
+every bound evaluation downstream relies on.  The last two families carry
+their observable and take none; `check_observable` decides this contract for
+every entry point.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def exact_frac(a: Union[SplitReal, float], k: int) -> float:
 class ProcessSpec:
     """Base class of the process families; concrete variants are frozen dataclasses.
 
-    A family implements five hooks.  The module functions `transfer`,
+    A family implements up to five hooks.  The module functions `transfer`,
     `resolvent_tail`, `long_run_variance`, `simulate` and `exact_law` check
-    their arguments and then call the hook of the same name.
+    their arguments, the observable by `check_observable`, and then call the
+    hook of the same name, which checks nothing.
     """
 
     label: str = "process"
@@ -129,16 +132,16 @@ class ProcessSpec:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    def _transfer(self, f, steps: int):
-        """K^steps f for a checked observable f and steps >= 1 (>= 0 for a FiniteChain)."""
-        raise NotImplementedError
+    def _transfer(self, f: FourierFn, steps: int) -> FourierFn:
+        """K^steps f for a FourierFn f and steps >= 1; FourierFn families only."""
+        raise NotImplementedError(f"the {self.label} process has no FourierFn transfer operator")
 
     def _resolvent_tail(self, f: FourierFn, m: int) -> FourierFn:
-        """sum_{l>=m} K^l f for a centered FourierFn f and m >= 1."""
-        raise NotImplementedError
+        """sum_{l>=m} K^l f for a centered FourierFn f and m >= 1; FourierFn families only."""
+        raise NotImplementedError(f"the {self.label} process has no FourierFn transfer operator")
 
     def _long_run_variance(self, f) -> float:
-        """sigma2 before the sign check; validates f itself."""
+        """sigma2 before the sign check."""
         raise NotImplementedError
 
     def _simulate_block(self, f, n: int, gens):
@@ -175,7 +178,6 @@ class DoublingMap(ProcessSpec):
 
     def _long_run_variance(self, f):
         # the covariance series ends once 2^n exceeds max_freq
-        f = _require_fourier(self, f, "long_run_variance")
         sigma2 = lebesgue_inner(f, f)
         n = 1
         while f.max_freq >> n:
@@ -229,8 +231,6 @@ class DoublingMap(ProcessSpec):
         # |k| <= B from the FFT of its samples; bound: truncation, aliasing and
         # rounding leave |g_B| <= 1 + eps and K contracts sup norms, so the n-fold product
         # moves by at most (1 + eps)^n - 1
-        f = _require_fourier(self, f)
-
         def phi(taus) -> Characteristic:
             taus = np.asarray(taus, dtype=float)
             flat = taus.reshape(-1)
@@ -291,7 +291,6 @@ class CircleWalk(ProcessSpec):
 
     def _long_run_variance(self, f):
         # cotangent closed form per frequency
-        f = _require_fourier(self, f, "long_run_variance")
         sigma2 = 0.0
         for j in range(1, f.max_freq + 1):
             w = 0.5 * (f.cos_coeffs[j - 1] ** 2 + f.sin_coeffs[j - 1] ** 2)
@@ -379,16 +378,7 @@ class FiniteChain(ProcessSpec):
                 "stationary": self.stationary.tolist(),
                 "values": self.values.tolist()}
 
-    def _transfer(self, f, steps):
-        # the observable is a state-value vector and K^m the matrix power
-        v = None if isinstance(f, FourierFn) else np.asarray(f, dtype=float)
-        if v is None or v.shape != (self.n_states,):
-            raise TypeError("FiniteChain transfer expects a state-value vector")
-        return np.linalg.matrix_power(self.transition, steps) @ v
-
     def _long_run_variance(self, f):
-        if f is not None:
-            raise TypeError("FiniteChain carries its own state-value observable")
         pi = self.stationary
         v = self.centered_values
         var0 = float(pi @ (v * v))
@@ -429,12 +419,6 @@ class IIDLaw(ProcessSpec):
 
     def to_dict(self) -> dict:
         return {"type": "iid", "law": self.name}
-
-    def _transfer(self, f, steps):
-        return constant_fn(f.constant)
-
-    def _resolvent_tail(self, f, m):
-        return constant_fn(0.0)
 
     def _long_run_variance(self, f):
         return self.var
@@ -632,14 +616,18 @@ def _twisted_power(g: np.ndarray, n: int, even: bool) -> np.ndarray:
     return out
 
 
-def _require_fourier(spec: ProcessSpec, f, centered_for: Optional[str] = None) -> FourierFn:
-    if isinstance(spec, FiniteChain):
-        raise TypeError("FiniteChain observables are state-value vectors; "
-                        "FourierFn-based operations do not apply")
-    if not isinstance(f, FourierFn):
-        raise TypeError("observable must be a FourierFn for this process")
-    if centered_for and not f.centered:
-        raise PreconditionError(f"{centered_for} requires a centered observable")
+def check_observable(spec: ProcessSpec, f, centered: bool = False) -> Optional[FourierFn]:
+    """f, checked against the one observable contract of the library: a family
+    that carries its observable (`carries_observable`) takes None, every other
+    family a FourierFn, with constant term 0 where `centered` asks for it.
+    Raises TypeError, or PreconditionError for an uncentered f."""
+    if spec.carries_observable:
+        if f is not None:
+            raise TypeError(f"the {spec.label} process carries its own observable; give none")
+    elif not isinstance(f, FourierFn):
+        raise TypeError(f"the {spec.label} process needs a FourierFn observable")
+    elif centered and not f.centered:
+        raise PreconditionError("the observable must be centered: its constant term must be 0")
     return f
 
 
@@ -653,15 +641,11 @@ def transfer(spec: ProcessSpec, f, steps: int = 1):
 
     Exact: the doubling map sends the coefficient at frequency 2^m * j to
     frequency j (odd parts vanish); the circle walk multiplies frequency k by
-    cos^m(2*pi*k*a); an i.i.d. law collapses everything to the mean.  For a
-    FiniteChain the observable is a state-value vector and K^m is the matrix
-    power applied to it.
+    cos^m(2*pi*k*a).
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
-    if isinstance(spec, FiniteChain):
-        return spec._transfer(f, steps)
-    f = _require_fourier(spec, f)
+    f = check_observable(spec, f)
     return f if steps == 0 else spec._transfer(f, steps)
 
 
@@ -674,15 +658,12 @@ def resolvent_tail(spec: ProcessSpec, f: FourierFn, m: int = 1) -> FourierFn:
     """
     if m < 1:
         raise DomainError("m must be >= 1")
-    return spec._resolvent_tail(_require_fourier(spec, f, "resolvent tail"), m)
+    return spec._resolvent_tail(check_observable(spec, f, centered=True), m)
 
 
 def is_martingale(spec: ProcessSpec, f) -> bool:
     """True when the one-step conditional expectation of f vanishes."""
-    kf = transfer(spec, f, 1)
-    if isinstance(kf, FourierFn):
-        return kf.is_zero(MARTINGALE_TOL)
-    return bool(np.max(np.abs(kf), initial=0.0) < MARTINGALE_TOL)
+    return transfer(spec, f, 1).is_zero(MARTINGALE_TOL)
 
 
 def exact_law(spec: ProcessSpec, f, n: int):
@@ -697,7 +678,7 @@ def exact_law(spec: ProcessSpec, f, n: int):
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    return spec._exact_law(f, n)
+    return spec._exact_law(check_observable(spec, f), n)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +697,7 @@ def long_run_variance(spec: ProcessSpec, f=None) -> LongRunVariance:
     The circle walk uses the cotangent closed form per frequency; the
     doubling map's covariance series terminates once 2^n exceeds max_freq.
     """
-    sigma2 = spec._long_run_variance(f)
+    sigma2 = spec._long_run_variance(check_observable(spec, f, centered=True))
     if sigma2 < _VARIANCE_FLOOR:
         raise DegenerateVarianceError(f"long-run variance {sigma2!r} is negative")
     return LongRunVariance(max(sigma2, 0.0))
@@ -843,7 +824,7 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     checkpoints = tuple(sorted(set(int(c) for c in (checkpoints or [n]))))
     if checkpoints[0] < 1 or checkpoints[-1] > n:
         raise DomainError("checkpoints must lie in [1, n]")
-    f = None if spec.carries_observable else _require_fourier(spec, f, "simulate")
+    f = check_observable(spec, f, centered=True)
 
     column = {c: i for i, c in enumerate(checkpoints)}
     sums = np.empty((reps, len(checkpoints)))

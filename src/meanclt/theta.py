@@ -17,10 +17,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, ResourceError
+from .errors import DomainError, ResourceError
 from .fourier import FourierFn, l1_norms, product
 from .numerics import Tolerance
-from .processes import DoublingMap, FiniteChain, IIDLaw, ProcessSpec, exact_frac, transfer
+from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, check_observable,
+                        exact_frac, transfer)
 
 _THETA_TOL = Tolerance(1e-10, 1e-10, 40)
 _WINDOW_BUDGET = 1 << 16  # multiindices one theta table may range over
@@ -95,18 +96,15 @@ def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[t
             raise DomainError("need 0 <= i < j <= 4")
         if gap < 0:
             raise DomainError("gap must be nonnegative")
+    f = check_observable(spec, f, centered=True)
     if isinstance(spec, IIDLaw):
         if any(gap < 1 for _, _, gap in requests):
             raise DomainError("iid theta coefficients need gap >= 1")
         return [0.0] * len(requests)
     if isinstance(spec, FiniteChain):
         norms_of = functools.partial(_chain_theta_norms, spec)
-    elif isinstance(f, FourierFn):
-        if not f.centered:
-            raise PreconditionError("theta coefficients need a centered observable")
-        norms_of = functools.partial(_map_theta_norms, spec, f, tol=tol)
     else:
-        raise TypeError("interval-map theta coefficients need a FourierFn observable")
+        norms_of = functools.partial(_map_theta_norms, spec, f, tol=tol)
     # _theta_windows enumerates the nondecreasing i- and (j - i)-tuples over 0..window
     count = sum(math.comb(window + i, i) * math.comb(window + j - i, j - i)
                 for i, j, _ in requests)

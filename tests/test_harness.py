@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from meanclt.errors import DomainError, PreconditionError, SchemaError
+from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError, SchemaError
 from meanclt import harness
 from meanclt.fourier import FourierFn, cosine
 from meanclt.harness import (PRESETS, ExperimentConfig, _bootstrap_se, check_appendix,
@@ -365,11 +365,12 @@ class TestBootstrap:
             assert rec["d1_boot_se"] == bootstrap_se_by_sorting(
                 sample, m.sigma, cfg.bootstrap, substream(cfg.seed, cfg.reps + gi))
 
-    def test_zero_variance_is_a_domain_error(self):
+    def test_zero_variance_fails_in_the_config(self):
+        # before any replicate is drawn or bootstrapped
         flat = FiniteChain(np.array([[0.5, 0.5], [0.5, 0.5]]), values=np.array([1.0, 1.0]))
         for targets in (("empirical_d1",), ("ks",)):
-            with pytest.raises(DomainError):
-                run(ExperimentConfig(flat, None, (1, 2), reps=100, seed=1, targets=targets))
+            with pytest.raises(DegenerateVarianceError, match="long-run variance is not positive"):
+                ExperimentConfig(flat, None, (1, 2), reps=100, seed=1, targets=targets)
 
 
 class TestAppendixFuzz:
@@ -461,6 +462,16 @@ class TestDiagnose:
             assert mixing["integral_form"] == pytest.approx(mixing["series"], rel=1e-12)
             assert f"cubic_tail_b{weight}" in rep.verdicts
         assert rep.jan is None
+
+    def test_finite_chain_alpha_reaches_kmax(self):
+        # the cap of 12 lags is the doubling map's 2^k budget; a chain's alpha
+        # costs one matrix power per lag, so its series run to kmax
+        from meanclt.processes import process_from_dict
+        rep = diagnose_conditions(process_from_dict(CHAIN), None, kmax=20, window=0)
+        terms = [(4.0 / 3.0) ** 3 * 4.0 / 9.0 * 0.7 ** k for k in range(1, 21)]
+        partials = rep.mixing["cubic_tail_b0"]["partials"]
+        assert len(partials) == 20
+        assert partials == pytest.approx(list(itertools.accumulate(terms)), rel=1e-12)
 
 
 class TestReportMerge:
@@ -597,6 +608,45 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "martingale_bound" in err and "finite_chain" in err and "targets" in err
+
+    @pytest.mark.parametrize("d", [
+        {"process": {"type": "doubling_map"}, "observable": {"cos": [1.0, -1.0]}},
+        {"process": {"type": "doubling_map"}, "observable": {}},
+        {"process": dict(CHAIN, values=[1.0, 1.0])}],
+        ids=["doubling-coboundary", "doubling-zero", "chain-constant"])
+    def test_zero_variance_fails_before_simulating(self, tmp_path, capsys, monkeypatch, d):
+        # sigma^2 = (a + b)^2 / 2 = 0 for a cos 2 pi x + b cos 4 pi x with b = -a; an
+        # empty observable is the zero function.  The run used to simulate, then
+        # fail in the distances
+        from meanclt.cli import main
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulate was called")
+
+        monkeypatch.setattr(harness, "simulate", simulate)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(d, n_grid=[64, 1024, 16384], reps=20000,
+                                        targets=["empirical_d1"])))
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+        assert "long-run variance is not positive" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    @pytest.mark.parametrize("observable, message", [
+        (None, "the doubling_map process needs a FourierFn observable"),
+        ({"constant": 0.5, "cos": [1.0]}, "the observable must be centered")],
+        ids=["missing", "uncentered"])
+    def test_run_and_diagnose_give_one_message(self, tmp_path, capsys, observable, message):
+        from meanclt.cli import main
+        path = tmp_path / "c.json"
+        d = {"process": {"type": "doubling_map"}, "n_grid": [16], "reps": 100}
+        if observable is not None:
+            d["observable"] = observable
+        path.write_text(json.dumps(d))
+        errs = []
+        for command in ("run", "diagnose"):
+            assert main([command, "--config", str(path), "--output", str(tmp_path / "o")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and message in errs[0]
 
     def test_diagnose_rejects_an_uncentered_observable(self, tmp_path, capsys):
         from meanclt.cli import main
@@ -793,17 +843,19 @@ class TestCli:
                              ids=["chain", "iid"])
     def test_stray_observable_exit_code(self, tmp_path, capsys, monkeypatch, command, process):
         # the chain and the i.i.d. law carry their own observable; one given in the
-        # config used to be ignored, and echoed in the manifest as if used
+        # config used to be ignored, and echoed in the manifest as if used.  {} is
+        # one too: it used to be read as none
         from meanclt.cli import main
         monkeypatch.setattr(harness, "simulate", None)  # never called
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"process": process, "observable": {"cos": [5.0]},
-                                   "n_grid": [16, 64, 256], "reps": 200,
-                                   "targets": ["empirical_d1", "rate_fit"]}))
-        assert main([command, "--config", str(bad), "--output", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "own observable" in err and "(field: observable)" in err
-        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+        for observable in ({"cos": [5.0]}, {}):
+            bad.write_text(json.dumps({"process": process, "observable": observable,
+                                       "n_grid": [16, 64, 256], "reps": 200,
+                                       "targets": ["empirical_d1", "rate_fit"]}))
+            assert main([command, "--config", str(bad), "--output", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "own observable" in err and "(field: observable)" in err
+            assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
     def test_diagnose_malformed_observable_exit_code(self, tmp_path, capsys):
         # diagnose reads the observable as run does, whatever the process

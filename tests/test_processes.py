@@ -8,7 +8,7 @@ import pytest
 
 from meanclt.errors import DivergenceError, DomainError, PreconditionError, SchemaError
 from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
-from meanclt import processes
+from meanclt import bounds, processes
 from meanclt.numerics import integrate_unit, substream
 from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS, CircleWalk,
                                DoublingMap, FiniteChain, SplitReal, _doubling_states,
@@ -16,6 +16,7 @@ from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BI
                                exact_frac, exact_law, iid_gaussian, iid_rademacher,
                                is_martingale, long_run_variance, process_from_dict,
                                resolvent_tail, simulate, sqrt2_minus_one, transfer)
+from meanclt.theta import theta_coeffs
 
 DM = DoublingMap()
 CW = CircleWalk(sqrt2_minus_one())
@@ -263,22 +264,58 @@ class TestTransfer:
             after = integrate_unit(transfer(spec, f, 1).eval)
             assert after == pytest.approx(before, abs=1e-10)
 
-    def test_iid_collapses_to_mean(self):
-        out = transfer(iid_rademacher(), FourierFn(0.4, [1.0], [2.0]), 1)
-        assert out.max_freq == 0 and out.constant == pytest.approx(0.4)
-
-    def test_finite_chain_vector(self):
-        fc = two_state_chain()
-        v = fc.values - fc.stationary @ fc.values
-        out = transfer(fc, v, 2)
-        expect = np.linalg.matrix_power(fc.transition, 2) @ v
-        assert np.allclose(out, expect)
+    def test_iid_rejects_fourier(self):
+        # the i.i.d. law carries its observable: a FourierFn is an error, not its mean
+        with pytest.raises(TypeError, match="carries its own observable"):
+            transfer(iid_rademacher(), FourierFn(0.4, [1.0], [2.0]), 1)
 
     def test_finite_chain_rejects_fourier(self):
         with pytest.raises(TypeError):
             transfer(two_state_chain(), cosine(1), 1)
         with pytest.raises(TypeError):
             long_run_variance(two_state_chain(), cosine(1))
+
+
+# every entry point of the observable contract, as a call on (spec, f)
+CONTRACT_ENTRY_POINTS = {
+    "transfer": lambda spec, f: transfer(spec, f, 1),
+    "resolvent_tail": lambda spec, f: resolvent_tail(spec, f, 1),
+    "is_martingale": is_martingale,
+    "long_run_variance": long_run_variance,
+    "simulate": lambda spec, f: simulate(spec, f, 4, 2),
+    "exact_law": lambda spec, f: exact_law(spec, f, 2),
+    "moments": bounds.moments,
+    "theta_coeffs": lambda spec, f: theta_coeffs(spec, f, [(0, 1, 1)], 0),
+}
+NEEDS_CENTERED = ("resolvent_tail", "long_run_variance", "simulate", "moments", "theta_coeffs")
+
+
+class TestObservableContract:
+    """One rule, one message: a family that carries its observable takes none,
+    an interval map takes a FourierFn, centered where the entry point needs it."""
+
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    @pytest.mark.parametrize("spec, f", [
+        (two_state_chain(), cosine(1)), (iid_rademacher(), cosine(1)),
+        (DM, None), (CW, None), (DM, np.array([0.0, 1.0])), (CW, "cos1")],
+        ids=["chain-fourier", "iid-fourier", "doubling-none", "circle-none",
+             "doubling-array", "circle-str"])
+    def test_rejects_a_wrong_kind_of_observable(self, entry, spec, f):
+        message = ("carries its own observable; give none" if spec.carries_observable
+                   else "needs a FourierFn observable")
+        with pytest.raises(TypeError, match=f"^the {spec.label} process {message}$"):
+            CONTRACT_ENTRY_POINTS[entry](spec, f)
+
+    @pytest.mark.parametrize("entry", CONTRACT_ENTRY_POINTS)
+    @pytest.mark.parametrize("spec", [DM, CW], ids=["doubling", "circle"])
+    def test_centering_where_needed(self, entry, spec):
+        call = CONTRACT_ENTRY_POINTS[entry]
+        uncentered = FourierFn(0.25, [0.0, 0.0, 1.0])
+        if entry in NEEDS_CENTERED:
+            with pytest.raises(PreconditionError, match="^the observable must be centered"):
+                call(spec, uncentered)
+        else:
+            call(spec, uncentered)
 
 
 class TestResolventTail:

@@ -1,12 +1,14 @@
 """Every module-level function of meanclt feeds a command, or is listed in
-LIBRARY_ONLY with the reason it stays.
+LIBRARY_ONLY with the reason it stays; every hook of a process family feeds one.
 
-The test profiles (sys.setprofile) small CLI calls that cover every command and
+The tests profile (sys.setprofile) small CLI calls that cover every command and
 every process family, in a fresh interpreter so that no cache an earlier test
-filled hides a call, and checks both directions: each module-level `def` in
+filled hides a call, and check both directions: each module-level `def` in
 src/meanclt is called, or is a LIBRARY_ONLY entry; each entry exists and is not
 called.  A function that stops feeding a command fails the test until it is
-wired, deleted or listed here with its reason, which README repeats.
+wired, deleted or listed here with its reason, which README repeats.  The
+methods of the ProcessSpec classes have no such list: each is called, unless it
+is a base-class default that only raises NotImplementedError.
 """
 
 import ast
@@ -15,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import meanclt
 
@@ -96,6 +100,29 @@ def module_functions() -> set:
     return names
 
 
+def process_methods() -> set:
+    """'Class.method' of every method of ProcessSpec and its subclasses in
+    processes.py, but the base-class ones whose body only raises NotImplementedError."""
+    tree = ast.parse((SRC / "processes.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)
+               and (node.name == "ProcessSpec"
+                    or any(getattr(b, "id", None) == "ProcessSpec" for b in node.bases))]
+    names = set()
+    for cls in classes:
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            body = [b for b in node.body
+                    if not (isinstance(b, ast.Expr) and isinstance(b.value, ast.Constant))]
+            exc = body[0].exc if len(body) == 1 and isinstance(body[0], ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if cls.name == "ProcessSpec" and getattr(exc, "id", None) == "NotImplementedError":
+                continue
+            names.add(f"{cls.name}.{node.name}")
+    return names
+
+
 def command_lines(tmp: Path) -> list:
     argvs = []
     for name, d in RUNS.items():
@@ -114,8 +141,10 @@ def command_lines(tmp: Path) -> list:
     return argvs
 
 
-def test_every_function_feeds_a_command_or_is_listed(tmp_path):
-    argvs = command_lines(tmp_path)
+@pytest.fixture(scope="module")
+def called(tmp_path_factory) -> set:
+    """'module.qualname' of every function in src/meanclt the command lines call."""
+    argvs = command_lines(tmp_path_factory.mktemp("reach"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run([sys.executable, "-c", PROBE], input=json.dumps(argvs),
@@ -123,10 +152,19 @@ def test_every_function_feeds_a_command_or_is_listed(tmp_path):
     assert out.returncode == 0, out.stderr
     probe = json.loads(out.stdout.splitlines()[-1])
     assert probe["exits"] == [0] * len(argvs), list(zip(probe["exits"], argvs))
-    called = {f"{Path(file).stem}.{name}" for file, name in probe["called"]
-              if Path(file).resolve().parent == SRC}
+    return {f"{Path(file).stem}.{name}" for file, name in probe["called"]
+            if Path(file).resolve().parent == SRC}
 
+
+def test_every_function_feeds_a_command_or_is_listed(called):
     defined = module_functions()
     assert sorted(defined - called - set(LIBRARY_ONLY)) == [], "unreached and unlisted"
     assert sorted(set(LIBRARY_ONLY) - defined) == [], "listed but not defined"
     assert sorted(set(LIBRARY_ONLY) & called) == [], "listed but reached"
+
+
+def test_every_process_hook_feeds_a_command(called):
+    # an operator hook that no command reaches is one no config can give an input
+    hooks = {f"processes.{name}" for name in process_methods()}
+    assert "processes.DoublingMap._transfer" in hooks
+    assert sorted(hooks - called) == [], "unreached process methods"
