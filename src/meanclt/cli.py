@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 validation failure, 3 resource or accuracy failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -55,9 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
-    if args.output:
-        config = dataclasses.replace(config, output=args.output)
+    d = json.loads(Path(args.config).read_text())
+    if args.output and isinstance(d, dict):  # built once: the config computes sigma2
+        d = {**d, "output": args.output}
+    config = ExperimentConfig.from_dict(d)
     manifest = run(config)
     if not config.output:
         print(manifest.to_json())

@@ -99,8 +99,7 @@ class ExperimentConfig:
             raise SchemaError(f"output must be a path string or null, got {self.output!r} "
                               "(field: output)")
         # checks the observable, and fails a degenerate run before any work
-        if long_run_variance(self.process, self.observable).sigma2 <= 0.0:
-            raise DegenerateVarianceError("long-run variance is not positive")
+        _require_positive_variance(self.process, self.observable)
         object.__setattr__(self, "exact_pmf",
                            isinstance(exact_law(self.process, self.observable, 1), FinitePmf))
         if {"empirical_d1", "ks"} & set(self.targets) and not self.exact_pmf and self.reps < 100:
@@ -149,6 +148,13 @@ class ExperimentConfig:
             raise DomainError(f"exact_pmf must be {str(config.exact_pmf).lower()} "
                               "(field: exact_pmf)")
         return config
+
+
+def _require_positive_variance(spec: ProcessSpec, f: Optional[FourierFn]) -> None:
+    """Check the observable, and raise DegenerateVarianceError where sigma2 = 0: no
+    normalized sum of such a sequence has a Gaussian limit to compare with."""
+    if long_run_variance(spec, f).sigma2 <= 0.0:
+        raise DegenerateVarianceError("long-run variance is not positive")
 
 
 def read_process(d: dict) -> tuple:
@@ -576,9 +582,11 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
     form, from the exact alpha values of the doubling map and of a finite
     chain and the quantile function of |X_0|.  Each series carries a
     converging / inconclusive / diverging verdict from its last-decade ratio.
+    An observable with sigma2 = 0 is refused, as a run refuses it.
     """
     if kmax < 1:
         raise DomainError("kmax must be >= 1")
+    _require_positive_variance(spec, f)
     theta = {}
     verdicts = {}
     lags = range(1, kmax + 1)

@@ -144,9 +144,11 @@ class ProcessSpec:
         """sigma2 before the sign check."""
         raise NotImplementedError
 
-    def _simulate_block(self, f, n: int, gens):
-        """Yield X_1, ..., X_n, one array over the block's replicates per step;
-        replicate r draws from gens[r] only, always in the same order."""
+    def _simulate_block(self, f, n: int, gens, checkpoints: tuple):
+        """Yield (t, x) for increasing t up to the last of the sorted `checkpoints`:
+        x the sum of X over the steps after the previous yield through step t, one
+        array over the block's replicates; every checkpoint is the t of a yield.
+        Replicate r draws from gens[r] only, always in the same order."""
         raise NotImplementedError
 
     def _exact_law(self, f, n: int):
@@ -185,16 +187,17 @@ class DoublingMap(ProcessSpec):
             n += 1
         return sigma2
 
-    def _simulate_block(self, f, n, gens):
-        # per frequency j the phase j w mod 2^64 is exact: (cos, sin) of its top
-        # _PHASE_BITS bits come from tables, of its low bits (< 1.6e-3 rad) from a short
-        # series, joined by the angle-sum rule.  The constant of the centered f is dropped
+    def _simulate_block(self, f, n, gens, checkpoints):
+        # one step per yield.  Per frequency j the phase j w mod 2^64 is exact: (cos, sin)
+        # of its top _PHASE_BITS bits come from tables, of its low bits (< 1.6e-3 rad) from
+        # a short series, joined by the angle-sum rule.  The constant of the centered f is
+        # dropped
         cos_h, sin_h = _phase_tables()
         top = np.uint64(64 - _PHASE_BITS)
         low = np.uint64((1 << (64 - _PHASE_BITS)) - 1)
         terms = [(np.uint64(j), f.cos_coeffs[j - 1], f.sin_coeffs[j - 1])
                  for j in np.flatnonzero((f.cos_coeffs != 0.0) | (f.sin_coeffs != 0.0)) + 1]
-        for w in _doubling_states(*_draw_words(gens, n)):
+        for step, w in enumerate(_doubling_states(*_draw_words(gens, n)), 1):
             x = None
             for j, a, b in terms:
                 th = w if j == 1 else w * j
@@ -224,7 +227,7 @@ class DoublingMap(ProcessSpec):
                     t += s
                     t *= b
                     x = t if x is None else x + t
-            yield x
+            yield step, x
 
     def _exact_law(self, f, n):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
@@ -302,27 +305,61 @@ class CircleWalk(ProcessSpec):
             sigma2 += w / math.tan(math.pi * frac) ** 2
         return sigma2
 
-    def _simulate_block(self, f, n, gens):
-        # x_t = x0 + k_t a: per frequency j, the angle-sum rule on 2 pi j x0 and 2 pi {j k_t a}
-        w0, bits = _draw_bit_paths(gens, n)
-        x0 = (w0 >> np.uint64(11)) * 2.0 ** -53  # what Generator.random makes of w0
+    def _simulate_block(self, f, n, gens, checkpoints):
+        # x_t = x0 + k_t a.  Per frequency j, e_k = (cos, sin) 2 pi {j k a} at row n + k of
+        # exact tables, |k| <= n.  A segment of m steps with bits b from walk position k
+        # visits k + d_s(b), s = 1..m, so it adds sum_s e_{k + d_s} = e_k D_m(b) with
+        # D_m(b) = sum_s e_{d_s(b)}, tabulated per block for every m and M-bit b (D_m reads
+        # b's low m bits), and the X it adds sum to Re(W e_k D_m(b)), with the start's
+        # rotation W = (a_j - i b_j) e^{2 pi i j x0}.
+        # Segments hold up to M steps and end at word ends and checkpoints
+        head, words = _draw_words(gens, n)
+        x0 = (head >> np.uint64(11)) * 2.0 ** -53  # what Generator.random makes of the head
+        top = min(_SEGMENT_BITS, n)  # M: the rows n + d_s(b), |d_s| <= M, stay in the tables
+        bits = np.arange(1 << top)[:, None] >> np.arange(top) & 1
+        walk = np.cumsum(2 * bits - 1, axis=1)  # d_s(b) at [b, s - 1]
         num, den = self.a.ratio
         terms = []
         for j in np.flatnonzero((f.cos_coeffs != 0.0) | (f.sin_coeffs != 0.0)) + 1:
             th = 2.0 * math.pi * np.fromiter(  # exact_frac(a, j k) at row n + k, |k| <= n
                 (jk * num % den / den for jk in range(-n * j, n * j + 1, j)), float, 2 * n + 1)
+            cos_t, sin_t = np.cos(th), np.sin(th, out=th)
+            # D_m(b) at [m - 1, b]: the sum of e over b's walk, in step order
+            seg_cos = np.cumsum(cos_t[n + walk], axis=1).T.copy()
+            seg_sin = np.cumsum(sin_t[n + walk], axis=1).T.copy()
+            a, b = f.cos_coeffs[j - 1], f.sin_coeffs[j - 1]
             cx, sx = np.cos((2.0 * math.pi * j) * x0), np.sin((2.0 * math.pi * j) * x0)
-            parts = ((f.cos_coeffs[j - 1], cx, sx), (f.sin_coeffs[j - 1], sx, -cx))
-            terms.append((np.cos(th), np.sin(th), [p for p in parts if p[0] != 0.0]))
+            terms.append((cos_t, sin_t, seg_cos, seg_sin, a * cx + b * sx, a * sx - b * cx))
+        moves = walk.T.copy()  # d_m(b) at [m - 1, b]
+        mask = np.uint64((1 << top) - 1)
         row = np.full(len(gens), n)
-        for b in bits:
-            row += 2 * b.view(np.int64) - 1
-            x = f.constant  # FourierFn.eval's order of terms
-            for cos_t, sin_t, parts in terms:
-                c, s = cos_t.take(row), sin_t.take(row)
-                for coef, p, q in parts:  # a_j (cx c - sx s), then b_j (sx c + cx s)
-                    x = x + coef * (p * c - q * s)
-            yield x
+        t, ends = 0, iter(checkpoints)
+        end = next(ends)
+        for word, k in words:
+            s = 0
+            while s < k:
+                m = min(top, k - s, end - t)
+                pat = (word >> np.uint64(s) & mask).view(np.int64)
+                x = None
+                for cos_t, sin_t, seg_cos, seg_sin, wr, wi in terms:
+                    c, sn = cos_t.take(row), sin_t.take(row)
+                    dc, ds = seg_cos[m - 1].take(pat), seg_sin[m - 1].take(pat)
+                    v = c * dc  # Re(W e_k D_m(b)) = wr (c dc - sn ds) - wi (c ds + sn dc)
+                    v -= sn * ds
+                    v *= wr
+                    c *= ds
+                    c += sn * dc
+                    c *= wi
+                    v -= c
+                    x = v if x is None else x + v
+                row += moves[m - 1].take(pat)
+                s += m
+                t += m
+                yield t, x
+                if t == end:
+                    end = next(ends, None)
+                    if end is None:
+                        return
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,15 +423,15 @@ class FiniteChain(ProcessSpec):
         fundamental = np.linalg.solve(np.eye(self.n_states) - self.transition + proj, v)
         return var0 + 2.0 * float(pi @ (v * (fundamental - v)))
 
-    def _simulate_block(self, f, n, gens):
+    def _simulate_block(self, f, n, gens, checkpoints):
         u = _chunked_draws(gens, n + 1, lambda g, k: g.random(k))
         last = self.n_states - 1
         state = np.searchsorted(np.cumsum(self.stationary), next(u), side="right").clip(0, last)
         p_cum = np.cumsum(self.transition, axis=1)
         values = self.centered_values
-        for ut in u:
+        for t, ut in enumerate(u, 1):
             state = (p_cum[state] < ut[:, None]).sum(axis=1).clip(0, last)
-            yield values[state]
+            yield t, values[state]
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,9 +460,9 @@ class IIDLaw(ProcessSpec):
     def _long_run_variance(self, f):
         return self.var
 
-    def _simulate_block(self, f, n, gens):
-        for x in _chunked_draws(gens, n, self.sampler):
-            yield x.copy()
+    def _simulate_block(self, f, n, gens, checkpoints):
+        for t, x in enumerate(_chunked_draws(gens, n, self.sampler), 1):
+            yield t, x.copy()
 
     def _exact_law(self, f, n):
         # of the i.i.d. laws only the signs' S_n has a known law: binomial, by log weights
@@ -737,6 +774,7 @@ _BITS_PER_WORD = 64
 _CHUNK_WORDS = 16  # step words per replicate and raw call: a block holds reps * 16 at a time
 _CHUNK_STEPS = _CHUNK_WORDS * _BITS_PER_WORD  # a chain's or i.i.d. law's draws per call
 _PHASE_BITS = 12  # the doubling kernel's (cos, sin) tables hold 2^12 angles, 32 KiB each
+_SEGMENT_BITS = 8  # most steps the circle walk sums with one table product
 _TURN = 2.0 * math.pi * 2.0 ** -64  # radians per unit of a 64-bit phase
 
 
@@ -774,14 +812,6 @@ def _draw_words(gens, n: int):
     return words[0], rows(words[1:])
 
 
-def _draw_bit_paths(gens, n: int):
-    """The head words of `_draw_words` and an iterator over the n per-step bit
-    columns of its step words, the circle walk's +1/-1 steps."""
-    head, words = _draw_words(gens, n)
-    bits = ((word >> np.uint64(s)) & np.uint64(1) for word, k in words for s in range(k))
-    return head, bits
-
-
 def _doubling_states(w, words):
     """The doubling-map states xi_{t+1} = (xi_t + B_t)/2, t >= 0, from xi_0 = w and
     the step words, exactly, in 64-bit fixed point: s steps into a word its low s
@@ -812,12 +842,18 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
 
     Replicate r consumes substream(seed, r) only, so ensembles are
     reproducible bit for bit and independent of block scheduling.  The
-    doubling map's states are 64-bit fixed-point words (the map (x+B)/2 is
-    exact there), each taken straight from its step word, and it reads
-    (cos, sin)(2 pi j w 2^-64) from the exact phase j w mod 2^64 and a table;
-    the circle walk reads (cos, sin)(2 pi {j k a}), {j k a} exact, from tables
-    at its walk k.  Neither calls FourierFn.eval.  A finite chain and an i.i.d.
-    law draw at most 1024 values per replicate at a time.
+    family's hook hands over sums of X over runs of steps that end at every
+    checkpoint, and S adds them up.  The doubling map, a finite chain and an
+    i.i.d. law hand over one step at a time.  The doubling map's states are
+    64-bit fixed-point words (the map (x+B)/2 is exact there), each taken
+    straight from its step word, and it reads (cos, sin)(2 pi j w 2^-64) from
+    the exact phase j w mod 2^64 and a table.  The circle walk hands over a
+    segment of up to _SEGMENT_BITS steps at a time: the steps only move the walk
+    k, so per frequency the segment's sum is the table entry (cos, sin)
+    2 pi {j k a}, {j k a} exact, at its start, times a table of the segment's
+    own step bits, rotated by the start x0.  Neither calls FourierFn.eval.  A
+    finite chain and an i.i.d. law draw at most 1024 values per replicate at a
+    time.
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")
@@ -832,7 +868,7 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
         stop = min(start + _BLOCK_SIZE, reps)
         gens = [substream(seed, r).generator() for r in range(start, stop)]
         s = np.zeros(stop - start)
-        for t, x in enumerate(spec._simulate_block(f, n, gens), 1):
+        for t, x in spec._simulate_block(f, n, gens, checkpoints):
             s += x
             if t in column:
                 sums[start:stop, column[t]] = s

@@ -631,6 +631,44 @@ class TestCli:
         assert "long-run variance is not positive" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
+    @pytest.mark.parametrize("d", [
+        {"process": {"type": "doubling_map"}, "observable": {"cos": [1.0, -1.0]}},
+        {"process": {"type": "doubling_map"}, "observable": {}},
+        {"process": dict(CHAIN, values=[1.0, 1.0])}],
+        ids=["doubling-coboundary", "doubling-zero", "chain-constant"])
+    def test_diagnose_refuses_zero_variance(self, tmp_path, capsys, d):
+        # the configs that run refuses: diagnose used to tabulate them, every theta
+        # series `converging`, and exit 0
+        from meanclt.cli import main
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(dict(d, n_grid=[64], reps=100)))
+        assert main(["diagnose", "--config", str(path), "--kmax", "4", "--window", "1",
+                     "--output", str(tmp_path / "d.json")]) == 2
+        assert "long-run variance is not positive" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_run_output_builds_the_config_once(self, tmp_path, monkeypatch):
+        # --output goes into the config dict, so sigma2 is computed once for the config
+        # and once by the run; setting it on a built config computed the config's twice
+        from meanclt.cli import main
+        calls = []
+
+        def long_run_variance(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = harness.long_run_variance
+        monkeypatch.setattr(harness, "long_run_variance", long_run_variance)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"process": {"type": "doubling_map"},
+                                    "observable": {"cos": [1.0]}, "n_grid": [16, 32],
+                                    "reps": 100, "targets": ["empirical_d1"]}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+        assert len(calls) == 2
+        manifest = json.loads((tmp_path / "o.manifest.json").read_text())
+        assert manifest["config"]["output"] == str(out)
+
     @pytest.mark.parametrize("observable, message", [
         (None, "the doubling_map process needs a FourierFn observable"),
         ({"constant": 0.5, "cos": [1.0]}, "the observable must be centered")],

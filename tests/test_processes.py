@@ -10,9 +10,9 @@ from meanclt.errors import DivergenceError, DomainError, PreconditionError, Sche
 from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
 from meanclt import bounds, processes
 from meanclt.numerics import integrate_unit, substream
-from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS, CircleWalk,
-                               DoublingMap, FiniteChain, SplitReal, _doubling_states,
-                               _draw_bit_paths, _draw_words, _exp_i_tau_f, _phase_tables,
+from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS,
+                               _SEGMENT_BITS, CircleWalk, DoublingMap, FiniteChain, SplitReal,
+                               _doubling_states, _draw_words, _exp_i_tau_f, _phase_tables,
                                exact_frac, exact_law, iid_gaussian, iid_rademacher,
                                is_martingale, long_run_variance, process_from_dict,
                                resolvent_tail, simulate, sqrt2_minus_one, transfer)
@@ -50,24 +50,118 @@ def circle_start_and_walk(g, n):
 
 
 def replay_circle(g, n, f=cosine(1)):
-    """Circle-walk kernel by hand: f(x0 + k a) per frequency j by the angle-sum
-    rule on (cos, sin)(2 pi j x0) and on tables of (cos, sin)(2 pi {j k a}),
-    |k| <= n, built from exact_frac."""
-    x0, k = circle_start_and_walk(g, n)
-    xs = np.full(n, f.constant)
+    """Circle-walk X_1..X_n by hand, one step at a time: f(x0 + k a) per frequency j
+    by the angle-sum rule on (cos, sin)(2 pi j x0) and on tables of
+    (cos, sin)(2 pi {j k a}), |k| <= n, built from exact_frac."""
+    return circle_steps(*circle_start_and_walk(g, n), f)
+
+
+def circle_tables(x0, n, f):
+    """Per frequency j of f in increasing order: its coefficients a_j, b_j, the tables
+    (cos, sin)(2 pi {j k a}) at index n + k, |k| <= n, and (cos, sin)(2 pi j x0), each
+    by numpy on an array as the kernel takes them."""
+    out = []
     for j in range(1, f.max_freq + 1):
         a, b = f.cos_coeffs[j - 1], f.sin_coeffs[j - 1]
         if a == 0.0 and b == 0.0:
             continue
         th = 2.0 * math.pi * np.array([exact_frac(CW.a, j * i) for i in range(-n, n + 1)])
-        c, s = np.cos(th)[n + k], np.sin(th)[n + k]
         th0 = (2.0 * math.pi * j) * np.array([x0])
-        cx, sx = np.cos(th0)[0], np.sin(th0)[0]
+        out.append((a, b, np.cos(th), np.sin(th), np.cos(th0)[0], np.sin(th0)[0]))
+    return out
+
+
+def circle_steps(x0, k, f=cosine(1)):
+    """X_t = f(x0 + k_t a) of the walk k_1..k_n, per step as `replay_circle` says."""
+    n = len(k)
+    xs = np.full(n, f.constant)
+    for a, b, cos_t, sin_t, cx, sx in circle_tables(x0, n, f):
+        c, s = cos_t[n + k], sin_t[n + k]
         if a != 0.0:
             xs = xs + a * (cx * c - sx * s)
         if b != 0.0:
             xs = xs + b * (sx * c + cx * s)
     return xs
+
+
+def circle_segments(x0, k, checkpoints, f=cosine(1)):
+    """The circle-walk kernel's (t, x) by hand, in its segment form, for the walk
+    k_1..k_n and a centered f.  From walk position k_t a segment takes m <=
+    _SEGMENT_BITS steps, ending at a word end (t a multiple of 64) or a checkpoint,
+    and adds per frequency j, in increasing j, Re(W e D): e = (c, s) the tables of
+    `circle_steps` at k_t, D = (dc, ds) their sum over the segment's own walk
+    k_{t+i} - k_t, i = 1..m, in step order, and W = (a_j - i b_j)(cx + i sx).  Each
+    float operation is the kernel's, in its order."""
+    n = len(k)
+    walk = np.concatenate([[0], k])
+    tables = circle_tables(x0, n, f)
+    pairs, t = [], 0
+    for end in sorted(set(checkpoints)):
+        while t < end:
+            m = min(_SEGMENT_BITS, 64 - t % 64, end - t)
+            x = None
+            for a, b, cos_t, sin_t, cx, sx in tables:
+                c, s = cos_t[n + walk[t]], sin_t[n + walk[t]]
+                dc, ds = cos_t[n + walk[t + 1] - walk[t]], sin_t[n + walk[t + 1] - walk[t]]
+                for d in walk[t + 2:t + m + 1] - walk[t]:
+                    dc, ds = dc + cos_t[n + d], ds + sin_t[n + d]
+                wr, wi = a * cx + b * sx, a * sx - b * cx
+                v = wr * (c * dc - s * ds) - wi * (c * ds + s * dc)
+                x = v if x is None else x + v
+            t += m
+            pairs.append((t, x))
+    return pairs
+
+
+def replay_circle_segments(g, n, checkpoints, f=cosine(1)):
+    """`circle_segments` of the walk replicate g draws."""
+    return circle_segments(*circle_start_and_walk(g, n), checkpoints, f)
+
+
+def sums_at(pairs, checkpoints):
+    """S at the checkpoints, from (t, x) pairs added up as `simulate` adds them."""
+    s, sums = 0.0, {}
+    for t, x in pairs:
+        s += x
+        sums[t] = s
+    return np.array([sums[c] for c in checkpoints])
+
+
+U = 2.0 ** -53
+
+
+def assert_near_per_step(x0, k, pairs, f=cosine(1)):
+    """The segment form's running sums S_t (`pairs` from `circle_segments`) against
+    the per-step form's float cumsum of `circle_steps`, within their rounding.
+
+    Both evaluate in floats the same exact sum T_t = sum_{s<=t} sum_j Re(W_j e(k_s))
+    of the same rounded inputs: the tables e = (c, s), |e| <= rho = 1 + 8u (numpy's
+    cos and sin within 4 ulp), and cx, sx; u = 2^-53, L = sum_j |a_j| + |b_j|, and
+    P terms a_j, b_j != 0 in F frequencies.
+    Per step form: a term a (p c - q s) rounds within 3.01 u |a| rho^2, as
+    |p c| + |q s| <= |(p, q)| |e|, and the sum of the P terms adds up to u L per
+    term: (P + 4) u L per step.
+    Segment form, m <= 8 steps: D rounds within delta = u (m (m + 1)/2 - 1) per
+    component (a sum of m values of size <= 1), W within 2.01 u (|a| + |b|) rho per
+    component, and Re(W e D) within 4.3 u |W| |e| |D| (three roundings on
+    |wr| + |wi| <= sqrt 2 |W|), |D| <= m rho: per frequency (8.4 m + 1.42 delta / u)
+    u (|a| + |b|), and the sum over frequencies adds up to m u L per frequency.
+    Per step that is at most (8.4 + 0.71 (m + 1) + F) u L <= (15 + F) u L.
+    Each float sum S += x adds u |S| at the S it makes, per step in the one form
+    and per segment in the other.  So
+      |S_t(segments) - S_t(steps)| <= t (P + F + 19) u L
+                                      + u (sum_{s<=t} |S_s(steps)| + sum |S(segment ends <= t)|).
+    """
+    steps = np.cumsum(circle_steps(x0, k, f))
+    coeffs = np.concatenate([f.cos_coeffs, f.sin_coeffs])
+    terms, freqs = np.count_nonzero(coeffs), np.count_nonzero(f.cos_coeffs + 1j * f.sin_coeffs)
+    per_step = (terms + freqs + 19) * U * np.abs(coeffs).sum()
+    s, seg_abs = 0.0, 0.0
+    for t, x in pairs:
+        s += x
+        seg_abs += abs(s)
+        bound = t * per_step + U * (np.abs(steps[:t]).sum() + seg_abs)
+        assert abs(s - steps[t - 1]) <= bound, (t, s, steps[t - 1], bound)
 
 
 def replay_circle_split(g, n, f=cosine(1)):
@@ -178,9 +272,12 @@ def sample_states(spec, step: int, reps: int, seed: int = 0) -> np.ndarray:
         for w in _doubling_states(w, words):
             pass
         return w.astype(np.float64) * 2.0 ** -64
-    w0, bits = _draw_bit_paths(gens, step)
+    w0, words = _draw_words(gens, step)
     x0 = (w0 >> np.uint64(11)) * 2.0 ** -53
-    k = sum((2 * b.view(np.int64) - 1 for b in bits), np.zeros(reps, dtype=np.int64))
+    k = np.zeros(reps, dtype=np.int64)
+    for word, m in words:
+        for s in range(m):
+            k += 2 * (word >> np.uint64(s) & np.uint64(1)).view(np.int64) - 1
     return np.array([(x + exact_frac(spec.a, int(c))) % 1.0 for x, c in zip(x0, k)])
 
 
@@ -603,8 +700,10 @@ class TestSimulate:
         from meanclt.numerics import substream
         f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
         n, reps, seed = 200, 5, 17
-        xs = np.array(list(DM._simulate_block(
-            f, n, [substream(seed, r).generator() for r in range(reps)])))
+        pairs = list(DM._simulate_block(
+            f, n, [substream(seed, r).generator() for r in range(reps)], (n,)))
+        assert [t for t, _ in pairs] == list(range(1, n + 1))  # one step per yield
+        xs = np.array([x for _, x in pairs])
         wraps = 0
         for r in range(reps):
             wraps += sum(3 * w >> 64 for w in doubling_states(substream(seed, r).generator(), n))
@@ -623,7 +722,7 @@ class TestSimulate:
         states = [doubling_states(g, n) for g in gens()]
         for j in (1, 2, 3, 7, 64):
             for f, fn in ((cosine(j), mpmath.cos), (sine(j), mpmath.sin)):
-                xs = np.array(list(DM._simulate_block(f, n, gens())))
+                xs = np.array([x for _, x in DM._simulate_block(f, n, gens(), (n,))])
                 err = max(abs(float(xs[t, r] - fn(2 * mpmath.pi * j * mpmath.mpf(w) / 2 ** 64)))
                           for r in range(reps) for t, w in enumerate(states[r]))
                 assert err <= 2.0 ** -52, (j, fn, err)
@@ -682,22 +781,25 @@ class TestSimulate:
             assert np.max(np.abs(np.cos(2.0 * np.pi * xs) - x_step)) <= 1e-14, spec.label
 
     @pytest.mark.parametrize("spec, f, replay", [
-        (CW, cosine(1), replay_circle),
-        (two_state_chain(), None, replay_chain),
-        (iid_gaussian(1.5), None, replay_iid)], ids=["circle", "chain", "iid"])
+        (CW, cosine(1), replay_circle_segments),
+        (two_state_chain(), None, lambda g, n, cps: enumerate(replay_chain(g, n), 1)),
+        (iid_gaussian(1.5), None, lambda g, n, cps: enumerate(replay_iid(g, n), 1))],
+        ids=["circle", "chain", "iid"])
     def test_kernel_replay(self, spec, f, replay):
-        # row r consumes substream(seed, r) only, in the order replayed here
-        from meanclt.numerics import substream
-        n, reps, seed = 75, 6, 314
-        ens = simulate_in_blocks(4, spec, f, n, reps, checkpoints=[1, 40, n], seed=seed)
+        # row r consumes substream(seed, r) only, in the order replayed here; a replay
+        # gives the (t, x) sums the kernel hands over, per step or per circle segment
+        n, reps, seed, cps = 75, 6, 314, [1, 40, 75]
+        ens = simulate_in_blocks(4, spec, f, n, reps, checkpoints=cps, seed=seed)
         for r in range(reps):
-            partial = np.cumsum(replay(substream(seed, r).generator(), n))
-            assert np.array_equal(partial[[0, 39, n - 1]], ens.partial_sums[r])
+            pairs = list(replay(substream(seed, r).generator(), n, cps))
+            assert np.array_equal(sums_at(pairs, cps), ens.partial_sums[r])
+            if spec is CW:
+                assert_near_per_step(*circle_start_and_walk(substream(seed, r).generator(), n),
+                                     pairs)
 
     def test_circle_kernel_near_split_formula(self):
         # per step the split formula loses up to ulp(k a) ~ 1e-14 in the position at
         # |k| < 256, so S_n may move by up to n * 2 pi * 1e-14 ~ 1e-9 at n = 16384
-        from meanclt.numerics import substream
         n, reps, seed = 16384, 4, 11
         ens = simulate(CW, cosine(1), n, reps, seed=seed)
         for r in range(reps):
@@ -705,49 +807,91 @@ class TestSimulate:
             assert abs(old - ens.partial_sums[r, 0]) <= 1e-9
 
     def test_circle_kernel_per_step_accuracy(self):
-        # with all step bits 1 (or 0) the walk is k_t = t (or -t), so X_t = cos 2 pi (x0 + k_t a)
-        # is checked at |k| up to 4096 against 40 digits
+        # with all step bits 1 (or 0) the walk is k_t = t (or -t), so S_t is the sum of
+        # cos 2 pi (x0 + s a), s = +-1..+-t, checked at every segment end to |k| = 4096
+        # against 40 digits.  Its error: the rounded inputs, within 8 2^-52 per step (as
+        # the per-step kernel was held to), and the segment form's rounding, (15 + F) u L
+        # per step and u |S| per segment (`assert_near_per_step`).  The split formula's
+        # partial sums err by over 100 times as much
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         n, head = 4096, 0x9E3779B97F4A7C15
+        cps = tuple(range(5, n, 37)) + (n,)
         gens = [FixedWords(head, (1 << 64) - 1), FixedWords(head, 0)]
-        xs = np.array(list(CW._simulate_block(cosine(1), n, gens)))
+        pairs = list(CW._simulate_block(cosine(1), n, gens, cps))
+        assert [t for t, _ in pairs][-1] == n
         x0 = (head >> 11) * 2.0 ** -53
         table_err, split_err = 0.0, 0.0
         for col, sign in ((0, 1), (1, -1)):
+            sums = dict(zip([t for t, _ in pairs], np.cumsum([x[col] for _, x in pairs])))
+            exact, split, seg_abs = mpmath.mpf(0), 0.0, 0.0
             for t in range(1, n + 1):
                 k = sign * t
                 pos = Fraction(x0) + k * CW.a.as_fraction()
-                exact = mpmath.cos(2 * mpmath.pi * mpmath.mpf(pos.numerator) / pos.denominator)
-                split = math.cos(2.0 * math.pi * np.mod(x0 + k * CW.a.hi + k * CW.a.lo, 1.0))
-                table_err = max(table_err, abs(float(xs[t - 1, col] - exact)))
+                exact += mpmath.cos(2 * mpmath.pi * mpmath.mpf(pos.numerator) / pos.denominator)
+                split += math.cos(2.0 * math.pi * np.mod(x0 + k * CW.a.hi + k * CW.a.lo, 1.0))
                 split_err = max(split_err, abs(float(split - exact)))
-        assert table_err <= 8 * 2.0 ** -52
+                if t in sums:
+                    err = abs(float(sums[t] - exact))
+                    seg_abs += abs(sums[t])
+                    assert err <= t * (16 + 16) * U + U * seg_abs, (t, err)
+                    table_err = max(table_err, err)
         assert split_err > 100 * table_err
 
     def test_circle_kernel_replay_mixed_observable(self):
-        # a constant, cosines at j = 1 and 3 and a sine at j = 3, step by step
-        from meanclt.numerics import substream
-        f = FourierFn(0.25, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
-        n, reps, seed = 200, 5, 17
-        xs = np.array(list(CW._simulate_block(
-            f, n, [substream(seed, r).generator() for r in range(reps)])))
+        # cosines at j = 1 and 3 and a sine at j = 3, segment by segment
+        f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
+        n, reps, seed, cps = 200, 5, 17, (37, 100, 200)
+        pairs = list(CW._simulate_block(
+            f, n, [substream(seed, r).generator() for r in range(reps)], cps))
         for r in range(reps):
-            assert np.array_equal(xs[:, r], replay_circle(substream(seed, r).generator(), n, f))
+            replay = replay_circle_segments(substream(seed, r).generator(), n, cps, f)
+            assert [(t, x[r]) for t, x in pairs] == replay
+            assert_near_per_step(*circle_start_and_walk(substream(seed, r).generator(), n),
+                                 replay, f)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
+    def test_circle_segments_at_the_edges(self, n):
+        # a checkpoint at every step, at n alone, and off the multiples of 8; all-ones and
+        # all-zeros words walk to k = n and k = -n, the ends of the tables, and n < 8
+        # caps the segments (and their tables) at n steps
+        f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
+        head, reps, seed = 0x9E3779B97F4A7C15, 3, 8
+        x0 = (head >> 11) * 2.0 ** -53
+        for cps in (tuple(range(1, n + 1)), (n,), tuple(c for c in (3, 13, 70) if c < n) + (n,)):
+            for fill, sign in (((1 << 64) - 1, 1), (0, -1)):
+                k = sign * np.arange(1, n + 1)
+                pairs = [(t, x[0]) for t, x in CW._simulate_block(f, n, [FixedWords(head, fill)],
+                                                                  cps)]
+                assert pairs == circle_segments(x0, k, cps, f)
+                assert_near_per_step(x0, k, pairs, f)
+            ens = simulate(CW, f, n, reps, checkpoints=cps, seed=seed)
+            for r in range(reps):
+                pairs = replay_circle_segments(substream(seed, r).generator(), n, cps, f)
+                assert np.array_equal(sums_at(pairs, cps), ens.partial_sums[r])
+
+    def test_circle_kernel_sums_segments(self):
+        # a structural guard, with no timer: the hook hands over at most one sum per
+        # 8 steps, per word end and per checkpoint, so a per-step fallback fails
+        n, cps = 4096, (100, 1000, 2049, 4096)
+        gens = [substream(1, r).generator() for r in range(3)]
+        yields = sum(1 for _ in CW._simulate_block(cosine(1), n, gens, cps))
+        assert yields <= -(-n // 8) + -(-n // 64) + len(cps)
 
     @pytest.mark.parametrize("n", [64 * _CHUNK_WORDS - 1, 64 * _CHUNK_WORDS,
                                    64 * _CHUNK_WORDS + 1, 1000])
     def test_chunk_boundaries_and_block_sizes(self, n):
-        from meanclt.numerics import substream
-        reps, seed = 9, 23
+        reps, seed, cps = 9, 23, [1, 63, 64, 65, n]
         for spec in (DM, CW):
             sums = [simulate_in_blocks(bs, spec, cosine(1), n, reps,
-                                       checkpoints=[1, 63, 64, 65, n], seed=seed).partial_sums
+                                       checkpoints=cps, seed=seed).partial_sums
                     for bs in (1, 7, 4096)]
             assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
         for r in (0, reps - 1):
-            partial = np.cumsum(replay_circle(substream(seed, r).generator(), n))
-            assert np.array_equal(partial[[0, 62, 63, 64, n - 1]], sums[0][r])
+            pairs = replay_circle_segments(substream(seed, r).generator(), n, cps)
+            assert np.array_equal(sums_at(pairs, cps), sums[0][r])
+            assert_near_per_step(*circle_start_and_walk(substream(seed, r).generator(), n),
+                                 pairs)
 
     @pytest.mark.parametrize("n", [0, 1, 64 * _CHUNK_WORDS - 1, 64 * _CHUNK_WORDS,
                                    64 * _CHUNK_WORDS + 1, 3 * 64 * _CHUNK_WORDS + 100])
@@ -755,8 +899,9 @@ class TestSimulate:
         from meanclt.numerics import substream
         reps, seed, n_words = 3, 5, (n + 63) // 64
         gens = [CountingGenerator(substream(seed, r).generator()) for r in range(reps)]
-        head, bits = _draw_bit_paths(gens, n)
-        cols = np.array(list(bits), dtype=np.uint64).reshape(n, reps)
+        head, words = _draw_words(gens, n)
+        cols = np.array([word >> np.uint64(s) & np.uint64(1) for word, k in words
+                         for s in range(k)], dtype=np.uint64).reshape(n, reps)
         for r, g in enumerate(gens):
             words = substream(seed, r).generator().bit_generator.random_raw(1 + n_words)
             assert head[r] == words[0]
