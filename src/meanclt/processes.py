@@ -227,7 +227,7 @@ class DoublingMap(ProcessSpec):
                     t += s
                     t *= b
                     x = t if x is None else x + t
-            yield step, x
+            yield step, 0.0 if x is None else x  # None: f = 0
 
     def _exact_law(self, f, n):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
@@ -355,7 +355,7 @@ class CircleWalk(ProcessSpec):
                 row += moves[m - 1].take(pat)
                 s += m
                 t += m
-                yield t, x
+                yield t, 0.0 if x is None else x  # None: f = 0
                 if t == end:
                     end = next(ends, None)
                     if end is None:

@@ -953,6 +953,12 @@ class TestSimulate:
         assert small <= mid and abs(large - mid) <= 64 * 1024
         assert mid < 8 * 4097 * reps / 2
 
+    def test_zero_observable_sums_to_zero(self):
+        # no frequency to sum: the interval-map kernels hand over zeros
+        for spec in (DM, CW):
+            ens = simulate(spec, FourierFn(0.0, [0.0], []), 70, 3, checkpoints=[9, 70], seed=2)
+            assert not ens.partial_sums.any(), spec.label
+
     def test_column_lookup(self):
         ens = simulate(DM, cosine(1), 64, 50, checkpoints=[16, 64], seed=1)
         assert np.array_equal(ens.column(16), ens.partial_sums[:, 0])
