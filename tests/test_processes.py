@@ -49,13 +49,6 @@ def circle_start_and_walk(g, n):
     return x0, np.cumsum(2 * np.array(step_bits(row_bit_words(g, (n + 63) // 64), n)) - 1)
 
 
-def replay_circle(g, n, f=cosine(1)):
-    """Circle-walk X_1..X_n by hand, one step at a time: f(x0 + k a) per frequency j
-    by the angle-sum rule on (cos, sin)(2 pi j x0) and on tables of
-    (cos, sin)(2 pi {j k a}), |k| <= n, built from exact_frac."""
-    return circle_steps(*circle_start_and_walk(g, n), f)
-
-
 def circle_tables(x0, n, f):
     """Per frequency j of f in increasing order: its coefficients a_j, b_j, the tables
     (cos, sin)(2 pi {j k a}) at index n + k, |k| <= n, and (cos, sin)(2 pi j x0), each
@@ -72,7 +65,9 @@ def circle_tables(x0, n, f):
 
 
 def circle_steps(x0, k, f=cosine(1)):
-    """X_t = f(x0 + k_t a) of the walk k_1..k_n, per step as `replay_circle` says."""
+    """Circle-walk X_1..X_n of the walk k_1..k_n by hand, one step at a time: f(x0 + k a)
+    per frequency j by the angle-sum rule on (cos, sin)(2 pi j x0) and on the tables
+    of (cos, sin)(2 pi {j k a}) of `circle_tables`."""
     n = len(k)
     xs = np.full(n, f.constant)
     for a, b, cos_t, sin_t, cx, sx in circle_tables(x0, n, f):
