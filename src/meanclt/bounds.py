@@ -111,20 +111,52 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None) -> MomentSummary:
 # ---------------------------------------------------------------------------
 
 
-def _partial_sums(spec: ProcessSpec, z: FourierFn, count: int) -> list:
-    """[R_0, ..., R_count] with R_j = sum_{d<=j} K^d z and R_0 = 0.
+@dataclass
+class _Sequence:
+    """A sequence remembered for the run's observable and extended on demand:
+    its entries so far, whether it has ended, and for the drift sums R_j the
+    last increment K^j z (None while j = 0)."""
+
+    values: list
+    stopped: bool = False
+    term: Optional[FourierFn] = None
+
+
+def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -> list:
+    """[R_0, ..., R_count] with R_j = sum_{d<=j} K^d z and R_0 = 0, for z = f or
+    z = compensator(spec, f).
 
     Once an increment falls to 1e-16 of the sum in coefficient l1 it is
-    dropped, and every later entry is the same object as the last one.
+    dropped, and every later entry is the same object as the last one.  The
+    sums are remembered for the run's observable f and extended on demand, so
+    the bounds at the n of a run sum one sequence once; z is formed only while
+    R_1 is missing, and is not kept, f being the memo's key.
     """
-    sums = [constant_fn(0.0)]
-    term = z
-    for _ in range(count):
-        term = transfer(spec, term, 1)
+    state = _QUAD_MEMO.setdefault(f, {}).setdefault(("sums", spec, compensator),
+                                                    _Sequence([constant_fn(0.0)]))
+    sums = state.values
+    while len(sums) <= count and not state.stopped:
+        if state.term is not None:
+            z = state.term
+        else:
+            z = f if compensator is None else compensator(spec, f)
+        term = transfer(spec, z, 1)
         if term.coeff_l1() <= _STABLE_EPS * (1.0 + sums[-1].coeff_l1()):
-            return sums + [sums[-1]] * (count + 1 - len(sums))
-        sums.append(sums[-1] + term)
-    return sums
+            state.stopped = True
+        else:
+            state.term = term
+            sums.append(sums[-1] + term)
+    return sums[:count + 1] + [sums[-1]] * (count + 1 - len(sums))
+
+
+def _remembered(f: FourierFn, key: tuple, count: int, more) -> list:
+    """The first `count` entries of the per-m list remembered under `key` for the
+    run's observable f; more(lo, count) gives entries lo + 1..count when the list
+    holds only lo of them."""
+    values = _QUAD_MEMO.setdefault(f, {}).setdefault(key, [])
+    if len(values) < count:
+        values.extend(more(len(values), count))
+    return values[:count]
 
 
 def _norms(sums: Sequence[FourierFn], norms) -> list:
@@ -163,7 +195,9 @@ def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
         raise DomainError("m must be >= 1")
     if isinstance(spec, IIDLaw):
         return (0.0, 0.0)
-    w = _partial_sums(spec, compensator(spec, f), m)[-1]
+    if f is None:
+        raise NotImplementedError(f"the {spec.label} process has no FourierFn transfer operator")
+    w = _partial_sums(spec, f, m, compensator)[-1]
     return _drift_pairs(f, [w], tol)[0]
 
 
@@ -209,36 +243,36 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
     mom = moments(spec, f)
     sigma, sigma2 = mom.sigma, mom.sigma2
 
-    first = 0.0
-    prev_norm = None
-    stopped = False
     # the tails go to quadrature _TAIL_CHUNK at a time; the sum stops at the
     # first zero tail (all later ones vanish as well for the interval maps)
-    # or at the first norm that no longer moves it
-    for lo in range(1, n + 1, _TAIL_CHUNK):
-        tails = []
-        for m in range(lo, min(lo + _TAIL_CHUNK, n + 1)):
+    # or at the first norm that no longer moves it.  The norms it keeps, and
+    # whether it stopped, are remembered for the run's observable
+    tails = _QUAD_MEMO.setdefault(f, {}).setdefault(("tails", spec, tol), _Sequence([]))
+    norms = tails.values
+    while len(norms) < n and not tails.stopped:
+        chunk = []
+        for m in range(len(norms) + 1, min(len(norms) + 1 + _TAIL_CHUNK, n + 1)):
             tail_m = resolvent_tail(spec, f, m)
             if tail_m.is_zero():
-                stopped = True
+                tails.stopped = True
                 break
-            tails.append(("weighted", tail_m))
-        for m, norm in enumerate(_l1_norms(f, tails, tol), lo):
-            if prev_norm is not None and norm <= _STABLE_EPS * (1.0 + prev_norm):
-                stopped = True
+            chunk.append(("weighted", tail_m))
+        for norm in _l1_norms(f, chunk, tol):
+            if norms and norm <= _STABLE_EPS * (1.0 + norms[-1]):
+                tails.stopped = True
                 break
-            first += norm / (sigma * math.sqrt(m))
-            prev_norm = norm
-        if stopped:
-            break
+            norms.append(norm)
+    first = 0.0
+    for m, norm in enumerate(norms[:n], 1):
+        first += norm / (sigma * math.sqrt(m))
 
-    f2, _ = product(f, f)
-    one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
+    def one_plus_norms(lo, count):
+        f2, _ = product(f, f)
+        one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
+        return _norms(_partial_sums(spec, f, count)[lo + 1:], lambda sums: _l1_norms(
+            f, (("l1", product(one_plus, s_m)[0]) for s_m in sums), tol))
 
-    def one_plus_norms(sums):
-        return _l1_norms(f, (("l1", product(one_plus, s_m)[0]) for s_m in sums), tol)
-
-    norms = _norms(_partial_sums(spec, f, n)[1:], one_plus_norms)
+    norms = _remembered(f, ("one_plus", spec, tol), n, one_plus_norms)
     second = sum(norm / (2.0 * m) for m, norm in enumerate(norms, 1))
     return CorrectionReport(total=first + second)
 
@@ -285,8 +319,11 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
     if isinstance(spec, IIDLaw):
         series = [0.0] * cutoff
     else:
-        norms = _norms(_partial_sums(spec, compensator(spec, f), cutoff)[1:],
-                       lambda ws: _drift_pairs(f, ws, tol))
+        def pairs(lo, count):
+            ws = _partial_sums(spec, f, count, compensator)[lo + 1:]
+            return _norms(ws, lambda distinct: _drift_pairs(f, distinct, tol))
+
+        norms = _remembered(f, ("series", spec, compensator, tol), cutoff, pairs)
         series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
                   for m, (l1, wl1) in enumerate(norms, 1)]
         if corrected:

@@ -188,16 +188,19 @@ class DoublingMap(ProcessSpec):
         return sigma2
 
     def _simulate_block(self, f, n, gens, checkpoints):
-        # one step per yield.  Per frequency j the phase j w mod 2^64 is exact: (cos, sin)
-        # of its top _PHASE_BITS bits come from tables, of its low bits (< 1.6e-3 rad) from
-        # a short series, joined by the angle-sum rule.  The constant of the centered f is
+        # one step per yield, from tiles of up to _TILE_ELEMS states over steps and
+        # replicates.  Per frequency j the phase j w mod 2^64 is exact: (cos, sin) of its
+        # top _PHASE_BITS bits come from tables, of its low bits (< 1.6e-3 rad) from a
+        # short series, joined by the angle-sum rule.  The constant of the centered f is
         # dropped
         cos_h, sin_h = _phase_tables()
         top = np.uint64(64 - _PHASE_BITS)
         low = np.uint64((1 << (64 - _PHASE_BITS)) - 1)
         terms = [(np.uint64(j), f.cos_coeffs[j - 1], f.sin_coeffs[j - 1])
                  for j in np.flatnonzero((f.cos_coeffs != 0.0) | (f.sin_coeffs != 0.0)) + 1]
-        for step, w in enumerate(_doubling_states(*_draw_words(gens, n)), 1):
+        rows = max(1, _TILE_ELEMS // len(gens))
+        step = 0
+        for w in _doubling_states(*_draw_words(gens, n), rows):
             x = None
             for j, a, b in terms:
                 th = w if j == 1 else w * j
@@ -227,7 +230,9 @@ class DoublingMap(ProcessSpec):
                     t += s
                     t *= b
                     x = t if x is None else x + t
-            yield step, 0.0 if x is None else x  # None: f = 0
+            for row in [0.0] * len(w) if x is None else x:  # None: f = 0
+                step += 1
+                yield step, row
 
     def _exact_law(self, f, n):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
@@ -773,6 +778,7 @@ _BLOCK_SIZE = 4096  # replicates simulated side by side; the sums do not depend 
 _BITS_PER_WORD = 64
 _CHUNK_WORDS = 16  # step words per replicate and raw call: a block holds reps * 16 at a time
 _CHUNK_STEPS = _CHUNK_WORDS * _BITS_PER_WORD  # a chain's or i.i.d. law's draws per call
+_TILE_ELEMS = 8192  # doubling states per tile: each float temporary of a tile is 64 KiB
 _PHASE_BITS = 12  # the doubling kernel's (cos, sin) tables hold 2^12 angles, 32 KiB each
 _SEGMENT_BITS = 8  # most steps the circle walk sums with one table product
 _TURN = 2.0 * math.pi * 2.0 ** -64  # radians per unit of a 64-bit phase
@@ -812,15 +818,18 @@ def _draw_words(gens, n: int):
     return words[0], rows(words[1:])
 
 
-def _doubling_states(w, words):
+def _doubling_states(w, words, rows: int):
     """The doubling-map states xi_{t+1} = (xi_t + B_t)/2, t >= 0, from xi_0 = w and
     the step words, exactly, in 64-bit fixed point: s steps into a word its low s
-    bits, last bit on top, sit above the state it started from, shifted down by s."""
+    bits, last bit on top, sit above the state it started from, shifted down by s.
+    Yields tiles of up to `rows` consecutive states, one row per step over the
+    replicates, each a fresh array; a tile ends at the end of its word."""
     for word, k in words:
-        base = w
-        for s in range(1, k + 1):
-            w = (base >> np.uint64(s)) | (word << np.uint64(_BITS_PER_WORD - s))
-            yield w
+        for s in range(0, k, rows):
+            sh = np.arange(s + 1, min(s + rows, k) + 1, dtype=np.uint64)[:, None]
+            tile = (w >> sh) | (word << (np.uint64(_BITS_PER_WORD) - sh))
+            yield tile
+        w = tile[-1]
 
 
 def _chunked_draws(gens, size: int, draw):
@@ -847,13 +856,15 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     i.i.d. law hand over one step at a time.  The doubling map's states are
     64-bit fixed-point words (the map (x+B)/2 is exact there), each taken
     straight from its step word, and it reads (cos, sin)(2 pi j w 2^-64) from
-    the exact phase j w mod 2^64 and a table.  The circle walk hands over a
-    segment of up to _SEGMENT_BITS steps at a time: the steps only move the walk
-    k, so per frequency the segment's sum is the table entry (cos, sin)
-    2 pi {j k a}, {j k a} exact, at its start, times a table of the segment's
-    own step bits, rotated by the start x0.  Neither calls FourierFn.eval.  A
-    finite chain and an i.i.d. law draw at most 1024 values per replicate at a
-    time.
+    the exact phase j w mod 2^64 and a table.  It computes states and X in
+    tiles of up to _TILE_ELEMS over steps and replicates, and hands over each
+    tile's rows one step at a time, so the sums do not depend on the tile.
+    The circle walk hands over a segment of up to _SEGMENT_BITS steps at a
+    time: the steps only move the walk k, so per frequency the segment's sum
+    is the table entry (cos, sin) 2 pi {j k a}, {j k a} exact, at its start,
+    times a table of the segment's own step bits, rotated by the start x0.
+    Neither calls FourierFn.eval.  A finite chain and an i.i.d. law draw at
+    most 1024 values per replicate at a time.
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")

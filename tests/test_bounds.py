@@ -236,6 +236,50 @@ class TestProjectiveMachinery:
         assert peak < 768 * 1024
 
 
+def _second_moment_report(spec, f, n):
+    return second_moment_norms(spec, f, math.isqrt(2 * n))
+
+
+REUSE_CASES = [
+    (DM, ([0.0, 1.0], []), projective_d1_bound),
+    (DM, ([0.0, 1.0], []), _second_moment_report),
+    (DM, ([1.0], []), martingale_d1_bound),
+    (CW, ([1.0], []), projective_d1_bound),
+    (CW, ([1.0, 0.5, 0.25, 0.125], [0.0, 0.3]), projective_d1_bound),
+]
+REUSE_GRID = (64, 256, 1024, 4096, 16384)
+
+
+class TestReuseAcrossN:
+    @pytest.mark.parametrize("spec,coeffs,bound", REUSE_CASES,
+                             ids=["doubling-cos2-projective", "doubling-cos2-second-moment",
+                                  "doubling-cos1-martingale", "circle-cos1-projective",
+                                  "circle4-projective"])
+    def test_reports_do_not_depend_on_the_order_of_n(self, spec, coeffs, bound):
+        # each n sums a prefix of the drift sequences the observable remembers: the
+        # same report for each n alone (a fresh observable), ascending or descending
+        alone = [repr(bound(spec, FourierFn(0.0, *coeffs), n)) for n in REUSE_GRID]
+        f = FourierFn(0.0, *coeffs)
+        assert [repr(bound(spec, f, n)) for n in REUSE_GRID] == alone
+        f = FourierFn(0.0, *coeffs)
+        assert [repr(bound(spec, f, n)) for n in REUSE_GRID[::-1]] == alone[::-1]
+
+    def test_smaller_n_builds_no_function(self, monkeypatch):
+        # after n = 16384 the bound at n = 64 on the same observable reads every
+        # drift norm from the memo: it forms no transfer, tail or product
+        from meanclt import bounds
+        f = cosine(1)
+        projective_d1_bound(CW, f, 16384)
+        calls = []
+        for name in ("transfer", "resolvent_tail", "product"):
+            monkeypatch.setattr(bounds, name, lambda *args, _name=name, _real=getattr(
+                bounds, name): calls.append(_name) or _real(*args))
+        again = projective_d1_bound(CW, f, 64)
+        assert calls == []
+        assert repr(again) == repr(projective_d1_bound(CW, cosine(1), 64))
+        assert calls
+
+
 class TestSecondMomentNorms:
     def test_mds_values(self):
         drift, smooth = second_moment_norms(DM, cosine(1), 3)

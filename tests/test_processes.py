@@ -259,13 +259,14 @@ def simulate_in_blocks(block_size, *args, **kwargs):
 
 def sample_states(spec, step: int, reps: int, seed: int = 0) -> np.ndarray:
     """Each replicate's state at time `step` on the path `simulate` walks: the
-    doubling map's fixed-point word from the kernel's `_doubling_states`, rounded
-    once to a double; the circle walk's x0 + {k a} mod 1."""
+    doubling map's fixed-point word from the kernel's `_doubling_states` (the last
+    row of its last tile), rounded once to a double; the circle walk's x0 + {k a}
+    mod 1."""
     gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
         w, words = _draw_words(gens, step)
-        for w in _doubling_states(w, words):
-            pass
+        for tile in _doubling_states(w, words, 5):
+            w = tile[-1]
         return w.astype(np.float64) * 2.0 ** -64
     w0, words = _draw_words(gens, step)
     x0 = (w0 >> np.uint64(11)) * 2.0 ** -53
@@ -704,6 +705,56 @@ class TestSimulate:
             wraps += sum(3 * w >> 64 for w in doubling_states(substream(seed, r).generator(), n))
             assert xs[:, r].tolist() == replay_doubling(substream(seed, r).generator(), n, f)
         assert wraps > 0
+
+    @pytest.mark.parametrize("tile", [1, 3, 8192, 10 ** 5])
+    def test_doubling_tiles_keep_the_sums(self, tile, monkeypatch):
+        # the kernel steps through tiles of max(1, _TILE_ELEMS // reps) states that end
+        # at word ends; the sums are the per-step replay's bit for bit at checkpoints
+        # inside tiles and at word ends, whatever the tile
+        from meanclt.numerics import substream
+        monkeypatch.setattr(processes, "_TILE_ELEMS", tile)
+        f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
+        n, seed = 200, 19
+        cps = [1, 2, 3, 5, 63, 64, 65, 127, 128, 129, 131, 192, 199, 200]
+        for reps in (1, 5):
+            ens = simulate(DM, f, n, reps, checkpoints=cps, seed=seed)
+            for r in range(reps):
+                partial = np.cumsum(replay_doubling(substream(seed, r).generator(), n, f))
+                assert np.array_equal(partial[np.array(cps) - 1], ens.partial_sums[r])
+
+    def test_doubling_kernel_steps_in_tiles(self, monkeypatch):
+        # a structural guard, with no timer: at n = 4096 the kernel reads at most
+        # ceil(n/rows) + ceil(n/64) tiles of at most rows = _TILE_ELEMS // reps states
+        # each, so a per-step fallback fails; it still yields once per step
+        from meanclt.numerics import substream
+        n, reps = 4096, 3
+        rows = processes._TILE_ELEMS // reps
+        shapes, states = [], processes._doubling_states
+        monkeypatch.setattr(processes, "_doubling_states", lambda *args: (
+            shapes.append(tile.shape) or tile for tile in states(*args)))
+        gens = [substream(1, r).generator() for r in range(reps)]
+        steps = [t for t, _ in DM._simulate_block(cosine(1), n, gens, (n,))]
+        assert steps == list(range(1, n + 1))
+        assert len(shapes) <= -(-n // rows) + -(-n // 64)
+        assert all(1 <= k <= rows and width == reps for k, width in shapes)
+
+    def test_doubling_tiles_take_bounded_memory(self):
+        # a tile's temporaries hold _TILE_ELEMS numbers, 64 KiB, under README's 256 KiB:
+        # at 4096 replicates the peak over a one-step run (generators, sums, head words)
+        # is 15 more rows of step words and at most 10 such temporaries, and once n
+        # passes one chunk of words it no longer grows with n
+        reps = 4096
+
+        def peak(n):
+            tracemalloc.start()
+            simulate(DM, cosine(1), n, reps, seed=4)
+            top = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return top
+
+        one, mid, large = peak(1), peak(1024), peak(4096)
+        assert abs(large - mid) <= 64 * 1024
+        assert large - one <= 15 * 8 * reps + 10 * 8 * processes._TILE_ELEMS
 
     def test_doubling_kernel_per_step_accuracy(self):
         # cos and sin 2 pi j w 2^-64 against 40 digits at the exact states w: the table
