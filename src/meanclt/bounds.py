@@ -122,15 +122,16 @@ class _Sequence:
     term: Optional[FourierFn] = None
 
 
-def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -> list:
-    """[R_0, ..., R_count] with R_j = sum_{d<=j} K^d z and R_0 = 0, for z = f or
-    z = compensator(spec, f).
+def _drift_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -> list:
+    """R_0, ..., R_k with R_j = sum_{d<=j} K^d z and R_0 = 0, for z = f or
+    z = compensator(spec, f): through R_count at least, or to the R_k that
+    every later R_m equals.
 
     Once an increment falls to 1e-16 of the sum in coefficient l1 it is
-    dropped, and every later entry is the same object as the last one.  The
-    sums are remembered for the run's observable f and extended on demand, so
-    the bounds at the n of a run sum one sequence once; z is formed only while
-    R_1 is missing, and is not kept, f being the memo's key.
+    dropped, and the list ends.  It is remembered for the run's observable f
+    and extended on demand, so the bounds at the n of a run sum one sequence
+    once; z is formed only while R_1 is missing, and is not kept, f being the
+    memo's key.  The list is the memo's own: callers only read it.
     """
     state = _QUAD_MEMO.setdefault(f, {}).setdefault(("sums", spec, compensator),
                                                     _Sequence([constant_fn(0.0)]))
@@ -146,25 +147,28 @@ def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None)
         else:
             state.term = term
             sums.append(sums[-1] + term)
+    return sums
+
+
+def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -> list:
+    """[R_0, ..., R_count] of `_drift_sums`: every entry past its last is the
+    same object as the last one."""
+    sums = _drift_sums(spec, f, count, compensator)
     return sums[:count + 1] + [sums[-1]] * (count + 1 - len(sums))
 
 
-def _remembered(f: FourierFn, key: tuple, count: int, more) -> list:
-    """The first `count` entries of the per-m list remembered under `key` for the
-    run's observable f; more(lo, count) gives entries lo + 1..count when the list
-    holds only lo of them."""
-    values = _QUAD_MEMO.setdefault(f, {}).setdefault(key, [])
-    if len(values) < count:
-        values.extend(more(len(values), count))
-    return values[:count]
-
-
-def _norms(sums: Sequence[FourierFn], norms) -> list:
-    """The values norms(distinct) gives the distinct objects of sums, spread
-    back over sums: one per entry, each distinct object passed once."""
-    distinct = list({id(s): s for s in sums}.values())
-    values = dict(zip(map(id, distinct), norms(distinct)))
-    return [values[id(s)] for s in sums]
+def _drift_values(spec: ProcessSpec, f: FourierFn, count: int, compensator, key: tuple,
+                  values) -> list:
+    """[v(R_1), ..., v(R_count)] for the `_drift_sums` R_j, with values(sums)
+    giving [v(s) for s in sums].  The values of the distinct R_j are
+    remembered under `key` for the run's observable f and extended on
+    demand: each is computed once, and a shorter request computes none."""
+    sums = _drift_sums(spec, f, count, compensator)
+    last = min(count, len(sums) - 1)
+    known = _QUAD_MEMO.setdefault(f, {}).setdefault(key, [])
+    if len(known) <= last:
+        known.extend(values(sums[len(known):last + 1]))
+    return [known[min(m, last)] for m in range(1, count + 1)]
 
 
 def _drift_pairs(f: FourierFn, ws: Sequence[FourierFn], tol: Tolerance) -> list:
@@ -266,13 +270,12 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
     for m, norm in enumerate(norms[:n], 1):
         first += norm / (sigma * math.sqrt(m))
 
-    def one_plus_norms(lo, count):
+    def one_plus_norms(sums):
         f2, _ = product(f, f)
         one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
-        return _norms(_partial_sums(spec, f, count)[lo + 1:], lambda sums: _l1_norms(
-            f, (("l1", product(one_plus, s_m)[0]) for s_m in sums), tol))
+        return _l1_norms(f, (("l1", product(one_plus, s_m)[0]) for s_m in sums), tol)
 
-    norms = _remembered(f, ("one_plus", spec, tol), n, one_plus_norms)
+    norms = _drift_values(spec, f, n, None, ("one_plus", spec, tol), one_plus_norms)
     second = sum(norm / (2.0 * m) for m, norm in enumerate(norms, 1))
     return CorrectionReport(total=first + second)
 
@@ -319,11 +322,8 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
     if isinstance(spec, IIDLaw):
         series = [0.0] * cutoff
     else:
-        def pairs(lo, count):
-            ws = _partial_sums(spec, f, count, compensator)[lo + 1:]
-            return _norms(ws, lambda distinct: _drift_pairs(f, distinct, tol))
-
-        norms = _remembered(f, ("series", spec, compensator, tol), cutoff, pairs)
+        norms = _drift_values(spec, f, cutoff, compensator, ("series", spec, compensator, tol),
+                              lambda ws: _drift_pairs(f, ws, tol))
         series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
                   for m, (l1, wl1) in enumerate(norms, 1)]
         if corrected:

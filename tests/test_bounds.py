@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanclt.bounds import (_l1_norms, _norms, _partial_sums, cubic_moment_sum,
+from meanclt.bounds import (_drift_values, _l1_norms, _partial_sums, cubic_moment_sum,
                             martingale_d1_bound, moments,
                             nonadapted_correction, projective_d1_bound,
                             projective_drift_norms, rate_fit, second_moment_norms,
@@ -264,6 +264,16 @@ class TestReuseAcrossN:
         f = FourierFn(0.0, *coeffs)
         assert [repr(bound(spec, f, n)) for n in REUSE_GRID[::-1]] == alone[::-1]
 
+    @pytest.mark.parametrize("spec,coeffs", [(DM, ([0.0, 1.0], [])),
+                                             (CW, ([1.0, 0.5], [0.0, 0.3]))])
+    def test_correction_extends_across_chunk_edges(self, spec, coeffs):
+        # a larger n extends the remembered tail norms from where a smaller n left
+        # them, off the 64-tail chunk edges and past the stop (m = 233 on the circle)
+        grid = (1, 63, 65, 100, 129, 240, 256)
+        alone = [nonadapted_correction(spec, FourierFn(0.0, *coeffs), n) for n in grid]
+        f = FourierFn(0.0, *coeffs)
+        assert [nonadapted_correction(spec, f, n) for n in grid] == alone
+
     def test_smaller_n_builds_no_function(self, monkeypatch):
         # after n = 16384 the bound at n = 64 on the same observable reads every
         # drift norm from the memo: it forms no transfer, tail or product
@@ -360,11 +370,17 @@ class TestSingleSumOracle:
         assert len({id(s) for s in cw}) == 6
 
     def test_norms_once_per_distinct_sum(self):
-        sums = _partial_sums(DM, cosine(4), 9)
+        # R_0, R_1 = cos2 and R_2 = cos2 + cos1 are the distinct sums of cos4; a
+        # shorter request after a longer one computes nothing
+        f = cosine(4)
+        sums = _partial_sums(DM, f, 9)
         calls = []
-        values = _norms(sums, lambda ss: calls.extend(ss) or [s.coeff_l1() for s in ss])
+        values = lambda ss: calls.extend(ss) or [s.coeff_l1() for s in ss]
+        got = _drift_values(DM, f, 9, None, ("l1",), values)
         assert len(calls) == len({id(s) for s in sums}) == 3
-        assert values == [s.coeff_l1() for s in sums]
+        assert got == [s.coeff_l1() for s in sums[1:]]
+        assert _drift_values(DM, f, 4, None, ("l1",), values) == got[:4]
+        assert len(calls) == 3
 
 
 class TestVarianceL32:
