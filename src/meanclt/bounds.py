@@ -133,6 +133,8 @@ def _drift_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -
     once; z is formed only while R_1 is missing, and is not kept, f being the
     memo's key.  The list is the memo's own: callers only read it.
     """
+    if check_observable(spec, f) is None:  # a family that carries its observable
+        raise NotImplementedError(f"the {spec.label} process has no FourierFn transfer operator")
     state = _QUAD_MEMO.setdefault(f, {}).setdefault(("sums", spec, compensator),
                                                     _Sequence([constant_fn(0.0)]))
     sums = state.values
@@ -199,8 +201,6 @@ def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
         raise DomainError("m must be >= 1")
     if isinstance(spec, IIDLaw):
         return (0.0, 0.0)
-    if f is None:
-        raise NotImplementedError(f"the {spec.label} process has no FourierFn transfer operator")
     w = _partial_sums(spec, f, m, compensator)[-1]
     return _drift_pairs(f, [w], tol)[0]
 

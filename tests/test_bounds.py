@@ -13,7 +13,7 @@ from meanclt.bounds import (_drift_values, _l1_norms, _partial_sums, cubic_momen
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError
 from meanclt.fourier import FourierFn, constant_fn, cosine, lebesgue_inner, product
 from meanclt.numerics import substream
-from meanclt.processes import (DoublingMap, CircleWalk, iid_rademacher,
+from meanclt.processes import (DoublingMap, CircleWalk, FiniteChain, iid_rademacher,
                                long_run_variance, resolvent_tail, sqrt2_minus_one,
                                transfer)
 
@@ -288,6 +288,19 @@ class TestReuseAcrossN:
         assert calls == []
         assert repr(again) == repr(projective_d1_bound(CW, cosine(1), 64))
         assert calls
+
+    @pytest.mark.parametrize("call", [lambda spec: projective_drift_norms(spec, None, 3),
+                                      lambda spec: variance_drift_norms(spec, None, 3),
+                                      lambda spec: _partial_sums(spec, None, 3)],
+                             ids=["projective", "variance", "partial-sums"])
+    def test_drift_sums_check_the_observable_before_the_memo(self, call):
+        # None is no memo key: an interval map refuses it as the observable contract
+        # says, a chain as a family with no FourierFn transfer operator
+        with pytest.raises(TypeError, match="^the doubling_map process needs a FourierFn"):
+            call(DM)
+        chain = FiniteChain(np.full((2, 2), 0.5), values=np.array([-1.0, 2.0]))
+        with pytest.raises(NotImplementedError, match="has no FourierFn transfer operator$"):
+            call(chain)
 
 
 class TestSecondMomentNorms:
