@@ -197,7 +197,8 @@ class TestProjectiveMachinery:
         assert _l1_norms(fresh(), mates + requests[5:9] + mates)[2:6] == alone[5:9]
 
     @pytest.mark.parametrize("spec,coeffs", [(DM, ([0.0, 1.0], [])),
-                                             (CW, ([1.0, 0.5], [0.0, 0.3]))])
+                                             (CW, ([1.0, 0.5], [0.0, 0.3]))],
+                             ids=["doubling-cos2", "circle-mixed"])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 256])
     def test_nonadapted_correction_matches_sequential_loop(self, spec, coeffs, n):
         # the tails go to quadrature in chunks of 64; the sum must stop where
@@ -265,7 +266,8 @@ class TestReuseAcrossN:
         assert [repr(bound(spec, f, n)) for n in REUSE_GRID[::-1]] == alone[::-1]
 
     @pytest.mark.parametrize("spec,coeffs", [(DM, ([0.0, 1.0], [])),
-                                             (CW, ([1.0, 0.5], [0.0, 0.3]))])
+                                             (CW, ([1.0, 0.5], [0.0, 0.3]))],
+                             ids=["doubling-cos2", "circle-mixed"])
     def test_correction_extends_across_chunk_edges(self, spec, coeffs):
         # a larger n extends the remembered tail norms from where a smaller n left
         # them, off the 64-tail chunk edges and past the stop (m = 233 on the circle)
