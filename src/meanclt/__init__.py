@@ -29,8 +29,8 @@ from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, KernelDeca
                            monotone_difference_bound_check, quantile_from_sample,
                            weighted_tail_integral)
 from .theta import theta_coeff, theta_coeffs
-from .bounds import (BoundReport, CorrectionReport, MomentSummary, RateFit,
-                     ThreeMomentDist, cubic_moment_sum, martingale_d1_bound, moments,
+from .bounds import (BoundReport, BoundTerms, CorrectionReport, MomentSummary, RateFit,
+                     ThreeMomentDist, bound_terms, cubic_moment_sum, martingale_d1_bound, moments,
                      nonadapted_correction, projective_d1_bound, projective_drift_norms,
                      rate_fit, second_moment_norms, three_moment_distribution,
                      variance_drift_norms, variance_l32_norm, variance_l32_norms,

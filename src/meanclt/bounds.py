@@ -4,12 +4,15 @@ All conditional-expectation norms reduce to transfer-operator images of
 explicit FourierFn observables and are integrated by deterministic
 quadrature; nothing here is Monte Carlo, so bound values carry no
 statistical error.  I.i.d. inputs short-circuit to their exact closed forms.
+
+No ingredient of a bound depends on n: `bound_terms` computes them once for
+the largest n of a run, each n sums their prefixes, and nothing is kept.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import weakref
 from dataclasses import asdict, dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,40 +28,23 @@ _NORM_TOL = Tolerance(1e-12, 1e-12, 44)
 _STABLE_EPS = 1e-16
 _TAIL_CHUNK = 64  # resolvent tails of the non-adapted correction per batch request
 
-# Quadrature results per observable: the bounds at each n of a run integrate
-# many of the same functions again, and the entries die with the observable.
-_QUAD_MEMO: "weakref.WeakKeyDictionary[FourierFn, dict]" = weakref.WeakKeyDictionary()
-
-
-def _memo_key(kind: str, g: FourierFn, tol: Tolerance) -> tuple:
-    return (kind, tol, g.constant, g.cos_coeffs.tobytes(), g.sin_coeffs.tobytes())
-
 
 def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
               tol: Tolerance = _NORM_TOL) -> list:
-    """[||g||_1 for ("l1", g), ||f g||_1 for ("weighted", g)], remembered for
-    the run's observable f.
-
-    The norms not yet remembered go to `fourier.l1_norms` in request order,
-    a weighted one as the exact product f g, formed only then.  The requests
-    are read one by one, so a generator of them keeps no more than one batch
-    of functions alive.
-    """
-    memo = _QUAD_MEMO.setdefault(f, {})
-    keys, misses = [], {}
+    """[||g||_1 for ("l1", g), ||f g||_1 for ("weighted", g)]: 0.0 for a zero g,
+    the rest from `fourier.l1_norms` in request order, a weighted one as the
+    exact product f g.  The requests are read one by one, so a generator of
+    them keeps no more than one batch of functions alive."""
+    zero = []
 
     def items():
         for kind, g in requests:
-            key = _memo_key(kind, g, tol)
-            keys.append(key)
-            if key not in memo and key not in misses and not g.is_zero():
-                misses[key] = None
+            zero.append(g.is_zero())
+            if not zero[-1]:
                 yield (product(f, g).fn if kind == "weighted" else g), ()
 
-    norms = list(l1_norms(items(), tol))
-    memo.update(zip(misses, norms))
-    # a zero g is never integrated and never remembered
-    return [memo.get(key, 0.0) for key in keys]
+    norms = iter(list(l1_norms(items(), tol)))  # reads every request, filling `zero`
+    return [0.0 if z else next(norms) for z in zero]
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +84,7 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None) -> MomentSummary:
     if sigma2 <= 0.0:
         raise DegenerateVarianceError("long-run variance is not positive")
     var0 = lebesgue_inner(f, f)
-    memo = _QUAD_MEMO.setdefault(f, {})
-    key = _memo_key("abs3", f, _NORM_TOL)
-    if key not in memo:
-        memo[key] = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, _NORM_TOL)
-    abs3 = memo[key]
+    abs3 = integrate_unit(lambda x: np.abs(f.eval(x)) ** 3, _NORM_TOL)
     return MomentSummary(sigma2=sigma2, var0=var0, abs3=abs3, lam=abs3 / sigma2)
 
 
@@ -111,44 +93,20 @@ def moments(spec: ProcessSpec, f: Optional[FourierFn] = None) -> MomentSummary:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Sequence:
-    """A sequence remembered for the run's observable and extended on demand:
-    its entries so far, whether it has ended, and for the drift sums R_j the
-    last increment K^j z (None while j = 0)."""
-
-    values: list
-    stopped: bool = False
-    term: Optional[FourierFn] = None
-
-
 def _drift_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -> list:
     """R_0, ..., R_k with R_j = sum_{d<=j} K^d z and R_0 = 0, for z = f or
-    z = compensator(spec, f): through R_count at least, or to the R_k that
-    every later R_m equals.
-
-    Once an increment falls to 1e-16 of the sum in coefficient l1 it is
-    dropped, and the list ends.  It is remembered for the run's observable f
-    and extended on demand, so the bounds at the n of a run sum one sequence
-    once; z is formed only while R_1 is missing, and is not kept, f being the
-    memo's key.  The list is the memo's own: callers only read it.
-    """
+    z = compensator(spec, f): through R_count, or to the R_k that every later
+    R_m equals, the list ending at the first increment that is at most 1e-16
+    of the sum in coefficient l1."""
     if check_observable(spec, f) is None:  # a family that carries its observable
         raise NotImplementedError(f"the {spec.label} process has no FourierFn transfer operator")
-    state = _QUAD_MEMO.setdefault(f, {}).setdefault(("sums", spec, compensator),
-                                                    _Sequence([constant_fn(0.0)]))
-    sums = state.values
-    while len(sums) <= count and not state.stopped:
-        if state.term is not None:
-            z = state.term
-        else:
-            z = f if compensator is None else compensator(spec, f)
-        term = transfer(spec, z, 1)
+    sums = [constant_fn(0.0)]
+    term = f if compensator is None else compensator(spec, f)
+    while len(sums) <= count:
+        term = transfer(spec, term, 1)
         if term.coeff_l1() <= _STABLE_EPS * (1.0 + sums[-1].coeff_l1()):
-            state.stopped = True
-        else:
-            state.term = term
-            sums.append(sums[-1] + term)
+            break
+        sums.append(sums[-1] + term)
     return sums
 
 
@@ -159,18 +117,11 @@ def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None)
     return sums[:count + 1] + [sums[-1]] * (count + 1 - len(sums))
 
 
-def _drift_values(spec: ProcessSpec, f: FourierFn, count: int, compensator, key: tuple,
-                  values) -> list:
+def _drift_values(spec: ProcessSpec, f: FourierFn, count: int, compensator, values) -> list:
     """[v(R_1), ..., v(R_count)] for the `_drift_sums` R_j, with values(sums)
-    giving [v(s) for s in sums].  The values of the distinct R_j are
-    remembered under `key` for the run's observable f and extended on
-    demand: each is computed once, and a shorter request computes none."""
-    sums = _drift_sums(spec, f, count, compensator)
-    last = min(count, len(sums) - 1)
-    known = _QUAD_MEMO.setdefault(f, {}).setdefault(key, [])
-    if len(known) <= last:
-        known.extend(values(sums[len(known):last + 1]))
-    return [known[min(m, last)] for m in range(1, count + 1)]
+    giving [v(s) for s in sums]: it is asked once, for the distinct R_j."""
+    known = values(_drift_sums(spec, f, count, compensator))
+    return [known[min(m, len(known) - 1)] for m in range(1, count + 1)]
 
 
 def _drift_pairs(f: FourierFn, ws: Sequence[FourierFn], tol: Tolerance) -> list:
@@ -190,8 +141,7 @@ def _variance_compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
 def _compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
     """Z0 = X0^2 - sigma^2 + 2 X0 sum_{l>=1} E_0(X_l), whose drift sums are the W_m."""
     sigma2 = long_run_variance(spec, f).sigma2
-    g_tail = resolvent_tail(spec, f, 1)
-    fg, _ = product(f, g_tail)
+    fg, _ = product(f, resolvent_tail(spec, f, 1))
     f2, _ = product(f, f)
     return (f2 + 2.0 * fg).shift_constant(-sigma2)
 
@@ -224,6 +174,21 @@ def projective_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
     return _drift_norms(spec, f, m, tol, _compensator)
 
 
+def _tail_norms(spec: ProcessSpec, f: FourierFn, count: int, tol: Tolerance) -> list:
+    """[||X0 sum_{l>=m} E_0(X_l)||_1 for m = 1..count], _TAIL_CHUNK per request,
+    ending before the first zero tail (all later ones vanish as well for the
+    interval maps) or the first norm no larger than 1e-16 of the one before."""
+    tails = (resolvent_tail(spec, f, m) for m in range(1, count + 1))
+    tails = itertools.takewhile(lambda tail: not tail.is_zero(), tails)
+    norms = []
+    while chunk := [("weighted", tail) for tail in itertools.islice(tails, _TAIL_CHUNK)]:
+        for norm in _l1_norms(f, chunk, tol):
+            if norms and norm <= _STABLE_EPS * (1.0 + norms[-1]):
+                return norms
+            norms.append(norm)
+    return norms
+
+
 @dataclass(frozen=True)
 class CorrectionReport:
     """Non-adapted first-order correction."""
@@ -234,50 +199,59 @@ class CorrectionReport:
 def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
                           tol: Tolerance = _NORM_TOL) -> CorrectionReport:
     """sum_m (sigma sqrt m)^{-1} || X0 sum_{l>=m} E_0(X_l) ||_1
-       + sum_m (2m)^{-1} || (1 + X0^2/sigma^2) E_0(S_m) ||_1, for m = 1..n.
+       + sum_m (2m)^{-1} || (1 + X0^2/sigma^2) E_0(S_m) ||_1, for m = 1..n,
+    as `projective_d1_bound` reports it; 0 for martingale differences and
+    i.i.d. inputs."""
+    return CorrectionReport(projective_d1_bound(spec, f, n, tol).correction)
 
-    Vanishes identically for martingale differences and i.i.d. inputs.  Once
-    the underlying conditional functions stabilize, the remaining weights are
-    summed against the cached norm.
-    """
-    if n < 1:
+
+# ---------------------------------------------------------------------------
+# Bound terms
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundTerms:
+    """What the `kind` bound ("martingale" or "projective") of (spec, f, tol)
+    sums at every n <= n_max: the moments, the pairs (||W_m||_1, ||X0 W_m||_1)
+    for m <= isqrt(2 n_max) (W_m = U_m for the martingale kind), and the
+    projective correction's `_tail_norms` and ||(1 + X0^2/sigma^2) E_0(S_m)||_1
+    for m <= n_max, empty for the martingale kind and i.i.d. laws."""
+
+    kind: str
+    spec: ProcessSpec
+    f: Optional[FourierFn]
+    tol: Tolerance
+    n_max: int
+    moments: MomentSummary
+    pairs: tuple
+    tails: tuple = ()
+    one_plus: tuple = ()
+
+
+_COMPENSATORS = {"martingale": _variance_compensator, "projective": _compensator}
+
+
+def bound_terms(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n_max: int,
+                tol: Tolerance = _NORM_TOL) -> BoundTerms:
+    """The `BoundTerms` of the `kind` bound to n_max, each distinct drift sum valued once."""
+    if kind not in _COMPENSATORS:
+        raise DomainError(f"bound kind must be one of {sorted(_COMPENSATORS)}, got {kind!r}")
+    if n_max < 1:
         raise DomainError("n must be >= 1")
-    if isinstance(spec, IIDLaw):
-        return CorrectionReport(0.0)
     mom = moments(spec, f)
-    sigma, sigma2 = mom.sigma, mom.sigma2
-
-    # the tails go to quadrature _TAIL_CHUNK at a time; the sum stops at the
-    # first zero tail (all later ones vanish as well for the interval maps)
-    # or at the first norm that no longer moves it.  The norms it keeps, and
-    # whether it stopped, are remembered for the run's observable
-    tails = _QUAD_MEMO.setdefault(f, {}).setdefault(("tails", spec, tol), _Sequence([]))
-    norms = tails.values
-    while len(norms) < n and not tails.stopped:
-        chunk = []
-        for m in range(len(norms) + 1, min(len(norms) + 1 + _TAIL_CHUNK, n + 1)):
-            tail_m = resolvent_tail(spec, f, m)
-            if tail_m.is_zero():
-                tails.stopped = True
-                break
-            chunk.append(("weighted", tail_m))
-        for norm in _l1_norms(f, chunk, tol):
-            if norms and norm <= _STABLE_EPS * (1.0 + norms[-1]):
-                tails.stopped = True
-                break
-            norms.append(norm)
-    first = 0.0
-    for m, norm in enumerate(norms[:n], 1):
-        first += norm / (sigma * math.sqrt(m))
-
-    def one_plus_norms(sums):
-        f2, _ = product(f, f)
-        one_plus = f2 * (1.0 / sigma2) + constant_fn(1.0)
-        return _l1_norms(f, (("l1", product(one_plus, s_m)[0]) for s_m in sums), tol)
-
-    norms = _drift_values(spec, f, n, None, ("one_plus", spec, tol), one_plus_norms)
-    second = sum(norm / (2.0 * m) for m, norm in enumerate(norms, 1))
-    return CorrectionReport(total=first + second)
+    cutoff = math.isqrt(2 * n_max)
+    if isinstance(spec, IIDLaw):
+        return BoundTerms(kind, spec, f, tol, n_max, mom, ((0.0, 0.0),) * cutoff)
+    pairs = _drift_values(spec, f, cutoff, _COMPENSATORS[kind],
+                          lambda ws: _drift_pairs(f, ws, tol))
+    if kind == "martingale":
+        return BoundTerms(kind, spec, f, tol, n_max, mom, tuple(pairs))
+    one_plus = product(f, f).fn * (1.0 / mom.sigma2) + constant_fn(1.0)
+    one_plus_norms = _drift_values(spec, f, n_max, None, lambda sums: _l1_norms(
+        f, (("l1", product(one_plus, s).fn) for s in sums), tol))
+    return BoundTerms(kind, spec, f, tol, n_max, mom, tuple(pairs),
+                      tuple(_tail_norms(spec, f, n_max, tol)), tuple(one_plus_norms))
 
 
 # ---------------------------------------------------------------------------
@@ -307,27 +281,24 @@ class BoundReport:
 
 
 def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
-              tol: Tolerance, compensator, corrected: bool) -> BoundReport:
-    """13 sigma/6 + (Lambda/6) log(1+2n)
-       + sum_{m<=sqrt(2n)} (||X0 W_m||_1 + 2 sigma ||W_m||_1)/(m sigma^2)
-       (+ nonadapted correction), with W_m the drift sums of compensator(spec, f).
-    """
+              tol: Tolerance, terms: Optional[BoundTerms]) -> BoundReport:
+    """13 sigma/6 + (Lambda/6) log(1+2n) + (nonadapted correction)
+       + sum_{m<=sqrt(2n)} (||X0 W_m||_1 + 2 sigma ||W_m||_1)/(m sigma^2),
+    summed from prefixes of the terms, which are built for n alone if None."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    mom = moments(spec, f)
+    terms = terms or bound_terms(kind, spec, f, n, tol)
+    if (terms.kind, terms.spec, terms.f, terms.tol) != (kind, spec, f, tol) or terms.n_max < n:
+        raise DomainError(f"not the {kind} bound terms of this spec, f and tol up to n = {n}")
+    mom = terms.moments
     constant = 13.0 * mom.sigma / 6.0
     log_term = mom.lam / 6.0 * math.log1p(2.0 * n)
-    cutoff = int(math.isqrt(2 * n))
-    corr = 0.0
-    if isinstance(spec, IIDLaw):
-        series = [0.0] * cutoff
-    else:
-        norms = _drift_values(spec, f, cutoff, compensator, ("series", spec, compensator, tol),
-                              lambda ws: _drift_pairs(f, ws, tol))
-        series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
-                  for m, (l1, wl1) in enumerate(norms, 1)]
-        if corrected:
-            corr = nonadapted_correction(spec, f, n, tol).total
+    cutoff = math.isqrt(2 * n)
+    series = [(wl1 + 2.0 * mom.sigma * l1) / (m * mom.sigma2)
+              for m, (l1, wl1) in enumerate(terms.pairs[:cutoff], 1)]
+    tails = [norm / (mom.sigma * math.sqrt(m)) for m, norm in enumerate(terms.tails[:n], 1)]
+    one_plus = [norm / (2.0 * m) for m, norm in enumerate(terms.one_plus[:n], 1)]
+    corr = sum(tails, 0.0) + sum(one_plus)
     total = constant + log_term + float(sum(series)) + corr
     return BoundReport(kind=kind, n=n, total=total, constant=constant,
                        log_term=log_term, series=tuple(series), m_cutoff=cutoff,
@@ -335,17 +306,21 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
 
 def martingale_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
-                        tol: Tolerance = _NORM_TOL) -> BoundReport:
+                        tol: Tolerance = _NORM_TOL,
+                        terms: Optional[BoundTerms] = None) -> BoundReport:
     """Distance bound for stationary martingale differences:
 
         13 sigma/6 + (Lambda/6) log(1+2n)
         + sum_{m<=sqrt(2n)} (||X0 U_m||_1 + 2 sigma ||U_m||_1)/(m sigma^2).
+
+    terms: `bound_terms("martingale", spec, f, n_max, tol)`, n_max >= n.
     """
-    return _d1_bound("martingale", spec, f, n, tol, _variance_compensator, corrected=False)
+    return _d1_bound("martingale", spec, f, n, tol, terms)
 
 
 def projective_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
-                        tol: Tolerance = _NORM_TOL) -> BoundReport:
+                        tol: Tolerance = _NORM_TOL,
+                        terms: Optional[BoundTerms] = None) -> BoundReport:
     """Distance bound for stationary sequences with a convergent resolvent:
 
         13 sigma/6 + (Lambda/6) log(1+2n)
@@ -354,8 +329,9 @@ def projective_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
     Coincides with the martingale bound (correction 0, W_m = U_m) on
     martingale-difference inputs.
+    terms: `bound_terms("projective", spec, f, n_max, tol)`, n_max >= n.
     """
-    return _d1_bound("projective", spec, f, n, tol, _compensator, corrected=True)
+    return _d1_bound("projective", spec, f, n, tol, terms)
 
 
 def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
@@ -370,10 +346,9 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
         raise DomainError("m must be >= 1")
     if isinstance(spec, IIDLaw):
         return (0.0, 0.0)
-    mom = moments(spec, f)
+    total = constant_fn(-m * long_run_variance(spec, f).sigma2)
     f2, _ = product(f, f)
     sums = _partial_sums(spec, f, m)
-    total = constant_fn(-m * mom.sigma2)
     for k in range(1, m + 1):
         total = total + transfer(spec, f2 + 2.0 * product(f, sums[m - k])[0], k)
     g_tail = resolvent_tail(spec, f, 1)

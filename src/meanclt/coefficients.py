@@ -308,15 +308,15 @@ def alpha_exact(spec: ProcessSpec, indices: Sequence[int], grid: int = 10) -> fl
     raise TypeError("alpha_exact supports DoublingMap, FiniteChain and IIDLaw")
 
 
-def alpha_tabulation(spec: ProcessSpec, kmax: int, grid: int = 8) -> AlphaSeq:
+def alpha_tabulation(spec: ProcessSpec, kmax: int) -> AlphaSeq:
     """Tabulate single-index mixing coefficients alpha(0..kmax).
 
     alpha(0) is the exact lag-0 value 1/2 (the present state is measurable,
-    so the norm is sup_x 2x(1-x)); later entries come from alpha_exact.
+    so the norm is sup_x 2x(1-x)); alpha(k) is alpha_exact at grid k + 1.
     """
     vals = [0.5]
     for k in range(1, kmax + 1):
-        vals.append(alpha_exact(spec, (k,), grid=grid))
+        vals.append(alpha_exact(spec, (k,), grid=k + 1))
     return AlphaSeq(np.array(vals))
 
 

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__ as _VERSION
-from .bounds import (martingale_d1_bound, moments, projective_d1_bound, rate_fit,
+from .bounds import (bound_terms, martingale_d1_bound, moments, projective_d1_bound, rate_fit,
                      second_moment_norms, variance_l32_norms, zolotarev_bound)
 from .coefficients import (QuantileSeq, _tail_quantile_steps, alpha_tabulation,
                            appendix_checks, covariance_bound_check, JointPmf, joint_arrays,
@@ -388,16 +388,16 @@ def run(config: ExperimentConfig) -> RunManifest:
         timings["distances"] = time.perf_counter() - t
 
     if {"martingale_bound", "projective_bound", "second_moment_terms"} & set(config.targets):
-        t = time.perf_counter()
-        for rec in per_n:
-            n = rec["n"]
-            if "martingale_bound" in config.targets:
-                rec["bound_martingale"] = martingale_d1_bound(spec, f, n, config.tolerance).to_dict()
-            if "projective_bound" in config.targets:
-                rec["bound_projective"] = projective_d1_bound(spec, f, n, config.tolerance).to_dict()
-            if "second_moment_terms" in config.targets:
-                drift, smooth = second_moment_norms(spec, f, int(math.isqrt(2 * n)),
-                                                    config.tolerance)
+        t, tol = time.perf_counter(), config.tolerance
+        for kind, bound in (("martingale", martingale_d1_bound),
+                            ("projective", projective_d1_bound)):
+            if f"{kind}_bound" in config.targets:  # its terms once, for the grid's largest n
+                terms = bound_terms(kind, spec, f, config.n_grid[-1], tol)
+                for rec in per_n:
+                    rec[f"bound_{kind}"] = bound(spec, f, rec["n"], tol, terms).to_dict()
+        if "second_moment_terms" in config.targets:
+            for rec in per_n:
+                drift, smooth = second_moment_norms(spec, f, math.isqrt(2 * rec["n"]), tol)
                 rec["second_moment_drift"] = drift
                 rec["resolvent_smoothing"] = smooth
         timings["bounds"] = time.perf_counter() - t
@@ -610,8 +610,7 @@ def diagnose_conditions(spec: ProcessSpec, f: Optional[FourierFn], kmax: int,
     if isinstance(spec, (DoublingMap, FiniteChain)):
         # the doubling map's alpha(k) enumerates 2^k branches, so its table stops
         # at 12; a chain's costs one matrix power per lag
-        alpha = alpha_tabulation(spec, kmax if spec.carries_observable else min(kmax, 12),
-                                 grid=min(kmax + 1, 12))
+        alpha = alpha_tabulation(spec, kmax if spec.carries_observable else min(kmax, 12))
         if spec.carries_observable:  # the chain's exact law of |v - pi.v| under pi
             edges, steps = _tail_quantile_steps(np.abs(spec.centered_values), spec.stationary)
             quantile = QuantileSeq(edges[1:-1], steps)

@@ -4,15 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanclt.bounds import (_drift_values, _l1_norms, _partial_sums, cubic_moment_sum,
-                            martingale_d1_bound, moments,
+from meanclt.bounds import (_NORM_TOL, _drift_values, _l1_norms, _partial_sums, bound_terms,
+                            cubic_moment_sum, martingale_d1_bound, moments,
                             nonadapted_correction, projective_d1_bound,
                             projective_drift_norms, rate_fit, second_moment_norms,
                             three_moment_distribution, variance_drift_norms,
                             variance_l32_norm, variance_l32_norms, zolotarev_bound)
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError
 from meanclt.fourier import FourierFn, constant_fn, cosine, lebesgue_inner, product
-from meanclt.numerics import substream
+from meanclt.numerics import Tolerance, substream
 from meanclt.processes import (DoublingMap, CircleWalk, FiniteChain, iid_rademacher,
                                long_run_variance, resolvent_tail, sqrt2_minus_one,
                                transfer)
@@ -164,28 +164,19 @@ class TestProjectiveMachinery:
         assert rep.correction > 0.0
 
     def test_norms_shared_across_n_of_one_observable(self, monkeypatch):
-        # the bound at n = 32 after n = 128 on the same observable takes every
-        # norm from the earlier call; a fresh observable integrates them again
-        from meanclt import bounds
-        calls = []
-        quad, quad_many = bounds.integrate_unit, bounds.integrate_many
-        monkeypatch.setattr(bounds, "integrate_unit",
-                            lambda g, tol: calls.append(1) or quad(g, tol))
-        monkeypatch.setattr(bounds, "integrate_many",
-                            lambda g, count, tol: calls.append(count) or quad_many(g, count, tol))
+        # the bound at n = 32 from the terms of n = 128 takes every norm from
+        # them; without terms, n = 32 integrates its own
         f = FourierFn(0.0, [1.0, 0.5])
-        projective_d1_bound(CW, f, 128)
-        before = len(calls)
-        again = projective_d1_bound(CW, f, 32)
-        assert len(calls) == before
-        fresh = projective_d1_bound(CW, FourierFn(0.0, [1.0, 0.5]), 32)
-        assert len(calls) > before
-        assert repr(again) == repr(fresh)
-
+        terms = bound_terms("projective", CW, f, 128)
+        calls = _record_work(monkeypatch)
+        again = projective_d1_bound(CW, f, 32, terms=terms)
+        assert calls == []
+        alone = projective_d1_bound(CW, FourierFn(0.0, [1.0, 0.5]), 32)
+        assert "integrate" in calls
+        assert repr(again) == repr(alone)
 
     def test_norm_independent_of_its_batch(self):
-        # a norm gets the same bits alone, in a batch, and among other mates;
-        # each call below starts from an observable with an empty memo
+        # a norm gets the same bits alone, in a batch, and among other mates
         coeffs = ([1.0, 0.5, 0.25, 0.125], [0.0, 0.3])
         fresh = lambda: FourierFn(0.0, *coeffs)
         sums = _partial_sums(CW, fresh(), 12)[1:]
@@ -237,6 +228,19 @@ class TestProjectiveMachinery:
         assert peak < 768 * 1024
 
 
+def _record_work(monkeypatch) -> list:
+    """Record each transfer, resolvent tail, product and quadrature that
+    `bounds` asks for, by name, from now on."""
+    from meanclt import bounds, fourier
+    calls = []
+    for module, name in ((bounds, "transfer"), (bounds, "resolvent_tail"), (bounds, "product"),
+                         (bounds, "integrate_unit"), (fourier, "integrate_many")):
+        label = "integrate" if name.startswith("integrate") else name
+        monkeypatch.setattr(module, name, lambda *args, _label=label, _real=getattr(
+            module, name): calls.append(_label) or _real(*args))
+    return calls
+
+
 def _second_moment_report(spec, f, n):
     return second_moment_norms(spec, f, math.isqrt(2 * n))
 
@@ -257,47 +261,76 @@ class TestReuseAcrossN:
                                   "doubling-cos1-martingale", "circle-cos1-projective",
                                   "circle4-projective"])
     def test_reports_do_not_depend_on_the_order_of_n(self, spec, coeffs, bound):
-        # each n sums a prefix of the drift sequences the observable remembers: the
-        # same report for each n alone (a fresh observable), ascending or descending
+        # nothing is kept between calls: the same report for each n alone (a fresh
+        # observable), ascending or descending on one observable
         alone = [repr(bound(spec, FourierFn(0.0, *coeffs), n)) for n in REUSE_GRID]
         f = FourierFn(0.0, *coeffs)
         assert [repr(bound(spec, f, n)) for n in REUSE_GRID] == alone
         f = FourierFn(0.0, *coeffs)
         assert [repr(bound(spec, f, n)) for n in REUSE_GRID[::-1]] == alone[::-1]
 
+    @pytest.mark.parametrize("spec,coeffs,bound", REUSE_CASES[:1] + REUSE_CASES[2:],
+                             ids=["doubling-cos2-projective", "doubling-cos1-martingale",
+                                  "circle-cos1-projective", "circle4-projective"])
+    def test_terms_of_the_largest_n_give_each_n_alone(self, spec, coeffs, bound):
+        kind = "projective" if bound is projective_d1_bound else "martingale"
+        alone = [repr(bound(spec, FourierFn(0.0, *coeffs), n)) for n in REUSE_GRID]
+        f = FourierFn(0.0, *coeffs)
+        terms = bound_terms(kind, spec, f, REUSE_GRID[-1])
+        assert [repr(bound(spec, f, n, terms=terms)) for n in REUSE_GRID] == alone
+
     @pytest.mark.parametrize("spec,coeffs", [(DM, ([0.0, 1.0], [])),
                                              (CW, ([1.0, 0.5], [0.0, 0.3]))],
                              ids=["doubling-cos2", "circle-mixed"])
     def test_correction_extends_across_chunk_edges(self, spec, coeffs):
-        # a larger n extends the remembered tail norms from where a smaller n left
-        # them, off the 64-tail chunk edges and past the stop (m = 233 on the circle)
+        # the terms of n = 256 hold the tail norms across the 64-tail chunk edges
+        # and past the stop (m = 233 on the circle); the correction each n reads
+        # from them is the one of n alone
         grid = (1, 63, 65, 100, 129, 240, 256)
-        alone = [nonadapted_correction(spec, FourierFn(0.0, *coeffs), n) for n in grid]
+        alone = [nonadapted_correction(spec, FourierFn(0.0, *coeffs), n).total for n in grid]
         f = FourierFn(0.0, *coeffs)
-        assert [nonadapted_correction(spec, f, n) for n in grid] == alone
+        terms = bound_terms("projective", spec, f, grid[-1])
+        assert [projective_d1_bound(spec, f, n, terms=terms).correction for n in grid] == alone
 
     def test_smaller_n_builds_no_function(self, monkeypatch):
-        # after n = 16384 the bound at n = 64 on the same observable reads every
-        # drift norm from the memo: it forms no transfer, tail or product
-        from meanclt import bounds
+        # the bound at n = 64 from the terms of n = 16384 forms no transfer, tail
+        # or product and integrates nothing: it only sums their prefixes
         f = cosine(1)
-        projective_d1_bound(CW, f, 16384)
-        calls = []
-        for name in ("transfer", "resolvent_tail", "product"):
-            monkeypatch.setattr(bounds, name, lambda *args, _name=name, _real=getattr(
-                bounds, name): calls.append(_name) or _real(*args))
-        again = projective_d1_bound(CW, f, 64)
+        terms = bound_terms("projective", CW, f, 16384)
+        calls = _record_work(monkeypatch)
+        again = projective_d1_bound(CW, f, 64, terms=terms)
         assert calls == []
         assert repr(again) == repr(projective_d1_bound(CW, cosine(1), 64))
-        assert calls
+        assert {"transfer", "resolvent_tail", "product", "integrate"} <= set(calls)
+
+    def test_mismatched_terms_are_refused(self):
+        f = cosine(2)
+        terms = bound_terms("projective", DM, f, 64)
+        assert (terms.kind, terms.spec, terms.f, terms.tol, terms.n_max) == \
+            ("projective", DM, f, _NORM_TOL, 64)
+        refused = [lambda: martingale_d1_bound(DM, f, 64, terms=terms),
+                   lambda: projective_d1_bound(CW, f, 64, terms=terms),
+                   lambda: projective_d1_bound(DM, cosine(2), 64, terms=terms),
+                   lambda: projective_d1_bound(DM, f, 64, Tolerance(1e-10, 1e-10, 44), terms),
+                   lambda: projective_d1_bound(DM, f, 65, terms=terms)]
+        for call in refused:
+            with pytest.raises(DomainError, match="bound terms"):
+                call()
+        assert projective_d1_bound(DM, f, 64, terms=terms) == projective_d1_bound(DM, f, 64)
+        iid = iid_rademacher()
+        iid_terms = bound_terms("martingale", iid, None, 50)
+        assert martingale_d1_bound(iid, None, 50, terms=iid_terms) == \
+            martingale_d1_bound(iid, None, 50)
+        with pytest.raises(DomainError, match="bound kind"):
+            bound_terms("zolotarev", DM, f, 64)
 
     @pytest.mark.parametrize("call", [lambda spec: projective_drift_norms(spec, None, 3),
                                       lambda spec: variance_drift_norms(spec, None, 3),
                                       lambda spec: _partial_sums(spec, None, 3)],
                              ids=["projective", "variance", "partial-sums"])
-    def test_drift_sums_check_the_observable_before_the_memo(self, call):
-        # None is no memo key: an interval map refuses it as the observable contract
-        # says, a chain as a family with no FourierFn transfer operator
+    def test_drift_sums_check_the_observable_first(self, call):
+        # an interval map refuses None as the observable contract says, a chain
+        # as a family with no FourierFn transfer operator
         with pytest.raises(TypeError, match="^the doubling_map process needs a FourierFn"):
             call(DM)
         chain = FiniteChain(np.full((2, 2), 0.5), values=np.array([-1.0, 2.0]))
@@ -385,17 +418,15 @@ class TestSingleSumOracle:
         assert len({id(s) for s in cw}) == 6
 
     def test_norms_once_per_distinct_sum(self):
-        # R_0, R_1 = cos2 and R_2 = cos2 + cos1 are the distinct sums of cos4; a
-        # shorter request after a longer one computes nothing
+        # R_0, R_1 = cos2 and R_2 = cos2 + cos1 are the distinct sums of cos4: each
+        # is valued once, and R_3 ... R_9 read the value of R_2
         f = cosine(4)
         sums = _partial_sums(DM, f, 9)
         calls = []
         values = lambda ss: calls.extend(ss) or [s.coeff_l1() for s in ss]
-        got = _drift_values(DM, f, 9, None, ("l1",), values)
+        got = _drift_values(DM, f, 9, None, values)
         assert len(calls) == len({id(s) for s in sums}) == 3
         assert got == [s.coeff_l1() for s in sums[1:]]
-        assert _drift_values(DM, f, 4, None, ("l1",), values) == got[:4]
-        assert len(calls) == 3
 
 
 class TestVarianceL32:

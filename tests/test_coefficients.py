@@ -509,10 +509,16 @@ class TestAlphaExact:
         assert alpha_exact(DM, (1, 2), grid=4) <= 1.0
 
     def test_tabulation(self):
-        tab = alpha_tabulation(DM, 4, grid=6)
+        tab = alpha_tabulation(DM, 4)
         assert tab[0] == 0.5
         assert tab[1] == pytest.approx(0.25)
         assert np.all(np.diff(tab.values) <= 0.0)
+
+    def test_tabulation_exact_to_the_last_lag(self):
+        # each alpha(k) is searched at its own dyadic level k + 1; one shared
+        # level of 12 read alpha(12) = 0 in place of 2^-13
+        tab = alpha_tabulation(DM, 12)
+        assert [tab[k] for k in range(1, 13)] == [2.0 ** -(k + 1) for k in range(1, 13)]
 
 
 class TestCovarianceBound:

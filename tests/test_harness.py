@@ -159,6 +159,21 @@ class TestRun:
         d1["config"].pop("output"), d2["config"].pop("output")
         assert d1 == d2
 
+    def test_a_run_leaves_nothing_for_the_next(self):
+        # circle4's projective bound, then another observable, then circle4 again
+        # in one process: both circle4 manifests are the same apart from timings
+        def manifest(observable):
+            m = run(ExperimentConfig.from_dict(
+                {"process": CIRCLE, "observable": observable, "n_grid": [64, 256], "reps": 1,
+                 "seed": 13, "targets": ["projective_bound"]})).to_dict()
+            m.pop("timings")
+            return json.dumps(m, indent=2, sort_keys=True)
+
+        circle4 = {"constant": 0.0, "cos": [1.0, 0.5, 0.25, 0.125], "sin": [0.0, 0.3]}
+        first = manifest(circle4)
+        manifest({"constant": 0.0, "cos": [1.0, 0.5], "sin": [0.0, 0.3]})
+        assert manifest(circle4) == first
+
     def test_normalization_identity(self):
         m = run(small_config())
         for rec in m.per_n:

@@ -36,6 +36,7 @@ LIBRARY_ONLY = {
     "bounds.projective_drift_norms": ACCEPTANCE,
     "coefficients.frac_part_sum": ACCEPTANCE,
     "coefficients.kernel_decay_sum": ACCEPTANCE,
+    "bounds.nonadapted_correction": f"{TRACER}; {ACCEPTANCE} as well",
     "bounds.variance_l32_norm": TRACER,
     "coefficients.monotone_difference_bound_check": TRACER,
     "coefficients.dispersion_check": TRACER,
