@@ -19,7 +19,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
-from .fourier import FourierFn, FourierStack, constant_fn, l1_norms, lebesgue_inner, product
+from .fourier import (FourierFn, FourierStack, _to_complex, constant_fn, l1_norms,
+                      lebesgue_inner, product)
 from .numerics import RandomStream, Tolerance, integrate_many, integrate_unit
 from .processes import (IIDLaw, ProcessSpec, check_observable, is_martingale,
                         long_run_variance, resolvent_tail, transfer)
@@ -41,7 +42,7 @@ def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
         for kind, g in requests:
             zero.append(g.is_zero())
             if not zero[-1]:
-                yield (product(f, g).fn if kind == "weighted" else g), ()
+                yield _to_complex(product(f, g).fn if kind == "weighted" else g), ()
 
     norms = iter(list(l1_norms(items(), tol)))  # reads every request, filling `zero`
     return [0.0 if z else next(norms) for z in zero]
@@ -378,7 +379,7 @@ def variance_l32_norms(spec: ProcessSpec, f: Optional[FourierFn], lags: Sequence
     live = [k for k, g in enumerate(gs) if not g.is_zero()]
     norms = [0.0] * len(lags)
     if live:
-        stack = FourierStack([gs[k] for k in live])
+        stack = FourierStack([_to_complex(gs[k]) for k in live])
         values = integrate_many(lambda owner, x: np.abs(stack.eval(x, owner[:, None])) ** 1.5,
                                 len(live), _NORM_TOL)
         for k, value in zip(live, values):

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, SchemaError, json_numbers, json_typed, reject_unknown_keys
-from .numerics import Tolerance, integrate_many
+from .numerics import _EVAL_POINTS, Tolerance, integrate_many
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -92,34 +92,18 @@ class FourierFn:
     # -- evaluation and algebra --------------------------------------------
 
     @functools.cached_property
-    def _nonzero_terms(self) -> int:
-        return int(np.count_nonzero(self.cos_coeffs) + np.count_nonzero(self.sin_coeffs))
-
-    @functools.cached_property
     def _stack(self) -> "FourierStack":
-        return FourierStack([self])
+        return FourierStack([_to_complex(self)])
 
     def eval(self, x: ArrayLike) -> ArrayLike:
-        """constant + sum_k (a_k cos 2 pi k x + b_k sin 2 pi k x).
-
-        Term by term, each nonzero a_k or b_k costs one cos or sin per point;
-        Horner's rule in z = e^{2 pi i x} (`FourierStack`) costs one cos and
-        one sin per point and a complex multiply-add per frequency.  Horner is
-        taken from three nonzero terms on, so a sparse observable such as
-        cos 4 pi x keeps its single cosine.
-        """
+        """constant + sum_k (a_k cos 2 pi k x + b_k sin 2 pi k x), by Horner's
+        rule in z = e^{2 pi i x} (`FourierStack`), _EVAL_POINTS points a call
+        so that no complex temporary reaches 256 KiB."""
         x = np.asarray(x, dtype=float)
-        if self._nonzero_terms <= 2:
-            out = np.full(x.shape, self.constant, dtype=float)
-            for k in range(1, self.max_freq + 1):
-                th = (2.0 * math.pi * k) * x
-                a, b = self.cos_coeffs[k - 1], self.sin_coeffs[k - 1]
-                if a != 0.0:
-                    out += a * np.cos(th)
-                if b != 0.0:
-                    out += b * np.sin(th)
-            return out if out.ndim else float(out)
-        out = self._stack.eval(x)
+        out = np.empty(x.shape)
+        xs, ys = x.reshape(-1), out.reshape(-1)
+        for lo in range(0, xs.size, _EVAL_POINTS):
+            ys[lo:lo + _EVAL_POINTS] = self._stack.eval(xs[lo:lo + _EVAL_POINTS])
         return out if out.ndim else float(out)
 
     def __call__(self, x: ArrayLike) -> ArrayLike:
@@ -185,20 +169,20 @@ class FourierFn:
 class FourierStack:
     """Trigonometric polynomials p_j evaluated together by Horner's rule in z.
 
-    p_j(x) = c_j + Re(sum_{k<=K} C_jk z^k) with C_jk = a_jk - i b_jk and
-    z = e^{2 pi i x}, K the largest max_freq of the stack; a polynomial of
-    lower degree has zeros on top, which leave its Horner sum exact, so each
-    value is the one its polynomial gets in a stack of its own.  The
-    coefficient table is built once, here, for every later evaluation.
+    p_j(x) = c_j0 + Re(sum_{k<=K} 2 c_jk z^k) for p_j's coefficients c_j
+    (`_to_complex`), z = e^{2 pi i x} and K the largest degree of the stack; a
+    polynomial of lower degree has zeros on top, which leave its Horner sum
+    exact, so each value is the one its polynomial gets in a stack of its own.
+    The coefficient table is built once, here, for every later evaluation.
     """
 
-    def __init__(self, fns: Sequence[FourierFn]):
-        top = max(f.max_freq for f in fns)
-        table = np.zeros((top, len(fns)), dtype=complex)  # row k-1 holds C_k
-        for j, f in enumerate(fns):
-            table[:f.max_freq, j] = f.cos_coeffs - 1j * f.sin_coeffs
+    def __init__(self, coeffs: Sequence[np.ndarray]):
+        top = max(c.size for c in coeffs) // 2
+        table = np.zeros((top, len(coeffs)), dtype=complex)  # row k-1 holds C_k
+        for j, c in enumerate(coeffs):
+            table[:c.size // 2, j] = 2.0 * c[c.size // 2 + 1:]
         self._rows = table[::-1]  # C_K first
-        self._constants = np.array([f.constant for f in fns])
+        self._constants = np.array([c[c.size // 2].real for c in coeffs])
 
     def eval(self, x: np.ndarray, which=None) -> np.ndarray:
         """p_which[i](x[i]), `which` broadcasting against x; with which None,
@@ -218,10 +202,11 @@ class FourierStack:
         return s.real + const
 
 
-def l1_norms(items: Iterable[tuple[FourierFn, tuple]], tol: Tolerance,
+def l1_norms(items: Iterable[tuple[np.ndarray, tuple]], tol: Tolerance,
              f: Optional[FourierFn] = None) -> Iterator[float]:
     """Yield the integral over [0, 1] of |p(x)| prod_{d in ds} |f(2^d x)|,
-    factors in ds order, for each (p, ds) of items, in order.
+    factors in ds order, for each (p, ds) of items, in order; p is given by
+    its coefficient array (`_to_complex`).
 
     Items are read _NORM_BATCH at a time (a generator keeps one batch alive),
     each batch one integrate_many of a `FourierStack` of its p.  A norm keeps
@@ -287,11 +272,18 @@ def _to_complex(f: FourierFn) -> np.ndarray:
 
 def _from_complex(c: np.ndarray) -> FourierFn:
     k = (c.size - 1) // 2
-    constant = float(c[k].real)
-    if k == 0:
-        return FourierFn(constant)
     pos = c[k + 1:]
-    return FourierFn(constant, 2.0 * pos.real, -2.0 * pos.imag)
+    return FourierFn(float(c[k].real), 2.0 * pos.real, -2.0 * pos.imag)
+
+
+def _times(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The product of the polynomials of coefficients c and d: their convolution,
+    its constant made real and its negative half the conjugate of its positive half."""
+    out = np.convolve(c, d)
+    k = out.size // 2
+    out[k] = out[k].real
+    out[:k] = np.conj(out[:k:-1])
+    return out
 
 
 class ProductResult(NamedTuple):
@@ -302,4 +294,4 @@ class ProductResult(NamedTuple):
 def product(f: FourierFn, g: FourierFn) -> ProductResult:
     """Pointwise product by coefficient convolution, exact at every frequency;
     `dropped_l1` is always 0.0."""
-    return ProductResult(_from_complex(np.convolve(_to_complex(f), _to_complex(g))), 0.0)
+    return ProductResult(_from_complex(_times(_to_complex(f), _to_complex(g))), 0.0)

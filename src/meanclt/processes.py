@@ -238,7 +238,11 @@ class DoublingMap(ProcessSpec):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
         # |k| <= B from the FFT of its samples; bound: truncation, aliasing and
         # rounding leave |g_B| <= 1 + eps and K contracts sup norms, so the n-fold product
-        # moves by at most (1 + eps)^n - 1
+        # moves by at most (1 + eps)^n - 1.  T preserves Lebesgue measure, so S_n has
+        # one law for f = g o T, every frequency of f even, and for g
+        while f.max_freq and not (f.cos_coeffs[::2].any() or f.sin_coeffs[::2].any()):
+            f = FourierFn(f.constant, f.cos_coeffs[1::2], f.sin_coeffs[1::2])
+
         def phi(taus) -> Characteristic:
             taus = np.asarray(taus, dtype=float)
             flat = taus.reshape(-1)
@@ -573,10 +577,12 @@ def _exp_i_tau_f(f: FourierFn, taus: np.ndarray, batches: list, tail: float) -> 
     beyond B carry at most delta = prod(a_j + d_j) - prod(a_j).  Dropping them
     and their aliases onto -B..B each move the result by at most delta.
 
-    Rounding (u = 2^-53; numpy's cos, sin, exp within 4 ulp): f.eval's term k is
-    off by (2.4 u 2 pi k + 5 u)(|a_k| + |b_k|) and each of its m sums by u L, L =
-    f.coeff_l1(), and tau f adds u |tau| L, so a sample is off by at most
-    s = |tau| u (3 D + (6 + m) L) + 6 u, D = f.derivative_sup_bound().  By
+    Rounding (u = 2^-53; numpy's cos, sin, exp within 4 ulp): f.eval is Horner's
+    rule in z = e^{2 pi i x}; the phase and the rounded z put z^k off by 14.2 k u
+    and the multiply-add at frequency k rounds by 3.9 u sum_{j>=k} |C_j|, C_j =
+    a_j - i b_j, so f.eval is off by at most 18.1 u sum_k k |C_k| + u L <= 2.9 u D
+    + u L, L = f.coeff_l1(), D = f.derivative_sup_bound().  tau f adds u |tau| L,
+    so a sample is off by at most s = |tau| u (3 D + (6 + m) L) + 6 u (m nonzero terms).  By
     Parseval the coefficients then err by at most s in 2-norm, and an FFT of 2^t
     points adds t 7u (1 + 6u) < 8 u t (Higham, Accuracy and Stability of
     Numerical Algorithms, Thm 24.2); the 2B + 1 kept ones err by sqrt(2B + 1)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .fourier import FourierFn, l1_norms, product
+from .fourier import FourierFn, _times, _to_complex, l1_norms, product
 from .numerics import Tolerance
 from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, check_observable,
                         exact_frac, transfer)
@@ -31,7 +31,7 @@ def _centred_nest(spec: ProcessSpec, f: FourierFn, gaps: Sequence[int]) -> Fouri
     """h - E h for the exact nest h = K^{g1}(f * K^{g2}(f * ... K^{gr} f))."""
     fn = f
     for g in reversed(gaps[1:]):
-        fn = _product(f, transfer(spec, fn, g))
+        fn = product(f, transfer(spec, fn, g)).fn
     fn = transfer(spec, fn, gaps[0])
     return fn.shift_constant(-fn.constant)
 
@@ -144,7 +144,8 @@ def _map_theta_norms(spec: ProcessSpec, f: FourierFn, keys: Sequence[tuple],
 def _window_terms(spec: ProcessSpec, f: FourierFn, i: int, past_gaps: tuple,
                   h0: FourierFn):
     """(weight, p, ds) terms whose sum of weight * integral |p| prod_{d in ds}
-    |f(2^d x)| is the norm of the window (i, past gaps) with centred nest h0.
+    |f(2^d x)| is the norm of the window (i, past gaps) with centred nest h0,
+    p as its coefficient array (`fourier._to_complex`).
 
     i = 0 is |h0| alone.  The doubling map's earlier coordinates are its
     latest one doubled sum(past_gaps[t:]) times: dilated factors of f h0.
@@ -152,29 +153,29 @@ def _window_terms(spec: ProcessSpec, f: FourierFn, i: int, past_gaps: tuple,
     so there is one term per shift tuple, f(x) f(x + s_1 a) ... (f h0)(x + s_{i-1} a)
     with s_t the offsets' partial sums.  Every product is exact.
     """
+    c, h = _to_complex(f), _to_complex(h0)
     if i == 0:
-        yield 1.0, h0, ()
+        yield 1.0, h, ()
     elif isinstance(spec, DoublingMap):
-        yield 1.0, _product(f, h0), tuple(sum(past_gaps[t:]) for t in range(i - 1))
+        yield 1.0, _times(c, h), tuple(sum(past_gaps[t:]) for t in range(i - 1))
     else:
-        fh0 = _product(f, h0)
+        fh0 = _times(c, h)
         for shifts in itertools.product(*map(_binomial_shifts, past_gaps)):
             s = list(itertools.accumulate((o for _, o in shifts), initial=0))
-            factors = [_shifted(spec, f, t) for t in s[:-1]] + [_shifted(spec, fh0, s[-1])]
-            yield math.prod(w for w, _ in shifts), functools.reduce(_product, factors), ()
+            factors = [_shifted(spec, c, t) for t in s[:-1]] + [_shifted(spec, fh0, s[-1])]
+            yield math.prod(w for w, _ in shifts), functools.reduce(_times, factors), ()
 
 
-def _product(f: FourierFn, g: FourierFn) -> FourierFn:
-    return product(f, g).fn
-
-
-def _shifted(spec: ProcessSpec, g: FourierFn, s: int) -> FourierFn:
-    """g(x + s a) for the circle walk's step a, by the exact phase {k s a} of frequency k."""
+def _shifted(spec: ProcessSpec, c: np.ndarray, s: int) -> np.ndarray:
+    """g(x + s a) from g's coefficients c, by the exact phase {k s a} of frequency k."""
     if s == 0:
-        return g
-    th = np.array([exact_frac(spec.a, k * s) for k in range(1, g.max_freq + 1)])
-    c = (g.cos_coeffs - 1j * g.sin_coeffs) * np.exp(2j * math.pi * th)
-    return FourierFn(g.constant, c.real, -c.imag)
+        return c
+    k = c.size // 2
+    th = np.array([exact_frac(spec.a, j * s) for j in range(1, k + 1)])
+    out = c.copy()
+    out[k + 1:] *= np.exp(2j * math.pi * th)
+    out[:k] = np.conj(out[:k:-1])
+    return out
 
 
 def _chain_theta_norms(spec: FiniteChain, keys: Sequence[tuple]) -> list:

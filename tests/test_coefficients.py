@@ -186,12 +186,14 @@ class TestTheta:
 
     @pytest.mark.parametrize("s", [-5, -1, 1, 2, 7])
     def test_circle_walk_shift_is_the_pointwise_shift(self, s):
+        from meanclt.fourier import FourierStack, _to_complex
         from meanclt.theta import _shifted
         g = FourierFn(0.25, [1.0, -0.5, 0.0, 0.3], [0.2, 0.0, 0.7])
+        c = _to_complex(g)
         x = np.linspace(0.0, 1.0, 97, endpoint=False)
         want = g.eval(np.mod(x + s * CW.a.value, 1.0))
-        assert np.allclose(_shifted(CW, g, s).eval(x), want, rtol=0.0, atol=1e-13)
-        assert _shifted(CW, g, 0) is g
+        assert np.allclose(FourierStack([_shifted(CW, c, s)]).eval(x), want, rtol=0.0, atol=1e-13)
+        assert _shifted(CW, c, 0) is c
 
     @pytest.mark.parametrize("spec,f,i,past_gaps,gaps", [
         (DM, cosine(2), 0, (), (1,)), (DM, cosine(2), 2, (1,), (1,)),
@@ -363,6 +365,35 @@ def _window_one_term_at_a_time(spec, f, i, past_gaps, gaps, tol):
     return total
 
 
+def _fourier_fn_window_terms(spec, f, i, past_gaps, h0):
+    """`theta._window_terms` built of FourierFns: one `product` and one
+    shifted FourierFn, a phase {k s a} on each a_k - i b_k, at a time."""
+    from meanclt.fourier import product
+    from meanclt.processes import exact_frac
+    from meanclt.theta import _binomial_shifts
+
+    def shifted(g, s):
+        if s == 0:
+            return g
+        th = np.array([exact_frac(spec.a, k * s) for k in range(1, g.max_freq + 1)])
+        c = (g.cos_coeffs - 1j * g.sin_coeffs) * np.exp(2j * math.pi * th)
+        return FourierFn(g.constant, c.real, -c.imag)
+
+    if i == 0:
+        yield 1.0, h0, ()
+    elif isinstance(spec, DoublingMap):
+        yield 1.0, product(f, h0).fn, tuple(sum(past_gaps[t:]) for t in range(i - 1))
+    else:
+        fh0 = product(f, h0).fn
+        for shifts in itertools.product(*map(_binomial_shifts, past_gaps)):
+            s = list(itertools.accumulate((o for _, o in shifts), initial=0))
+            factors = [shifted(f, t) for t in s[:-1]] + [shifted(fh0, s[-1])]
+            p = factors[0]
+            for q in factors[1:]:
+                p = product(p, q).fn
+            yield math.prod(w for w, _ in shifts), p, ()
+
+
 def _theta_one_at_a_time(spec, f, i, j, gap, window, tol):
     """theta_coeff as one window norm at a time, in window order, and one
     term at a time within a window."""
@@ -442,6 +473,42 @@ class TestThetaTable:
         want = [_window_norm_alone(spec, f, *k, self.TOL) for k in keys]
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
         assert any(v > 0.0 for v in got)
+
+    @pytest.mark.parametrize("spec,f", [
+        THETA_CASES["circle-cos1"], THETA_CASES["circle4"], THETA_CASES["doubling-cos2"],
+        (DM, FourierFn(0.0, [0.5, 1.0, 0.25], [0.3]))],
+        ids=["circle-cos1", "circle4", "doubling-cos2", "doubling-mixed"])
+    def test_terms_are_the_fourier_fn_terms(self, spec, f):
+        # every term of every distinct window at window 2, as a coefficient
+        # array, against the one built of FourierFns: the same weight, the same
+        # dilations and the same coefficients bit for bit (+ 0.0 makes a -0.0
+        # part +0.0, which a FourierFn round trip may flip)
+        from meanclt.fourier import _to_complex
+        from meanclt.theta import _centred_nest, _theta_windows, _window_terms
+        keys = dict.fromkeys((i, past_gaps, gaps) for i, j, gap in self.REQUESTS
+                             for past_gaps, gaps in _theta_windows(i, j, gap, 2))
+        terms = 0
+        for i, past_gaps, gaps in keys:
+            h0 = _centred_nest(spec, f, gaps)
+            if h0.is_zero(1e-300):
+                continue
+            got = list(_window_terms(spec, f, i, past_gaps, h0))
+            want = list(_fourier_fn_window_terms(spec, f, i, past_gaps, h0))
+            assert len(got) == len(want)
+            for (weight, p, ds), (ref_weight, ref_p, ref_ds) in zip(got, want):
+                assert (weight, ds) == (ref_weight, ref_ds)
+                assert (p + 0.0).tobytes() == (_to_complex(ref_p) + 0.0).tobytes()
+                terms += 1
+        assert terms >= 20
+
+    def test_circle_walk_table_builds_few_fourier_fns(self, monkeypatch):
+        # the window terms are coefficient arrays; only the distinct nests build
+        # FourierFns (6,463 when every factor and partial product did)
+        built = []
+        init = FourierFn.__post_init__
+        monkeypatch.setattr(FourierFn, "__post_init__", lambda fn: (built.append(1), init(fn)))
+        theta_coeffs(CW, cosine(1), self.REQUESTS, 5)
+        assert 0 < len(built) <= 700
 
     @pytest.mark.parametrize("case,max_depth", [("circle-cos1", 4), ("doubling-cos2", 6)])
     def test_depth_failure_is_the_one_at_a_time_failure(self, case, max_depth):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import meanclt.fourier as fourier
 from meanclt.errors import AccuracyError, DomainError
-from meanclt.fourier import (FourierFn, FourierStack, constant_fn, cosine, l1_norms,
+from meanclt.fourier import (FourierFn, FourierStack, _to_complex, constant_fn, cosine, l1_norms,
                              lebesgue_inner, product, sine)
 from meanclt.numerics import Tolerance, integrate_unit
 
@@ -37,8 +37,7 @@ class TestEval:
     @pytest.mark.parametrize("k", [2, 4, 12, 24])
     def test_against_mpmath(self, k, with_sin):
         # rounding of the phase 2 pi x grows k-fold in z^k (2 pi k u) and the
-        # k complex Horner steps add about 4 k u, both relative to coeff_l1;
-        # k = 2 without sines has two terms and is summed term by term
+        # k complex Horner steps add about 4 k u, both relative to coeff_l1
         gen = np.random.default_rng(k)
         f = FourierFn(float(gen.normal()), gen.normal(size=k),
                       gen.normal(size=k) if with_sin else np.zeros(k))
@@ -53,31 +52,16 @@ class TestEval:
                 worst = max(worst, abs(float(mpmath.mpf(float(got)) - ref)))
         assert worst <= 12.0 * k * 2.0 ** -53 * f.coeff_l1()
 
-    @pytest.mark.parametrize("coeffs", [([], []), ([0.7], []), ([], [-1.3]), ([0.7], [-1.3]),
-                                        ([0.0, 1.0], []), ([0.7, 0.0, 0.0, 0.5], []),
-                                        ([0.7], [0.0, 0.0, -1.3]), ([], [0.0, 0.0, 0.0, 0.0, 2.0])])
-    def test_two_terms_or_fewer_term_by_term(self, coeffs):
-        f = FourierFn(0.25, *coeffs)
-        xs = np.random.default_rng(5).random(257)
-        expected = np.full(xs.shape, 0.25)
-        for k in range(1, f.max_freq + 1):
-            th = (2.0 * math.pi * k) * xs
-            a, b = f.cos_coeffs[k - 1], f.sin_coeffs[k - 1]
-            if a:
-                expected += a * np.cos(th)
-            if b:
-                expected += b * np.sin(th)
-        assert f.eval(xs).tobytes() == expected.tobytes()
-
 
 # mixed degrees, so most of the stack has zeros on top; a constant; and
-# polynomials of at most two nonzero terms, which FourierFn.eval sums term by term
+# sparse polynomials of at most two nonzero terms
 STACK = [FourierFn(0.3, [1.0, -0.5, 0.25, 0.125, 0.7, -0.2, 0.1, 0.05, -0.3, 0.2, 0.6, -0.4],
                    [0.0, 0.3, -0.1, 0.0, 0.2, 0.0, 0.4, 0.0, 0.0, -0.6, 0.0, 0.1]),
          cosine(1), FourierFn(0.0, [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.5]),
          FourierFn(-0.25, [], [0.0, 0.8]), constant_fn(2.0), sine(5, -0.7),
          FourierFn(0.1, [0.5, 0.0, -1.2], [0.2, 0.9, 0.0]),
          FourierFn(0.0, [0.0, 2.0], [0.0, 0.0, 0.0, 1.0])]
+STACK_COEFFS = [_to_complex(f) for f in STACK]
 
 
 class TestFourierStack:
@@ -91,7 +75,7 @@ class TestFourierStack:
         # each point reads its own polynomial; the error bound is the one of
         # its own degree K, since the zeros on top add nothing
         x, which = self._points()
-        got = FourierStack(STACK).eval(x, which)
+        got = FourierStack(STACK_COEFFS).eval(x, which)
         with mpmath.workdps(30):
             for xi, j, v in zip(x, which, got):
                 f = STACK[j]
@@ -104,24 +88,36 @@ class TestFourierStack:
 
     def test_value_is_the_one_of_a_stack_of_its_own(self):
         x, which = self._points()
-        got = FourierStack(STACK).eval(x, which)
-        for j, f in enumerate(STACK):
+        got = FourierStack(STACK_COEFFS).eval(x, which)
+        for j, c in enumerate(STACK_COEFFS):
             mine = which == j
-            assert got[mine].tobytes() == FourierStack([f]).eval(x[mine]).tobytes()
+            assert got[mine].tobytes() == FourierStack([c]).eval(x[mine]).tobytes()
 
     def test_rows_of_points_per_polynomial(self):
         # a column of polynomial indices broadcasts against rows of points
         x = np.random.default_rng(12).random((len(STACK), 15))
         which = np.arange(len(STACK))[:, None]
-        got = FourierStack(STACK).eval(x, which)
+        got = FourierStack(STACK_COEFFS).eval(x, which)
         assert got.shape == x.shape
-        for j, f in enumerate(STACK):
-            assert got[j].tobytes() == FourierStack([f]).eval(x[j]).tobytes()
+        for j, c in enumerate(STACK_COEFFS):
+            assert got[j].tobytes() == FourierStack([c]).eval(x[j]).tobytes()
 
-    def test_eval_is_the_stack_of_one(self):
+    @pytest.mark.parametrize("f", [STACK[0]] + [
+        FourierFn(0.25, *coeffs) for coeffs in [
+            ([], []), ([0.7], []), ([], [-1.3]), ([0.7], [-1.3]), ([0.0, 1.0], []),
+            ([0.7, 0.0, 0.0, 0.5], []), ([0.7], [0.0, 0.0, -1.3]), ([], [0.0, 0.0, 0.0, 0.0, 2.0])]])
+    def test_eval_is_the_stack_of_one(self, f):
+        # sparse polynomials too: FourierFn.eval has no term-by-term path
+        x = np.random.default_rng(13).random(257)
+        assert f.eval(x).tobytes() == FourierStack([_to_complex(f)]).eval(x).tobytes()
+
+    def test_eval_in_chunks_is_one_stack_evaluation(self):
+        # eval hands the stack _EVAL_POINTS points a call; the values do not
+        # depend on the chunk a point falls in
         f = STACK[0]
-        x = np.random.default_rng(13).random(33)
-        assert f.eval(x).tobytes() == FourierStack([f]).eval(x).tobytes()
+        x = np.random.default_rng(14).random(1 << 14).reshape(128, 128)
+        want = FourierStack([_to_complex(f)]).eval(x.reshape(-1)).reshape(x.shape)
+        assert f.eval(x).tobytes() == want.tobytes()
 
 
 def _l1_norm_alone(p, ds, f, tol):
@@ -137,7 +133,7 @@ def _l1_norm_alone(p, ds, f, tol):
 class TestL1Norms:
     TOL = Tolerance(1e-12, 1e-12, 44)
     F = FourierFn(0.0, [0.0, 1.0], [0.3])  # the dilated factor
-    ITEMS = [(p, ds) for k, p in enumerate(STACK)
+    ITEMS = [(p, ds) for k, p in enumerate(STACK_COEFFS)
              for ds in [(), (1,), (3, 1), (2, 2), (0,)][k % 5:] + [(5,)]]
 
     def test_each_norm_is_its_value_alone(self):
@@ -153,7 +149,7 @@ class TestL1Norms:
         x = (np.arange(1 << 20) + 0.5) / (1 << 20)
         oracle = float(np.mean(np.abs(np.cos(2 * np.pi * x) * self.F.eval(2 * x)
                                       * self.F.eval(8 * x))))
-        got, = l1_norms([(cosine(1), (1, 3))], self.TOL, self.F)
+        got, = l1_norms([(_to_complex(cosine(1)), (1, 3))], self.TOL, self.F)
         assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_reads_one_batch_at_a_time(self):
@@ -162,7 +158,7 @@ class TestL1Norms:
         def items():
             for k in range(70):
                 pulled.append(k)
-                yield cosine(1 + k % 3), ()
+                yield _to_complex(cosine(1 + k % 3)), ()
 
         norms = l1_norms(items(), self.TOL)
         assert next(norms) == pytest.approx(2.0 / math.pi, rel=1e-12)
@@ -173,7 +169,8 @@ class TestL1Norms:
         # at max_depth 3 only a few items converge; the error is the one of
         # the first failing item alone, whatever its batch
         tol = Tolerance(1e-12, 1e-12, 3)
-        items = [(constant_fn(1.0), ()), (STACK[5], (1,)), (STACK[1], ())]
+        items = [(_to_complex(constant_fn(1.0)), ()), (STACK_COEFFS[5], (1,)),
+                 (STACK_COEFFS[1], ())]
         with pytest.raises(AccuracyError) as want:
             for p, ds in items:
                 _l1_norm_alone(p, ds, self.F, tol)

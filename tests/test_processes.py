@@ -558,6 +558,33 @@ class TestCharacteristic:
                 curvature = 2.0 * (1.0 - phi.real) / delta ** 2 / n
                 assert curvature == pytest.approx(var, rel=1e-6), (f.describe(), n)
 
+    @pytest.mark.parametrize("f,g", [
+        (cosine(2), cosine(1)), (cosine(8, -1.5), cosine(1, -1.5)), (sine(4), sine(1)),
+        (FourierFn(0.0, [0.0, 0.5, 0.0, -0.2], [0.0, 0.0, 0.0, 0.3]),
+         FourierFn(0.0, [0.5, -0.2], [0.0, 0.3]))], ids=["cos2", "cos8", "sin4", "mixed-even"])
+    def test_dilated_observable_takes_the_law_of_its_root(self, f, g):
+        # f = g o T^k, every frequency of f a multiple of 2^k: T preserves
+        # Lebesgue measure, so S_n has one law for f and g, and the law of f is
+        # taken from g, its values and bounds bit for bit
+        taus = np.array([-3.0, 0.0, 0.4, 1.7, 9.0, 30.0])
+        for n in (1, 5, 64, 1024):
+            got, want = exact_law(DM, f, n)(taus), exact_law(DM, g, n)(taus)
+            assert got.values.tobytes() == want.values.tobytes(), (f.describe(), n)
+            assert got.bound.tobytes() == want.bound.tobytes(), (f.describe(), n)
+
+    def test_odd_frequency_is_not_reduced(self, monkeypatch):
+        # the law is taken from the observable whose frequencies are not all
+        # even: cos 8 pi x from cos 2 pi x, MIXED and f o T for f = MIXED from
+        # MIXED, both of which have frequency 1
+        seen = []
+        exp_i_tau_f = processes._exp_i_tau_f
+        monkeypatch.setattr(processes, "_exp_i_tau_f",
+                            lambda f, *args: (seen.append(f), exp_i_tau_f(f, *args))[1])
+        dilated = FourierFn(0.0, [0.0, 0.5, 0.0, 1.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.3])
+        for f, root in ((cosine(4), cosine(1)), (MIXED, MIXED), (dilated, MIXED)):
+            exact_law(DM, f, 8)(np.array([0.5]))
+            assert seen[-1].to_dict() == root.to_dict()
+
     def test_truncation_bound_is_tiny(self):
         # the truncation leaves under 1e-15; the rounding of the samples of
         # exp(i tau f) and of their FFT, at most n sqrt(2B + 1) times its ~1e-14
