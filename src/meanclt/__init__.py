@@ -9,11 +9,11 @@ covariance and mixing inequalities by independent oracles.
 __version__ = "0.1.0"
 
 from .errors import (AccuracyError, DegenerateVarianceError, DivergenceError,
-                     DomainError, MeancltError, PrecisionError, PreconditionError,
-                     ResourceError, SchemaError)
+                     DomainError, MeancltError, PreconditionError, ResourceError,
+                     SchemaError)
 from .numerics import (DEFAULT_TOLERANCE, RandomStream, Tolerance,
                        gauss_cdf, gauss_cdf_antideriv, gauss_pdf, gauss_quantile,
-                       integrate_interval, integrate_unit, phi_deriv_l1, substream)
+                       integrate_unit, substream)
 from .fourier import FourierFn, ProductResult, constant_fn, cosine, lebesgue_inner, product, sine
 from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, LongRunVariance,
                         PathEnsemble, ProcessSpec, SplitReal, iid_gaussian,
@@ -21,20 +21,17 @@ from .processes import (CircleWalk, DoublingMap, FiniteChain, IIDLaw, LongRunVar
                         process_from_dict, resolvent_tail, simulate, sqrt2_minus_one,
                         transfer)
 from .wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
-                          w1_pmf_gauss, w1_sample_gauss, w1_sample_sample)
-from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, KernelDecaySum,
-                           MixingIntegralReport, QuantileSeq, alpha_exact,
-                           alpha_tabulation, covariance_bound_check, dispersion_check,
-                           frac_part_sum, kernel_decay_sum, mixing_integral,
+                          w1_pmf_gauss, w1_sample_gauss)
+from .coefficients import (AlphaSeq, CovarianceBoundReport, JointPmf, MixingIntegralReport,
+                           QuantileSeq, alpha_exact, alpha_tabulation,
+                           covariance_bound_check, dispersion_check, mixing_integral,
                            monotone_difference_bound_check, quantile_from_sample,
                            weighted_tail_integral)
 from .theta import theta_coeff, theta_coeffs
-from .bounds import (BoundReport, BoundTerms, CorrectionReport, MomentSummary, RateFit,
-                     ThreeMomentDist, bound_terms, cubic_moment_sum, martingale_d1_bound, moments,
-                     nonadapted_correction, projective_d1_bound, projective_drift_norms,
-                     rate_fit, second_moment_norms, three_moment_distribution,
-                     variance_drift_norms, variance_l32_norm, variance_l32_norms,
-                     zolotarev_bound)
+from .bounds import (BoundReport, BoundTerms, MomentSummary, RateFit, bound_terms,
+                     cubic_moment_sum, martingale_d1_bound, moments, nonadapted_correction,
+                     projective_d1_bound, rate_fit, second_moment_norms, variance_l32_norm,
+                     variance_l32_norms, zolotarev_bound)
 from .harness import (AppendixReport, DiagnosisReport, ExperimentConfig, RunManifest,
                       check_appendix, diagnose_conditions, merge_reports, preset_config,
                       render_csv, run)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
 from .fourier import (FourierFn, FourierStack, _to_complex, constant_fn, l1_norms,
                       lebesgue_inner, product)
-from .numerics import RandomStream, Tolerance, integrate_many, integrate_unit
+from .numerics import Tolerance, integrate_many, integrate_unit
 from .processes import (IIDLaw, ProcessSpec, check_observable, is_martingale,
                         long_run_variance, resolvent_tail, transfer)
 
@@ -147,34 +147,6 @@ def _compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
     return (f2 + 2.0 * fg).shift_constant(-sigma2)
 
 
-def _drift_norms(spec, f, m, tol, compensator) -> tuple[float, float]:
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if isinstance(spec, IIDLaw):
-        return (0.0, 0.0)
-    w = _partial_sums(spec, f, m, compensator)[-1]
-    return _drift_pairs(f, [w], tol)[0]
-
-
-def variance_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
-                         tol: Tolerance = _NORM_TOL) -> tuple[float, float]:
-    """(||U_m||_1, ||X0 U_m||_1) for U_m = E_0(X_1^2+...+X_m^2) - m Var X0.
-
-    Requires a martingale-difference observable.
-    """
-    return _drift_norms(spec, f, m, tol, _variance_compensator)
-
-
-def projective_drift_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
-                           tol: Tolerance = _NORM_TOL) -> tuple[float, float]:
-    """(||W_m||_1, ||X0 W_m||_1) for the centered compensator
-
-        Z0 = X0^2 - sigma^2 + 2 X0 sum_{l>=1} E_0(X_l),
-        W_m = E_0(Z_1 + ... + Z_m).
-    """
-    return _drift_norms(spec, f, m, tol, _compensator)
-
-
 def _tail_norms(spec: ProcessSpec, f: FourierFn, count: int, tol: Tolerance) -> list:
     """[||X0 sum_{l>=m} E_0(X_l)||_1 for m = 1..count], _TAIL_CHUNK per request,
     ending before the first zero tail (all later ones vanish as well for the
@@ -190,20 +162,13 @@ def _tail_norms(spec: ProcessSpec, f: FourierFn, count: int, tol: Tolerance) -> 
     return norms
 
 
-@dataclass(frozen=True)
-class CorrectionReport:
-    """Non-adapted first-order correction."""
-
-    total: float
-
-
 def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
-                          tol: Tolerance = _NORM_TOL) -> CorrectionReport:
+                          tol: Tolerance = _NORM_TOL) -> float:
     """sum_m (sigma sqrt m)^{-1} || X0 sum_{l>=m} E_0(X_l) ||_1
        + sum_m (2m)^{-1} || (1 + X0^2/sigma^2) E_0(S_m) ||_1, for m = 1..n,
     as `projective_d1_bound` reports it; 0 for martingale differences and
     i.i.d. inputs."""
-    return CorrectionReport(projective_d1_bound(spec, f, n, tol).correction)
+    return projective_d1_bound(spec, f, n, tol).correction
 
 
 # ---------------------------------------------------------------------------
@@ -408,62 +373,6 @@ def cubic_moment_sum(spec: ProcessSpec, f: Optional[FourierFn], l: int) -> float
     for i in range(1, l + 1):
         total += lebesgue_inner(f, transfer(spec, 3.0 * f2 + 6.0 * product(f, sums[l - i])[0], i))
     return total
-
-
-# ---------------------------------------------------------------------------
-# Three-moment matching distribution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThreeMomentDist:
-    """Gaussian-plus-two-point law with prescribed moments (0, beta2, beta3).
-
-    The law is Z + B with Z ~ N(0, beta2/2) independent of the two-point B
-    taking value m with probability t and m_prime with probability 1 - t.
-    """
-
-    beta2: float
-    beta3: float
-    m: float
-    m_prime: float
-    t: float
-
-    def sample(self, stream: RandomStream, size: int) -> np.ndarray:
-        gen = stream.generator()
-        z = gen.standard_normal(size) * math.sqrt(self.beta2 / 2.0)
-        b = np.where(gen.random(size) < self.t, self.m, self.m_prime)
-        return z + b
-
-    def analytic_moments(self) -> tuple[float, float, float]:
-        """Exact (mean, variance, third moment) of the law.
-
-        The complement 1 - t is recovered from the centering identity
-        t m + (1-t) m' = 0 so heavy-weight cases keep full precision.
-        """
-        t, m, mp = self.t, self.m, self.m_prime
-        one_minus_t = t * m / (-mp)
-        eb = t * m + one_minus_t * mp
-        eb2 = t * m * m + one_minus_t * mp * mp
-        eb3 = t * m ** 3 + one_minus_t * mp ** 3
-        return (eb, self.beta2 / 2.0 + eb2, eb3)
-
-
-def three_moment_distribution(beta2: float, beta3: float) -> ThreeMomentDist:
-    """Construct the matching law: m = (beta3 + sqrt(beta3^2 + beta2^3/2))/beta2,
-    m' = -beta2/(2m), t = beta2^3 / (2 beta2^3 + 4 beta3 (beta3 + sqrt(...))).
-
-    For beta3 < 0 the sum beta3 + root is evaluated through its conjugate
-    beta2^3 / (2 (root - beta3)) to avoid cancellation.
-    """
-    if beta2 <= 0.0:
-        raise DomainError("beta2 must be positive")
-    root = math.sqrt(beta3 * beta3 + beta2 ** 3 / 2.0)
-    s = beta3 + root if beta3 >= 0.0 else beta2 ** 3 / (2.0 * (root - beta3))
-    m = s / beta2
-    m_prime = -beta2 * beta2 / (2.0 * s)
-    t = beta2 ** 3 / (2.0 * beta2 ** 3 + 4.0 * beta3 * s)
-    return ThreeMomentDist(beta2=beta2, beta3=beta3, m=m, m_prime=m_prime, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import AccuracyError, MeancltError, PrecisionError, ResourceError
+from .errors import AccuracyError, MeancltError, ResourceError
 from .harness import (CSV_COLUMNS, PRESETS, ExperimentConfig, check_appendix,
                       diagnose_conditions, merge_reports, preset_config, read_process,
                       render_csv, run)
@@ -129,10 +129,10 @@ def main(argv=None) -> int:
                 "diagnose": _cmd_diagnose, "report": _cmd_report}
     try:
         return handlers[args.command](args)
-    except (ResourceError, AccuracyError, PrecisionError) as exc:
+    except (ResourceError, AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (MeancltError, ValueError, TypeError, FileNotFoundError, KeyError) as exc:
+    except (MeancltError, ValueError, TypeError, OSError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

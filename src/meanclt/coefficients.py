@@ -1,6 +1,5 @@
-"""Dependence and mixing coefficients, covariance-inequality oracles, and
-Diophantine sums for the circle walk.  The dependence coefficients theta
-live in `theta` and are part of this module's API.
+"""Dependence and mixing coefficients and covariance-inequality oracles.  The
+dependence coefficients theta live in `theta` and are part of this module's API.
 
 The suprema defining the dependence coefficients run over infinite index and
 threshold sets; everything here reports certified lower bounds obtained from
@@ -14,13 +13,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, PrecisionError, ResourceError
-from .processes import CircleWalk, DoublingMap, FiniteChain, IIDLaw, ProcessSpec, SplitReal
+from .errors import DomainError, ResourceError
+from .processes import DoublingMap, FiniteChain, IIDLaw, ProcessSpec
 from .theta import theta_coeff, theta_coeffs  # noqa: F401 (the theta table, part of this API)
 from .wasserstein import EmpiricalSample, FinitePmf, merge_weighted
 
@@ -672,64 +670,3 @@ def dispersion_check(marginal: FinitePmf) -> bool:
     atoms, probs = marginal.atoms[None], marginal.probs[None]
     counts = np.array([atoms.size])
     return bool(_dispersion_ok(atoms, probs, counts, *_dispersion_steps(atoms, probs, counts))[0])
-
-
-# ---------------------------------------------------------------------------
-# Diophantine sums for the circle walk
-# ---------------------------------------------------------------------------
-
-
-def frac_part_sum(a: Union[SplitReal, float], n_octave: int, power: int) -> float:
-    """Exact sum of d(k*a, Z)^(-p) over the dyadic block k in [2^N, 2^{N+1}).
-
-    Fractional parts are computed through exact rational arithmetic on the
-    split representation of a; a fractional part below 1e-14 aborts with
-    PrecisionError since the inverse power could then not be certified.
-    """
-    if power < 2:
-        raise DomainError("power must be >= 2")
-    if n_octave < 0 or n_octave > 20:
-        raise DomainError("octave index must lie in [0, 20]")
-    if isinstance(a, float) and not isinstance(a, SplitReal):
-        CircleWalk(SplitReal(float(a)))  # irrationality guard
-    fr = a.as_fraction() if isinstance(a, SplitReal) else Fraction(float(a))
-    num, den = fr.numerator, fr.denominator
-    total = 0.0
-    for k in range(1 << n_octave, 1 << (n_octave + 1)):
-        m = (k * num) % den
-        d = float(min(m, den - m) / den)
-        if d < 1e-14:
-            raise PrecisionError(f"d({k}*a, Z) = {d!r} below certification threshold")
-        total += d ** (-power)
-    return total
-
-
-@dataclass(frozen=True)
-class KernelDecaySum:
-    value: float
-    tail_bound: float
-
-
-def kernel_decay_sum(a: Union[SplitReal, float], s: float, n: int,
-                     kmax: int) -> KernelDecaySum:
-    """2 * sum_{k=1}^{kmax} |cos(2*pi*k*a)|^n k^{-s}, with its tail bound.
-
-    Bounds the sup norm of the n-step smoothing of any observable whose
-    k-th coefficient is at most |k|^{-s}.  kmax must make the tail bound
-    2*kmax^{1-s}/(s-1) at most 1e-12.
-    """
-    if s <= 1.0:
-        raise DomainError("s must exceed 1")
-    if n < 0 or kmax < 1:
-        raise DomainError("need n >= 0 and kmax >= 1")
-    tail = 2.0 * kmax ** (1.0 - s) / (s - 1.0)
-    if tail > 1e-12:
-        raise DomainError(f"kmax={kmax} leaves tail bound {tail:.3e} > 1e-12; increase kmax")
-    if not isinstance(a, SplitReal):
-        a = SplitReal(float(a))
-    walk = CircleWalk(a)
-    total = 0.0
-    for k in range(1, kmax + 1):
-        c = abs(walk.cos_step(k))
-        total += (c ** n if n else 1.0) * k ** (-s)
-    return KernelDecaySum(value=2.0 * total, tail_bound=tail)

@@ -27,10 +27,6 @@ class ResourceError(MeancltError):
     """The exact computation would exceed the feasible index/size range."""
 
 
-class PrecisionError(MeancltError):
-    """Double precision is insufficient to certify the requested quantity."""
-
-
 class SchemaError(MeancltError, ValueError):
     """Serialized artifacts disagree on schema; lists the offending fields."""
 

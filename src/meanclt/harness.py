@@ -1,5 +1,5 @@
 """Experiment orchestration: rate experiments, condition diagnostics,
-appendix fuzzing, manifests, and plot-data emission.
+appendix fuzzing, manifests, and report merging.
 
 A run simulates one checkpointed path ensemble, computes the exact W1
 distance of each checkpoint sample to the analytic Gaussian limit, evaluates

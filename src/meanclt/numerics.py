@@ -337,31 +337,3 @@ def integrate_unit(g: Callable[[np.ndarray], np.ndarray],
         return np.asarray(g(x.reshape(-1)), dtype=float).reshape(x.shape)
 
     return integrate_many(rows, 1, tol)[0]
-
-
-def integrate_interval(g: Callable[[np.ndarray], np.ndarray],
-                       lo: float, hi: float,
-                       tol: Tolerance = DEFAULT_TOLERANCE) -> float:
-    """Adaptive quadrature over [lo, hi] by affine reduction to [0, 1]."""
-    if not hi > lo:
-        raise DomainError("integrate_interval requires hi > lo")
-    width = hi - lo
-    return integrate_unit(lambda t: np.asarray(g(lo + width * t)) * width, tol)
-
-
-_PHI_DERIVS = {
-    1: lambda x: -x * gauss_pdf(x),
-    2: lambda x: (x * x - 1.0) * gauss_pdf(x),
-    3: lambda x: (3.0 * x - x ** 3) * gauss_pdf(x),
-}
-
-
-def phi_deriv_l1(i: int, tol: Tolerance = Tolerance(1e-12, 1e-12, 44)) -> float:
-    """L1 norm of the i-th derivative of the standard normal density, i in 1..3.
-
-    Computed by quadrature over |x| <= 12 (the tails beyond are below 1e-30).
-    """
-    if i not in _PHI_DERIVS:
-        raise DomainError("phi_deriv_l1 supports i in {1, 2, 3}")
-    d = _PHI_DERIVS[i]
-    return integrate_interval(lambda x: np.abs(d(x)), -12.0, 12.0, tol)

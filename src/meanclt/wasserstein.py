@@ -238,21 +238,6 @@ def ks_pmf_gauss(p: FinitePmf, sigma: float) -> float:
     return _ks_step_cdf(np.cumsum(p.probs), gauss_cdf(p.atoms / _check_sigma(sigma)))
 
 
-def w1_sample_sample(s1: EmpiricalSample, s2: EmpiricalSample) -> float:
-    """W1 distance between two empirical laws via the quantile coupling."""
-    x, y = s1.values, s2.values
-    m, n = x.size, y.size
-    if m == n:
-        return float(np.abs(x - y).mean())
-    breaks = np.union1d(np.arange(1, m + 1) / m, np.arange(1, n + 1) / n)
-    lo = np.concatenate([[0.0], breaks[:-1]])
-    widths = breaks - lo
-    mid = 0.5 * (breaks + lo)
-    xi = np.minimum((np.ceil(mid * m) - 1).astype(int), m - 1)
-    yi = np.minimum((np.ceil(mid * n) - 1).astype(int), n - 1)
-    return float((widths * np.abs(x[xi] - y[yi])).sum())
-
-
 def ks_sample_gauss(s: EmpiricalSample, sigma: float) -> float:
     """Kolmogorov distance between the empirical law of s and N(0, sigma^2)."""
     sigma = _check_sigma(sigma)

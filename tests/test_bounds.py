@@ -6,13 +6,12 @@ import pytest
 
 from meanclt.bounds import (_NORM_TOL, _drift_values, _l1_norms, _partial_sums, bound_terms,
                             cubic_moment_sum, martingale_d1_bound, moments,
-                            nonadapted_correction, projective_d1_bound,
-                            projective_drift_norms, rate_fit, second_moment_norms,
-                            three_moment_distribution, variance_drift_norms,
-                            variance_l32_norm, variance_l32_norms, zolotarev_bound)
+                            nonadapted_correction, projective_d1_bound, rate_fit,
+                            second_moment_norms, variance_l32_norm, variance_l32_norms,
+                            zolotarev_bound)
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError
 from meanclt.fourier import FourierFn, constant_fn, cosine, lebesgue_inner, product
-from meanclt.numerics import Tolerance, substream
+from meanclt.numerics import Tolerance
 from meanclt.processes import (DoublingMap, CircleWalk, FiniteChain, iid_rademacher,
                                long_run_variance, resolvent_tail, sqrt2_minus_one,
                                transfer)
@@ -54,23 +53,29 @@ class TestMoments:
             moments(DM, FourierFn(0.0, [], []))
 
 
+def drift_pairs(kind, spec, f, m):
+    """(||W_m||_1, ||X0 W_m||_1), W_m = U_m for the martingale kind: the m-th pair
+    of the bound terms at the least n with isqrt(2n) >= m."""
+    return bound_terms(kind, spec, f, (m * m + 1) // 2).pairs[m - 1]
+
+
 class TestVarianceDrift:
     def test_m1_closed_form(self):
-        l1, wl1 = variance_drift_norms(DM, cosine(1), 1)
+        l1, wl1 = drift_pairs("martingale", DM, cosine(1), 1)
         assert l1 == pytest.approx(1.0 / math.pi, abs=1e-10)
         assert wl1 == pytest.approx(0.25, abs=1e-10)
 
     def test_stabilizes_at_m1(self):
         for m in (2, 5, 20):
-            assert variance_drift_norms(DM, cosine(1), m) == \
-                pytest.approx(variance_drift_norms(DM, cosine(1), 1), abs=1e-12)
+            assert drift_pairs("martingale", DM, cosine(1), m) == \
+                pytest.approx(drift_pairs("martingale", DM, cosine(1), 1), abs=1e-12)
 
     def test_iid_zero(self):
-        assert variance_drift_norms(iid_rademacher(), None, 3) == (0.0, 0.0)
+        assert drift_pairs("martingale", iid_rademacher(), None, 3) == (0.0, 0.0)
 
     def test_requires_martingale(self):
         with pytest.raises(PreconditionError):
-            variance_drift_norms(DM, cosine(2), 1)
+            drift_pairs("martingale", DM, cosine(2), 1)
 
 
 class TestMartingaleBound:
@@ -118,16 +123,16 @@ class TestMartingaleBound:
 class TestProjectiveMachinery:
     def test_mds_consistency(self):
         f = cosine(1)
-        assert projective_drift_norms(DM, f, 3) == \
-            pytest.approx(variance_drift_norms(DM, f, 3), abs=1e-12)
-        assert nonadapted_correction(DM, f, 20).total == 0.0
+        assert drift_pairs("projective", DM, f, 3) == \
+            pytest.approx(drift_pairs("martingale", DM, f, 3), abs=1e-12)
+        assert nonadapted_correction(DM, f, 20) == 0.0
         r21 = martingale_d1_bound(DM, f, 64)
         r22 = projective_d1_bound(DM, f, 64)
         assert abs(r22.total - r21.total) <= 1e-10
 
     def test_iid_zero(self):
-        assert projective_drift_norms(iid_rademacher(), None, 5) == (0.0, 0.0)
-        assert nonadapted_correction(iid_rademacher(), None, 7).total == 0.0
+        assert drift_pairs("projective", iid_rademacher(), None, 5) == (0.0, 0.0)
+        assert nonadapted_correction(iid_rademacher(), None, 7) == 0.0
 
     def test_nonadapted_w_norms_vs_riemann(self):
         f = cosine(2)
@@ -135,13 +140,13 @@ class TestProjectiveMachinery:
         g = resolvent_tail(DM, f, 1)
         z = (product(f, f).fn + 2.0 * product(f, g).fn).shift_constant(-sigma2)
         w1 = transfer(DM, z, 1)
-        l1, wl1 = projective_drift_norms(DM, f, 1)
+        l1, wl1 = drift_pairs("projective", DM, f, 1)
         assert l1 == pytest.approx(riemann_l1(w1.eval), abs=1e-6)
         assert wl1 == pytest.approx(riemann_l1(lambda x: f.eval(x) * w1.eval(x)), abs=1e-6)
 
     def test_nonadapted_correction_vs_riemann(self):
         f = cosine(2)
-        rep = nonadapted_correction(DM, f, 4)
+        corr = nonadapted_correction(DM, f, 4)
         sigma = math.sqrt(long_run_variance(DM, f).sigma2)
         g1 = resolvent_tail(DM, f, 1)
         first = riemann_l1(lambda x: f.eval(x) * g1.eval(x)) / sigma
@@ -151,7 +156,7 @@ class TestProjectiveMachinery:
         one_plus = lambda x: 1.0 + f.eval(x) ** 2 / sigma ** 2
         second = sum(riemann_l1(lambda x: one_plus(x) * es.eval(x)) / (2.0 * m)
                      for m in range(1, 5))
-        assert rep.total == pytest.approx(first + second, abs=1e-5)
+        assert corr == pytest.approx(first + second, abs=1e-5)
 
     def test_monotone_in_n(self):
         f = cosine(2)
@@ -213,7 +218,7 @@ class TestProjectiveMachinery:
         sums = _partial_sums(spec, ref_f, n)
         second = sum(_l1_norms(ref_f, [("l1", product(one_plus, sums[m]).fn)])[0] / (2.0 * m)
                      for m in range(1, n + 1))
-        assert nonadapted_correction(spec, f, n).total == first + second
+        assert nonadapted_correction(spec, f, n) == first + second
 
     def test_circle4_bound_memory(self):
         # the batched norms keep their temporaries small: the bound of the
@@ -287,7 +292,7 @@ class TestReuseAcrossN:
         # and past the stop (m = 233 on the circle); the correction each n reads
         # from them is the one of n alone
         grid = (1, 63, 65, 100, 129, 240, 256)
-        alone = [nonadapted_correction(spec, FourierFn(0.0, *coeffs), n).total for n in grid]
+        alone = [nonadapted_correction(spec, FourierFn(0.0, *coeffs), n) for n in grid]
         f = FourierFn(0.0, *coeffs)
         terms = bound_terms("projective", spec, f, grid[-1])
         assert [projective_d1_bound(spec, f, n, terms=terms).correction for n in grid] == alone
@@ -324,17 +329,19 @@ class TestReuseAcrossN:
         with pytest.raises(DomainError, match="bound kind"):
             bound_terms("zolotarev", DM, f, 64)
 
-    @pytest.mark.parametrize("call", [lambda spec: projective_drift_norms(spec, None, 3),
-                                      lambda spec: variance_drift_norms(spec, None, 3),
-                                      lambda spec: _partial_sums(spec, None, 3)],
-                             ids=["projective", "variance", "partial-sums"])
-    def test_drift_sums_check_the_observable_first(self, call):
+    @pytest.mark.parametrize("call,lacks", [
+        (lambda spec: bound_terms("projective", spec, None, 5), "moment summary"),
+        (lambda spec: bound_terms("martingale", spec, None, 5), "moment summary"),
+        (lambda spec: _partial_sums(spec, None, 3), "FourierFn transfer operator")],
+        ids=["projective", "variance", "partial-sums"])
+    def test_drift_sums_check_the_observable_first(self, call, lacks):
         # an interval map refuses None as the observable contract says, a chain
-        # as a family with no FourierFn transfer operator
+        # as a family with no moment summary (the bound terms ask for the
+        # moments first) or no FourierFn transfer operator
         with pytest.raises(TypeError, match="^the doubling_map process needs a FourierFn"):
             call(DM)
         chain = FiniteChain(np.full((2, 2), 0.5), values=np.array([-1.0, 2.0]))
-        with pytest.raises(NotImplementedError, match="has no FourierFn transfer operator$"):
+        with pytest.raises(NotImplementedError, match=f"has no {lacks}$"):
             call(chain)
 
 
@@ -473,50 +480,6 @@ class TestCubicMomentSum:
         assert cubic_moment_sum(iid_rademacher(), None, 4) == 0.0
 
 
-class TestThreeMoment:
-    def test_symmetric_case(self):
-        d = three_moment_distribution(1.0, 0.0)
-        assert d.m == pytest.approx(1.0 / math.sqrt(2.0))
-        assert d.m_prime == pytest.approx(-1.0 / math.sqrt(2.0))
-        assert d.t == pytest.approx(0.5)
-
-    def test_skewed_case(self):
-        d = three_moment_distribution(1.0, 1.0)
-        assert d.m == pytest.approx(1.0 + math.sqrt(1.5), abs=1e-12)
-        assert d.m_prime == pytest.approx(-1.0 / (2.0 * (1.0 + math.sqrt(1.5))), abs=1e-12)
-        assert d.t == pytest.approx(0.09175170953613698, abs=1e-12)
-        mean, var, third = d.analytic_moments()
-        assert mean == pytest.approx(0.0, abs=1e-12)
-        assert var == pytest.approx(1.0, abs=1e-12)
-        assert third == pytest.approx(1.0, abs=1e-10)
-
-    def test_moment_identities_random(self):
-        gen = np.random.default_rng(77)
-        for _ in range(1000):
-            beta2 = float(gen.uniform(0.1, 10.0))
-            beta3 = float(gen.uniform(-10.0, 10.0))
-            d = three_moment_distribution(beta2, beta3)
-            mean, var, third = d.analytic_moments()
-            assert abs(mean) <= 1e-10 * max(1.0, abs(d.m))
-            assert var == pytest.approx(beta2, abs=1e-10 * max(1.0, beta2))
-            assert third == pytest.approx(beta3, abs=1e-9 * max(1.0, abs(beta3), d.m ** 3))
-
-    def test_sampler_moments(self):
-        d = three_moment_distribution(1.0, 0.0)
-        draws = d.sample(substream(123, 0), 1_000_000)
-        n = draws.size
-        se_mean = draws.std() / math.sqrt(n)
-        assert abs(draws.mean()) < 4 * se_mean
-        assert draws.var() == pytest.approx(1.0, rel=0.01)
-        third = (draws ** 3).mean()
-        se3 = (draws ** 3).std() / math.sqrt(n)
-        assert abs(third) < 4 * se3
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            three_moment_distribution(0.0, 1.0)
-
-
 class TestZolotarev:
     def test_rademacher(self):
         assert zolotarev_bound(1.0, 1.0) == 0.5
@@ -572,7 +535,7 @@ class TestRiemannRegressionSet:
         for spec, f, m in cases:
             z = _compensator_fn(spec, f)
             w = _w_partial(spec, z, m)
-            l1, wl1 = projective_drift_norms(spec, f, m)
+            l1, wl1 = drift_pairs("projective", spec, f, m)
             assert l1 == pytest.approx(riemann_l1(w.eval), abs=1e-5)
             assert wl1 == pytest.approx(
                 riemann_l1(lambda x: f.eval(x) * w.eval(x)), abs=1e-5)

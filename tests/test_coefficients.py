@@ -6,12 +6,10 @@ import pytest
 
 from meanclt.coefficients import (AlphaSeq, JointPmf, QuantileSeq, _unique, alpha_exact,
                                   alpha_tabulation,
-                                  covariance_bound_check, dispersion_check,
-                                  frac_part_sum, kernel_decay_sum, mixing_integral,
+                                  covariance_bound_check, dispersion_check, mixing_integral,
                                   monotone_difference_bound_check, quantile_from_sample,
                                   theta_coeff, theta_coeffs, weighted_tail_integral)
-from meanclt.errors import (AccuracyError, DomainError, PrecisionError, PreconditionError,
-                            ResourceError)
+from meanclt.errors import AccuracyError, DomainError, PreconditionError, ResourceError
 from meanclt.fourier import FourierFn, cosine
 from meanclt.numerics import Tolerance
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, iid_rademacher,
@@ -733,61 +731,3 @@ class TestMonotoneDifference:
                                    lambda x, s=s2: s * x))
             assert monotone_difference_bound_check(j, transforms).holds
 
-
-class TestDiophantine:
-    def test_first_octave_single_term(self):
-        a = sqrt2_minus_one()
-        got = frac_part_sum(a, 0, 2)
-        assert got == pytest.approx((math.sqrt(2.0) - 1.0) ** -2, rel=1e-12)
-
-    def test_monotone_in_power(self):
-        a = sqrt2_minus_one()
-        for n in (1, 3, 5):
-            assert frac_part_sum(a, n, 4) >= frac_part_sum(a, n, 2)
-
-    def test_envelope_growth(self):
-        # the dyadic-block bound is 2 C^p 2^{p(N+2)(1+eta)}; with the leading
-        # factor 2 split off, the fitted constant C stays at most 1
-        a = sqrt2_minus_one()
-        eta, p = 0.05, 2
-        c_fit = 0.0
-        for n in range(0, 17):
-            s = frac_part_sum(a, n, p)
-            assert math.log2(s / 2.0) / (n + 2) < p * (1.0 + eta)
-            c_fit = max(c_fit, (s / 2.0) ** (1.0 / p) / 2.0 ** ((n + 2) * (1.0 + eta)))
-        assert c_fit <= 1.0
-
-    def test_precision_guard(self):
-        from meanclt.processes import SplitReal
-        near = SplitReal(1.0 / 3.0 + 3e-15)  # {3a} = 9e-15 below the 1e-14 floor
-        with pytest.raises(PrecisionError):
-            frac_part_sum(near, 1, 2)
-
-    def test_octave_domain(self):
-        with pytest.raises(DomainError):
-            frac_part_sum(sqrt2_minus_one(), 21, 2)
-
-
-class TestKernelDecay:
-    def test_zeta_at_n0(self):
-        out = kernel_decay_sum(sqrt2_minus_one(), 5.0, 0, 1000)
-        assert out.value + out.tail_bound == pytest.approx(2.0738555102867398527, abs=1e-6)
-        assert out.value == pytest.approx(2.0738555102867398527, abs=1e-9)
-
-    def test_nonincreasing_in_n(self):
-        a = sqrt2_minus_one()
-        vals = [kernel_decay_sum(a, 8.0, n, 100).value for n in (0, 1, 5, 20, 100)]
-        assert all(b <= a_ + 1e-15 for a_, b in zip(vals, vals[1:]))
-
-    def test_weighted_series_converges(self):
-        a = sqrt2_minus_one()
-        partial = 0.0
-        partials = []
-        for n in range(1, 1001):
-            partial += n * kernel_decay_sum(a, 8.0, n, 100).value
-            partials.append(partial)
-        assert partials[-1] / partials[99] < 1.01
-
-    def test_kmax_precondition(self):
-        with pytest.raises(DomainError):
-            kernel_decay_sum(sqrt2_minus_one(), 5.0, 0, 100)

@@ -923,6 +923,18 @@ class TestCli:
         out = self._run("run", "--config", "/nonexistent/cfg.json")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("argv", [["run", "--config", "{dir}"],
+                                      ["diagnose", "--config", "{dir}"],
+                                      ["report", "{dir}"],
+                                      ["check-appendix", "--count", "2", "--seed", "3",
+                                       "--output", "{dir}"]],
+                             ids=["run", "diagnose", "report", "check-appendix"])
+    def test_directory_path_exit_code(self, tmp_path, capsys, argv):
+        # a directory where a file is read or written is invalid input, not a traceback
+        from meanclt.cli import main
+        assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
     def test_diagnose_cli(self, tmp_path):
         cfg = {"process": {"type": "doubling_map"},
                "observable": {"constant": 0.0, "cos": [1.0], "sin": []}}

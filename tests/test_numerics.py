@@ -14,8 +14,7 @@ from numpy.random import Generator, Philox
 
 from meanclt.errors import AccuracyError, DomainError
 from meanclt.numerics import (Tolerance, gauss_cdf, gauss_cdf_antideriv, gauss_pdf,
-                              gauss_quantile, integrate_interval, integrate_many,
-                              integrate_unit, phi_deriv_l1, substream)
+                              gauss_quantile, integrate_many, integrate_unit, substream)
 from meanclt.numerics import _EVAL_POINTS, _panel_estimates
 
 SQRT_2_OVER_PI = 0.7978845608028654
@@ -115,10 +114,6 @@ class TestQuadrature:
         lhs = integrate_unit(lambda x: g(x) + h(x), tol)
         rhs = integrate_unit(g, tol) + integrate_unit(h, tol)
         assert abs(lhs - rhs) <= 3e-10
-
-    def test_interval_mapping(self):
-        val = integrate_interval(lambda x: x * x, -1.0, 2.0)
-        assert val == pytest.approx(3.0, abs=1e-11)
 
 
 def _trig_integrands(seed: int, count: int) -> list:
@@ -236,24 +231,27 @@ class TestIntegrateMany:
 
 
 class TestPhiDerivL1:
+    # the L1 norms of the Gaussian density's derivatives: kinked integrands over
+    # |x| <= 12, mapped onto [0, 1]
+    @staticmethod
+    def phi_deriv_l1(d) -> float:
+        return integrate_unit(lambda t: np.abs(d(-12.0 + 24.0 * t)) * 24.0,
+                              Tolerance(1e-12, 1e-12, 44))
+
     def test_first(self):
-        v = phi_deriv_l1(1)
+        v = self.phi_deriv_l1(lambda x: -x * gauss_pdf(x))
         assert v == pytest.approx(0.79788456080286535588, abs=1e-8)
         assert v <= 4.0 / 5.0
 
     def test_second(self):
-        v = phi_deriv_l1(2)
+        v = self.phi_deriv_l1(lambda x: (x * x - 1.0) * gauss_pdf(x))
         assert v == pytest.approx(0.96788289807657339919, abs=1e-8)
         assert v <= 1.0
 
     def test_third(self):
-        v = phi_deriv_l1(3)
+        v = self.phi_deriv_l1(lambda x: (3.0 * x - x ** 3) * gauss_pdf(x))
         assert v == pytest.approx(1.5100130001304771326, abs=1e-8)
         assert v <= 8.0 / 5.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            phi_deriv_l1(4)
 
 
 class TestRandomStream:

@@ -14,6 +14,7 @@ is a base-class default that only raises NotImplementedError.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,19 +25,9 @@ import meanclt
 
 SRC = Path(meanclt.__file__).resolve().parent
 
-ACCEPTANCE = "an acceptance criterion in tests/test_acceptance.py calls it"
 TRACER = "perfbench's tracer wraps it by name, until ROADMAP item 1 replaces the tracer"
 LIBRARY_ONLY = {
-    "numerics.phi_deriv_l1": ACCEPTANCE,
-    "numerics.integrate_interval": ACCEPTANCE,
-    "bounds.three_moment_distribution": ACCEPTANCE,
-    "wasserstein.w1_sample_sample": ACCEPTANCE,
-    "bounds._drift_norms": ACCEPTANCE,
-    "bounds.variance_drift_norms": ACCEPTANCE,
-    "bounds.projective_drift_norms": ACCEPTANCE,
-    "coefficients.frac_part_sum": ACCEPTANCE,
-    "coefficients.kernel_decay_sum": ACCEPTANCE,
-    "bounds.nonadapted_correction": f"{TRACER}; {ACCEPTANCE} as well",
+    "bounds.nonadapted_correction": TRACER,
     "bounds.variance_l32_norm": TRACER,
     "coefficients.monotone_difference_bound_check": TRACER,
     "coefficients.dispersion_check": TRACER,
@@ -162,6 +153,14 @@ def test_every_function_feeds_a_command_or_is_listed(called):
     assert sorted(defined - called - set(LIBRARY_ONLY)) == [], "unreached and unlisted"
     assert sorted(set(LIBRARY_ONLY) - defined) == [], "listed but not defined"
     assert sorted(set(LIBRARY_ONLY) & called) == [], "listed but reached"
+
+
+def test_readme_lists_the_library_only_functions():
+    # README's "Library-only functions" section names each entry once, and no other
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Library-only functions\n", 1)[1].split("\n#", 1)[0]
+    assert sorted(re.findall(r"`(\w+\.\w+)`", section)) == sorted(LIBRARY_ONLY)
+    assert f"except the {len(LIBRARY_ONLY)} below" in " ".join(section.split())
 
 
 def test_every_process_hook_feeds_a_command(called):

@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from meanclt.errors import DomainError
 from meanclt.fourier import cosine
-from meanclt.numerics import (Tolerance, gauss_cdf, gauss_pdf, gauss_quantile,
-                              integrate_interval)
+from meanclt.numerics import Tolerance, gauss_cdf, gauss_pdf, gauss_quantile, integrate_unit
 from meanclt.processes import DoublingMap, exact_law
 from meanclt.wasserstein import (EmpiricalSample, FinitePmf, ks_pmf_gauss, ks_sample_gauss,
                                  ks_sorted_gauss, _slab_tables, sorted_gauss_tables,
                                  w1_charfn_gauss, w1_pmf_gauss, w1_sample_gauss,
-                                 w1_sample_sample, w1_sorted_gauss)
+                                 w1_sorted_gauss)
 
 SQRT_2_OVER_PI = 0.7978845608028654
 
 
 def w1_xdomain_oracle(values: np.ndarray, sigma: float) -> float:
-    """Adaptive quadrature of |Fhat - Phi_sigma|, split at atoms and crossings."""
+    """Adaptive quadrature of |Fhat - Phi_sigma|, split at atoms and crossings,
+    each piece mapped onto [0, 1]."""
     x = np.sort(values)
     m = x.size
     pts = np.concatenate([[x[0] - 8 * sigma], x, [x[-1] + 8 * sigma]])
@@ -35,9 +35,10 @@ def w1_xdomain_oracle(values: np.ndarray, sigma: float) -> float:
             if a < xc < b:
                 ends = [a, xc, b]
         for lo, hi in zip(ends[:-1], ends[1:]):
-            total += integrate_interval(
-                lambda t, c=c: np.abs(c - np.asarray(gauss_cdf(t / sigma))),
-                lo, hi, Tolerance(1e-12, 1e-12, 40))
+            total += integrate_unit(
+                lambda u, c=c, lo=lo, w=hi - lo: np.abs(
+                    c - np.asarray(gauss_cdf((lo + w * u) / sigma))) * w,
+                Tolerance(1e-12, 1e-12, 40))
     return total
 
 
@@ -87,7 +88,8 @@ class TestSampleGauss:
         s2 = EmpiricalSample(gen.normal(0.2, 1.1, 150))
         d1 = w1_sample_gauss(s1, 1.0)
         d2 = w1_sample_gauss(s2, 1.0)
-        d12 = w1_sample_sample(s1, s2)
+        # W1 of two samples of one size: mean |x_(i) - y_(i)| of their sorted values
+        d12 = float(np.abs(s1.values - s2.values).mean())
         assert d1 <= d12 + d2 + 1e-9
 
     @settings(max_examples=40, deadline=None)
@@ -174,36 +176,6 @@ class TestPmfGauss:
                 FinitePmf(np.array([0.0, 1.0]), np.array(probs))
             with pytest.raises(DomainError):
                 FinitePmf.from_weighted(np.array([0.0, 1.0]), np.array(probs))
-
-
-class TestSampleSample:
-    def test_identical(self):
-        s = EmpiricalSample(np.array([0.3, -1.2, 4.0]))
-        assert w1_sample_sample(s, s) == 0.0
-
-    def test_two_singletons(self):
-        assert w1_sample_sample(EmpiricalSample([0.0]), EmpiricalSample([1.0])) == 1.0
-
-    def test_equal_sizes_sorted_coupling(self):
-        got = w1_sample_sample(EmpiricalSample([0.0, 0.0]), EmpiricalSample([0.0, 2.0]))
-        assert got == 1.0
-
-    def test_unequal_sizes(self):
-        got = w1_sample_sample(EmpiricalSample([0.0, 1.0]),
-                               EmpiricalSample([0.0, 0.5, 1.0]))
-        assert got == pytest.approx(1.0 / 6.0, abs=1e-15)
-
-    def test_unequal_matches_pmf_reasoning(self):
-        gen = np.random.default_rng(4)
-        x = gen.normal(size=7)
-        y = gen.normal(size=11)
-        # oracle: dense quantile-domain Riemann sum
-        u = (np.arange(1_000_000) + 0.5) / 1_000_000
-        xi = np.minimum((np.ceil(u * 7) - 1).astype(int), 6)
-        yi = np.minimum((np.ceil(u * 11) - 1).astype(int), 10)
-        oracle = float(np.abs(np.sort(x)[xi] - np.sort(y)[yi]).mean())
-        got = w1_sample_sample(EmpiricalSample(x), EmpiricalSample(y))
-        assert got == pytest.approx(oracle, abs=1e-5)
 
 
 def doubling_w1(f, n, sigma, t_max=None, **kw):
