@@ -430,6 +430,18 @@ class TestDiophantine:
             c_fit = max(c_fit, (s / 2.0) ** (1.0 / p) / 2.0 ** ((n + 2) * (1.0 + eta)))
         assert c_fit <= 1.0
 
+    def test_near_rational_distance_is_exact(self):
+        # {3a} = 9e-15 for a = 1/3 + 3e-15: a float product 3a would keep no
+        # digit of it, the rational value of a keeps them all
+        near = SplitReal(1.0 / 3.0 + 3e-15)
+        fr = near.as_fraction()
+        expected = 0.0
+        for k in (2, 3):
+            frac = k * fr - math.floor(k * fr)
+            expected += float(min(frac, 1 - frac)) ** -2
+        assert frac_part_sum(near, 1, 2) == pytest.approx(expected, rel=1e-12)
+        assert frac_part_sum(near, 1, 2) > 1e28
+
 
 class TestKernelDecay:
     def test_zeta_at_n0(self):

@@ -297,6 +297,19 @@ class TestReuseAcrossN:
         terms = bound_terms("projective", spec, f, grid[-1])
         assert [projective_d1_bound(spec, f, n, terms=terms).correction for n in grid] == alone
 
+    @pytest.mark.parametrize("kind,spec,f", [("martingale", DM, cosine(1)),
+                                             ("projective", DM, cosine(2)),
+                                             ("projective", CW, cosine(1))],
+                             ids=["doubling-cos1-martingale", "doubling-cos2-projective",
+                                  "circle-cos1-projective"])
+    def test_pairs_do_not_depend_on_n_max(self, kind, spec, f):
+        # the m-th drift pair is the same for every n_max with isqrt(2 n_max) >= m,
+        # so drift_pairs may read it from the least such n
+        small = bound_terms(kind, spec, f, 8).pairs
+        large = bound_terms(kind, spec, f, 98).pairs
+        assert len(small) == 4 and len(large) == 14
+        assert large[:4] == small
+
     def test_smaller_n_builds_no_function(self, monkeypatch):
         # the bound at n = 64 from the terms of n = 16384 forms no transfer, tail
         # or product and integrates nothing: it only sums their prefixes

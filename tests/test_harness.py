@@ -935,6 +935,21 @@ class TestCli:
         assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("invalid input: ")
 
+    @pytest.mark.parametrize("argv", [["run", "--config", "{path}"],
+                                      ["diagnose", "--config", "{path}"],
+                                      ["report", "{path}"],
+                                      ["check-appendix", "--count", "2", "--seed", "3",
+                                       "--output", "{path}"]],
+                             ids=["run", "diagnose", "report", "check-appendix"])
+    def test_path_under_a_file_exit_code(self, tmp_path, capsys, argv):
+        # a path whose parent is a regular file raises NotADirectoryError, which
+        # is no FileNotFoundError: invalid input all the same
+        from meanclt.cli import main
+        (tmp_path / "plain").write_text("{}")
+        path = tmp_path / "plain" / "inner.json"
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("invalid input: ")
+
     def test_diagnose_cli(self, tmp_path):
         cfg = {"process": {"type": "doubling_map"},
                "observable": {"constant": 0.0, "cos": [1.0], "sin": []}}

@@ -115,6 +115,13 @@ class TestQuadrature:
         rhs = integrate_unit(g, tol) + integrate_unit(h, tol)
         assert abs(lhs - rhs) <= 3e-10
 
+    def test_interval_mapping(self):
+        # an interval [lo, hi] is integrated on [0, 1] through x = lo + w u, the
+        # integrand scaled by w, as criterion 09 integrates its segments
+        lo, w = -1.0, 3.0
+        val = integrate_unit(lambda u: (lo + w * u) ** 2 * w)
+        assert val == pytest.approx(3.0, abs=1e-11)
+
 
 def _trig_integrands(seed: int, count: int) -> list:
     """|random trig polynomial| of 1 to 6 frequencies, each a kinked integrand."""
