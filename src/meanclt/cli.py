@@ -53,6 +53,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path: str, text: str) -> None:
+    """Write an --output file, creating its parent directories as `run` does."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+
+
 def _cmd_run(args) -> int:
     d = json.loads(Path(args.config).read_text())
     if args.output and isinstance(d, dict):  # built once: the config computes sigma2
@@ -89,7 +96,7 @@ def _cmd_check_appendix(args) -> int:
     report = check_appendix(args.count, args.seed)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _write_output(args.output, text + "\n")
     print(f"covariance {report.covariance_passes}/{report.total}, "
           f"corollary {report.corollary_passes}/{report.total}, "
           f"dispersion {report.dispersion_passes}/{report.total}")
@@ -105,7 +112,7 @@ def _cmd_diagnose(args) -> int:
     report = diagnose_conditions(spec, obs, kmax=args.kmax, window=args.window)
     text = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     if args.output:
-        Path(args.output).write_text(text + "\n")
+        _write_output(args.output, text + "\n")
     for key, verdict in sorted(report.verdicts.items()):
         print(f"{key}: {verdict}")
     return EXIT_OK
@@ -115,7 +122,7 @@ def _cmd_report(args) -> int:
     rows = merge_reports(args.manifests)
     text = render_csv(rows, columns=tuple(CSV_COLUMNS) + ("seed",))
     if args.output:
-        Path(args.output).write_text(text)
+        _write_output(args.output, text)
         print(f"wrote {args.output} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)

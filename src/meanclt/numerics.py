@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -97,7 +97,23 @@ class RandomStream:
     seed: int
     stream_index: int
 
-    def generator(self) -> Generator:
+    def generator(self, reuse: Optional[Generator] = None) -> Generator:
+        """This stream's Generator: a new one, or `reuse` re-keyed in place.
+
+        Re-keying writes this key, counter 0 and an empty buffer into
+        `reuse`'s Philox state, as Python ints that the setter casts to
+        uint64 exactly, so it draws exactly what a new generator would for
+        a fraction of the cost of building one.  The stream `reuse` held is
+        abandoned: the caller must own it, and no one else may draw from it
+        afterwards.
+        """
+        if reuse is not None:
+            reuse.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": (0, 0, 0, 0),
+                          "key": (self.seed & _U64, self.stream_index & _U64)},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            return reuse
         h = _KEY_HANDOVER
         with h.lock:
             h.key = [self.seed & _U64, self.stream_index & _U64]

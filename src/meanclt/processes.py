@@ -856,7 +856,9 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     """Simulate `reps` stationary partial-sum paths, recording S at checkpoints.
 
     Replicate r consumes substream(seed, r) only, so ensembles are
-    reproducible bit for bit and independent of block scheduling.  The
+    reproducible bit for bit and independent of block scheduling.  Only the
+    first block builds generators; each later block re-keys the previous
+    block's, which draw exactly what new ones would.  The
     family's hook hands over sums of X over runs of steps that end at every
     checkpoint, and S adds them up.  The doubling map, a finite chain and an
     i.i.d. law hand over one step at a time.  The doubling map's states are
@@ -881,9 +883,10 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
 
     column = {c: i for i, c in enumerate(checkpoints)}
     sums = np.empty((reps, len(checkpoints)))
+    gens = [None] * min(_BLOCK_SIZE, reps)
     for start in range(0, reps, _BLOCK_SIZE):
         stop = min(start + _BLOCK_SIZE, reps)
-        gens = [substream(seed, r).generator() for r in range(start, stop)]
+        gens = [substream(seed, r).generator(g) for r, g in zip(range(start, stop), gens)]
         s = np.zeros(stop - start)
         for t, x in spec._simulate_block(f, n, gens, checkpoints):
             s += x

@@ -561,6 +561,25 @@ class TestCli:
         out = self._run("run", "--config", str(bad))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("command", ["check-appendix", "diagnose", "report"])
+    def test_output_creates_missing_parent_directories(self, tmp_path, capsys, command):
+        # every --output creates its parent directories, as run and preset do
+        from meanclt.cli import main
+        if command == "check-appendix":
+            argv = ["check-appendix", "--count", "5", "--seed", "3"]
+        elif command == "diagnose":
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({"process": {"type": "doubling_map"},
+                                        "observable": {"cos": [1.0]}}))
+            argv = ["diagnose", "--config", str(path), "--kmax", "4", "--window", "1"]
+        else:
+            assert main(["preset", "iid-rademacher-exact", "--n-max", "128",
+                         "--output", str(tmp_path / "iid")]) == 0
+            argv = ["report", str(tmp_path / "iid.manifest.json")]
+        out = tmp_path / "missing" / "dir" / "out"
+        assert main(argv + ["--output", str(out)]) == 0, capsys.readouterr().err
+        assert out.read_text()
+
     @pytest.mark.parametrize("max_depth,estimate", [(1, 0.5932809736509904),
                                                      (3, 0.5969991831399206),
                                                      (6, 0.596998722530117)])

@@ -288,17 +288,29 @@ class TestRandomStream:
         (0, 0), (42, 7), (-5, -7), (-1, 3), (9, -(1 << 64)),
         (1 << 64, 5), ((1 << 64) + 3, (1 << 70) + 9), (-(1 << 65) - 1, (1 << 64) - 1)])
     def test_stream_is_philox_keyed_by_the_pair(self, seed, index):
+        # a new generator and one re-keyed in place draw the same stream
         u64 = (1 << 64) - 1
-        got = substream(seed, index).generator()
-        # a uint64 array: Philox(key=list) casts a list holding a word >= 2^63 through float
-        want = Generator(Philox(key=np.array([seed & u64, index & u64], dtype=np.uint64)))
-        state = got.bit_generator.state["state"]
-        assert state["key"].tolist() == [seed & u64, index & u64]
-        assert state["counter"].tolist() == [0, 0, 0, 0]
-        assert np.array_equal(got.bit_generator.random_raw(9), want.bit_generator.random_raw(9))
-        assert np.array_equal(got.random(7), want.random(7))
-        assert np.array_equal(got.integers(0, 10**9, 7), want.integers(0, 10**9, 7))
-        assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
+        used = substream(index, seed).generator()
+        used.bit_generator.random_raw(3)  # a partly used Philox buffer
+        used.integers(0, 10, 3, dtype=np.int32)  # and a buffered half-word
+        old = used.bit_generator.state
+        assert old["buffer_pos"] < 4 and old["has_uint32"] == 1
+        rekeyed = substream(seed, index).generator(used)
+        assert rekeyed is used
+        for got in (substream(seed, index).generator(), rekeyed):
+            # a uint64 array: Philox(key=list) casts a list holding a word >= 2^63 through float
+            want = Generator(Philox(key=np.array([seed & u64, index & u64], dtype=np.uint64)))
+            state = got.bit_generator.state
+            assert state["state"]["key"].tolist() == [seed & u64, index & u64]
+            assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+            assert state["buffer_pos"] == 4 and state["has_uint32"] == 0
+            assert np.array_equal(got.bit_generator.random_raw(9),
+                                  want.bit_generator.random_raw(9))
+            assert np.array_equal(got.random(7), want.random(7))
+            for dtype in (np.int32, np.int64):
+                assert np.array_equal(got.integers(0, 10**9, 7, dtype=dtype),
+                                      want.integers(0, 10**9, 7, dtype=dtype))
+            assert np.array_equal(got.standard_normal(7), want.standard_normal(7))
 
     def test_generator_draws_no_os_entropy(self, monkeypatch):
         def no_entropy(size):

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 
 from meanclt.errors import DivergenceError, DomainError, PreconditionError, SchemaError
 from meanclt.fourier import FourierFn, cosine, lebesgue_inner, sine
-from meanclt import bounds, processes
+from meanclt import bounds, numerics, processes
 from meanclt.numerics import integrate_unit, substream
 from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS,
                                _SEGMENT_BITS, CircleWalk, DoublingMap, FiniteChain, SplitReal,
@@ -668,6 +669,21 @@ class TestSimulate:
             sums = [simulate_in_blocks(bs, spec, f, 130, 23, checkpoints=[1, 64, 65, 130],
                                        seed=8).partial_sums for bs in (1, 7, 4096)]
             assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
+
+    def test_generators_are_built_once_per_simulation(self, monkeypatch):
+        # later blocks re-key the first block's generators instead of building new ones
+        built = []
+
+        def philox(*args):
+            built.append(args)
+            return Philox(*args)
+
+        monkeypatch.setattr(numerics, "Philox", philox)
+        for spec, f in ((DM, cosine(1)), (CW, cosine(1)), (two_state_chain(), None),
+                        (iid_rademacher(), None)):
+            built.clear()
+            simulate_in_blocks(7, spec, f, 20, 30, seed=4)  # blocks of 7, 7, 7, 7 and 2
+            assert 0 < len(built) <= 7, spec
 
     def test_doubling_mds_mean_and_variance(self):
         reps, n = 10_000, 1000
