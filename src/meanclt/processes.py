@@ -188,51 +188,77 @@ class DoublingMap(ProcessSpec):
         return sigma2
 
     def _simulate_block(self, f, n, gens, checkpoints):
-        # one step per yield, from tiles of up to _TILE_ELEMS states over steps and
-        # replicates.  Per frequency j the phase j w mod 2^64 is exact: (cos, sin) of its
-        # top _PHASE_BITS bits come from tables, of its low bits (< 1.6e-3 rad) from a
-        # short series, joined by the angle-sum rule.  The constant of the centered f is
-        # dropped
+        # one sum per segment of up to _SEGMENT_BITS steps, ending at word ends and
+        # checkpoints.  States are exact in 64-bit fixed point: e steps into a word its low
+        # e bits, last bit on top, sit above the state it started from, shifted down by e.
+        # The chain runs backwards through the map, xi_{t-1} = 2 xi_t mod 1: r steps
+        # before a segment's end state w it stands at w << r but for the low r bits that
+        # shift drops (an angle below 2 pi j 2^-57), where (cos, sin) 2 pi j is the end
+        # state's squared r times, (c, s) <- (c^2 - s^2, 2 c s) in real arithmetic.  At
+        # the end state the phase j w mod 2^64 is exact: (cos, sin) of its top _PHASE_BITS
+        # bits come from tables, of its low bits (< 1.6e-3 rad) from a short series,
+        # joined by the angle-sum rule.  Tiles hold up to _TILE_ELEMS / 2 end states over
+        # segments and replicates.  The constant of the centered f is dropped
         cos_h, sin_h = _phase_tables()
         top = np.uint64(64 - _PHASE_BITS)
         low = np.uint64((1 << (64 - _PHASE_BITS)) - 1)
         terms = [(np.uint64(j), f.cos_coeffs[j - 1], f.sin_coeffs[j - 1])
                  for j in np.flatnonzero((f.cos_coeffs != 0.0) | (f.sin_coeffs != 0.0)) + 1]
-        rows = max(1, _TILE_ELEMS // len(gens))
-        step = 0
-        for w in _doubling_states(*_draw_words(gens, n), rows):
-            x = None
-            for j, a, b in terms:
-                th = w if j == 1 else w * j
-                h = (th >> top).view(np.int64)
-                c, s = cos_h.take(h), sin_h.take(h)
-                phi = (th & low).view(np.int64) * _TURN
-                p = phi * phi
-                # cos phi - 1 = p (-1/2 + p/24), sin phi = phi (1 + p (-1/6 + p/120)), in
-                # place: a fresh temporary costs about as much as the arithmetic on it
-                cm1 = p / 24.0
-                cm1 += -0.5
-                cm1 *= p
-                sn = p / 120.0
-                sn += -1.0 / 6.0
-                sn *= p
-                sn += 1.0
-                sn *= phi
-                if a != 0.0:  # a (c + (c cm1 - s sn)), then b (s + (s cm1 + c sn))
-                    t = c * cm1
-                    t -= s * sn
-                    t += c
-                    t *= a
-                    x = t if x is None else x + t
-                if b != 0.0:
-                    t = s * cm1
-                    t += c * sn
-                    t += s
-                    t *= b
-                    x = t if x is None else x + t
-            for row in [0.0] * len(w) if x is None else x:  # None: f = 0
-                step += 1
-                yield step, row
+        rows = max(1, _TILE_ELEMS // (2 * len(gens)))
+        w, words = _draw_words(gens, n)
+        t, ends = 0, iter(checkpoints)
+        end = next(ends)
+        for word, k in words:
+            segs, e = [], 0  # (steps into the word at a segment's end, its length)
+            while e < k and end is not None:
+                m = min(_SEGMENT_BITS, k - e, end - t - e)
+                e += m
+                segs.append((e, m))
+                if t + e == end:
+                    end = next(ends, None)
+            for i in range(0, len(segs), rows):
+                sh, m = np.array(segs[i:i + rows], dtype=np.uint64).T[:, :, None]
+                we = (w >> sh) | (word << (np.uint64(_BITS_PER_WORD) - sh))
+                x, full = np.zeros(we.shape), m.min()
+                for j, a, b in terms:
+                    th = we if j == 1 else we * j
+                    h = (th >> top).view(np.int64)
+                    c, s = cos_h.take(h), sin_h.take(h)
+                    phi = (th & low).view(np.int64) * _TURN
+                    p = phi * phi
+                    # cos phi - 1 = p (-1/2 + p/24), sin phi = phi (1 + p (-1/6 + p/120)), in
+                    # place: a fresh temporary costs about as much as the arithmetic on it
+                    cm1 = p / 24.0
+                    cm1 += -0.5
+                    cm1 *= p
+                    sn = p / 120.0
+                    sn += -1.0 / 6.0
+                    sn *= p
+                    sn += 1.0
+                    sn *= phi
+                    cr = c * cm1  # c + (c cm1 - s sn), then s + (s cm1 + c sn)
+                    cr -= s * sn
+                    cr += c
+                    sr = s * cm1
+                    sr += c * sn
+                    sr += s
+                    for r in range(m.max()):  # a segment of m steps adds r < m only
+                        if r:
+                            cs = cr * sr
+                            cr *= cr
+                            sr *= sr
+                            cr -= sr
+                            sr = cs
+                            sr += cs
+                        for coef, v in ((a, cr), (b, sr)):
+                            if coef != 0.0:
+                                x += v * (coef if r < full else np.where(m > r, coef, 0.0))
+                for (e, _), row in zip(segs[i:i + rows], x):
+                    yield t + e, row
+            w = we[-1]
+            t += k
+            if end is None:
+                return
 
     def _exact_law(self, f, n):
         # phi_n = pi(g K(g K(... g))) with g = exp(i tau f), its coefficients on
@@ -784,9 +810,9 @@ _BLOCK_SIZE = 4096  # replicates simulated side by side; the sums do not depend 
 _BITS_PER_WORD = 64
 _CHUNK_WORDS = 16  # step words per replicate and raw call: a block holds reps * 16 at a time
 _CHUNK_STEPS = _CHUNK_WORDS * _BITS_PER_WORD  # a chain's or i.i.d. law's draws per call
-_TILE_ELEMS = 8192  # doubling states per tile: each float temporary of a tile is 64 KiB
+_TILE_ELEMS = 8192  # a doubling tile holds half as many segment ends: 32 KiB per temporary
 _PHASE_BITS = 12  # the doubling kernel's (cos, sin) tables hold 2^12 angles, 32 KiB each
-_SEGMENT_BITS = 8  # most steps the circle walk sums with one table product
+_SEGMENT_BITS = 8  # most steps the interval maps sum at once
 _TURN = 2.0 * math.pi * 2.0 ** -64  # radians per unit of a 64-bit phase
 
 
@@ -824,20 +850,6 @@ def _draw_words(gens, n: int):
     return words[0], rows(words[1:])
 
 
-def _doubling_states(w, words, rows: int):
-    """The doubling-map states xi_{t+1} = (xi_t + B_t)/2, t >= 0, from xi_0 = w and
-    the step words, exactly, in 64-bit fixed point: s steps into a word its low s
-    bits, last bit on top, sit above the state it started from, shifted down by s.
-    Yields tiles of up to `rows` consecutive states, one row per step over the
-    replicates, each a fresh array; a tile ends at the end of its word."""
-    for word, k in words:
-        for s in range(0, k, rows):
-            sh = np.arange(s + 1, min(s + rows, k) + 1, dtype=np.uint64)[:, None]
-            tile = (w >> sh) | (word << (np.uint64(_BITS_PER_WORD) - sh))
-            yield tile
-        w = tile[-1]
-
-
 def _chunked_draws(gens, size: int, draw):
     """Per replicate `size` values of draw(g, k), at most _CHUNK_STEPS per call as the
     steps reach them; yields one array over the replicates per value, a row of one
@@ -860,19 +872,20 @@ def simulate(spec: ProcessSpec, f: Optional[FourierFn], n: int, reps: int,
     first block builds generators; each later block re-keys the previous
     block's, which draw exactly what new ones would.  The
     family's hook hands over sums of X over runs of steps that end at every
-    checkpoint, and S adds them up.  The doubling map, a finite chain and an
-    i.i.d. law hand over one step at a time.  The doubling map's states are
-    64-bit fixed-point words (the map (x+B)/2 is exact there), each taken
-    straight from its step word, and it reads (cos, sin)(2 pi j w 2^-64) from
-    the exact phase j w mod 2^64 and a table.  It computes states and X in
-    tiles of up to _TILE_ELEMS over steps and replicates, and hands over each
-    tile's rows one step at a time, so the sums do not depend on the tile.
-    The circle walk hands over a segment of up to _SEGMENT_BITS steps at a
-    time: the steps only move the walk k, so per frequency the segment's sum
-    is the table entry (cos, sin) 2 pi {j k a}, {j k a} exact, at its start,
-    times a table of the segment's own step bits, rotated by the start x0.
-    Neither calls FourierFn.eval.  A finite chain and an i.i.d. law draw at
-    most 1024 values per replicate at a time.
+    checkpoint, and S adds them up.  A finite chain and an i.i.d. law hand
+    over one step at a time; the interval maps a segment of up to
+    _SEGMENT_BITS steps, ending at word ends and checkpoints.  The doubling
+    map's states are 64-bit fixed-point words (the map (x+B)/2 is exact
+    there), each taken straight from its step word; a segment's states are
+    doublings of its end state w, so per frequency it reads (cos, sin)(2 pi j w
+    2^-64) once, from the exact phase j w mod 2^64 and a table, and squares it
+    for each earlier step (at w << r, short of the true state's low r bits: an
+    angle below 2 pi j 2^-57), in tiles of segment ends and replicates that do
+    not change the sums.  For the circle walk the steps only move the walk k, so
+    per frequency the segment's sum is the table entry (cos, sin) 2 pi {j k a},
+    {j k a} exact, at its start, times a table of the segment's own step bits,
+    rotated by the start x0.  Neither calls FourierFn.eval.  A finite chain and
+    an i.i.d. law draw at most 1024 values per replicate at a time.
     """
     if n < 1 or reps < 1:
         raise DomainError("n and reps must be >= 1")

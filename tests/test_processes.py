@@ -13,7 +13,7 @@ from meanclt import bounds, numerics, processes
 from meanclt.numerics import integrate_unit, substream
 from meanclt.processes import (_BAND_TAIL, _CHUNK_STEPS, _CHUNK_WORDS, _PHASE_BITS,
                                _SEGMENT_BITS, CircleWalk, DoublingMap, FiniteChain, SplitReal,
-                               _doubling_states, _draw_words, _exp_i_tau_f, _phase_tables,
+                               _draw_words, _exp_i_tau_f, _phase_tables,
                                exact_frac, exact_law, iid_gaussian, iid_rademacher,
                                is_martingale, long_run_variance, process_from_dict,
                                resolvent_tail, simulate, sqrt2_minus_one, transfer)
@@ -91,22 +91,30 @@ def circle_segments(x0, k, checkpoints, f=cosine(1)):
     n = len(k)
     walk = np.concatenate([[0], k])
     tables = circle_tables(x0, n, f)
-    pairs, t = [], 0
+    pairs = []
+    for t, m in segments(checkpoints):
+        x = None
+        for a, b, cos_t, sin_t, cx, sx in tables:
+            c, s = cos_t[n + walk[t]], sin_t[n + walk[t]]
+            dc, ds = cos_t[n + walk[t + 1] - walk[t]], sin_t[n + walk[t + 1] - walk[t]]
+            for d in walk[t + 2:t + m + 1] - walk[t]:
+                dc, ds = dc + cos_t[n + d], ds + sin_t[n + d]
+            wr, wi = a * cx + b * sx, a * sx - b * cx
+            v = wr * (c * dc - s * ds) - wi * (c * ds + s * dc)
+            x = v if x is None else x + v
+        pairs.append((t + m, x))
+    return pairs
+
+
+def segments(checkpoints):
+    """(t, m) per segment of the interval maps' kernels, in order: m <= _SEGMENT_BITS
+    steps after step t, ending at a word end (a multiple of 64) or a checkpoint."""
+    t = 0
     for end in sorted(set(checkpoints)):
         while t < end:
             m = min(_SEGMENT_BITS, 64 - t % 64, end - t)
-            x = None
-            for a, b, cos_t, sin_t, cx, sx in tables:
-                c, s = cos_t[n + walk[t]], sin_t[n + walk[t]]
-                dc, ds = cos_t[n + walk[t + 1] - walk[t]], sin_t[n + walk[t + 1] - walk[t]]
-                for d in walk[t + 2:t + m + 1] - walk[t]:
-                    dc, ds = dc + cos_t[n + d], ds + sin_t[n + d]
-                wr, wi = a * cx + b * sx, a * sx - b * cx
-                v = wr * (c * dc - s * ds) - wi * (c * ds + s * dc)
-                x = v if x is None else x + v
+            yield t, m
             t += m
-            pairs.append((t, x))
-    return pairs
 
 
 def replay_circle_segments(g, n, checkpoints, f=cosine(1)):
@@ -192,11 +200,12 @@ def doubling_phase(w, j, tables=_phase_tables()):
     return c + (c * cm1 - s * sn), s + (s * cm1 + c * sn)
 
 
-def replay_doubling(g, n, f=cosine(1)):
-    """Doubling-map kernel by hand: X_t = sum_j (a_j cos + b_j sin) 2 pi j w_t 2^-64,
-    increasing j, cos before sin, each from `doubling_phase`; f is centered."""
+def doubling_steps(states, f=cosine(1)):
+    """The doubling-map kernel's per-step form by hand, at the states w_t (Python ints):
+    X_t = sum_j (a_j cos + b_j sin) 2 pi j w_t 2^-64, increasing j, cos before sin, each
+    from `doubling_phase`; f is centered."""
     xs = []
-    for w in doubling_states(g, n):
+    for w in states:
         x = None
         for j in range(1, f.max_freq + 1):
             c, s = doubling_phase(w, j)
@@ -207,10 +216,88 @@ def replay_doubling(g, n, f=cosine(1)):
     return xs
 
 
+def replay_doubling(g, n, f=cosine(1)):
+    """`doubling_steps` of the states replicate g draws: the per-step reference."""
+    return doubling_steps(doubling_states(g, n), f)
+
+
 def replay_doubling_eval(g, n, f=cosine(1)):
-    """The doubling-map kernel before the phase tables: f.eval at w_t 2^-64 rounded to
-    double, whose error grows with the frequency."""
+    """The doubling-map per-step kernel before the phase tables: f.eval at w_t 2^-64
+    rounded to double, whose error grows with the frequency."""
     return f.eval(np.array(doubling_states(g, n), dtype=np.float64) * 2.0 ** -64)
+
+
+def doubling_segments(states, checkpoints, f=cosine(1)):
+    """The doubling-map kernel's (t, x) by hand, in its segment form, for the states
+    w_1..w_n (Python ints) and a centered f.  A segment of `segments` that ends at
+    step e with m steps adds to 0.0, per frequency j in increasing j, for r = 0..m-1
+    (cos before sin) a_j c_r and b_j s_r: (c_0, s_0) = `doubling_phase`(w_e, j), and
+    (c_r, s_r) = (c^2 - s^2, 2 c s) of (c_{r-1}, s_{r-1}).  Each float operation is the
+    kernel's, in its order."""
+    pairs = []
+    for t, m in segments(checkpoints):
+        x = 0.0
+        for j in range(1, f.max_freq + 1):
+            a, b = float(f.cos_coeffs[j - 1]), float(f.sin_coeffs[j - 1])
+            if a == 0.0 and b == 0.0:
+                continue
+            c, s = doubling_phase(states[t + m - 1], j)
+            for r in range(m):
+                if r:
+                    c, s = c * c - s * s, 2.0 * (c * s)
+                for coef, v in ((a, c), (b, s)):
+                    if coef != 0.0:
+                        x += v * coef
+        pairs.append((t + m, x))
+    return pairs
+
+
+def replay_doubling_segments(g, n, checkpoints, f=cosine(1)):
+    """`doubling_segments` of the states replicate g draws."""
+    return doubling_segments(doubling_states(g, n), checkpoints, f)
+
+
+def squaring_errors(m=_SEGMENT_BITS):
+    """delta_r, r < m: a bound on |(c_r, s_r) - e^{2 pi i 2^r theta}| for the segment
+    form's r-th squaring of (c_0, s_0), each of whose components is within 0.76 ulp(1)
+    of (cos, sin) 2 pi theta (`test_phase_tables`: the table entry within 0.51 ulp(1),
+    the series and the angle-sum rule within 0.25 ulp(1)), so delta_0 = sqrt 2 0.76
+    2^-52.  With |z~ - z| <= delta and |z| = 1, |z~^2 - z^2| <= delta (2 + delta), and
+    the float squaring, fl(fl(c^2) - fl(s^2)) and 2 fl(c s), rounds within sqrt 5 u
+    |z~|^2 <= 3 u (1 + delta)^2, u = 2^-53.  So delta_r grows about as 2^r (delta_0 + 3 u);
+    delta_7 < 8e-14."""
+    deltas = [math.sqrt(2.0) * 0.76 * 2.0 ** -52]
+    for _ in range(m - 1):
+        d = deltas[-1]
+        deltas.append(d * (2.0 + d) + 3.0 * U * (1.0 + d) ** 2)
+    return deltas
+
+
+def assert_near_doubling_steps(states, pairs, f=cosine(1)):
+    """The segment form's running sums S_t (`pairs` from the doubling kernel) against
+    the per-step form's float cumsum of `replay_doubling` at the same states.
+
+    Per step and frequency j the per-step form's (cos, sin) is within delta_0 of the
+    true value (`squaring_errors`), and the segment form's, r steps before its segment's
+    end, within delta_r plus the angle of the r low bits that w_e << r drops, 2 pi j
+    (2^r - 1) 2^-64 < 2 pi j 2^-57.  A term a c rounds within u |a| (1 + delta), and
+    the float sums over the P nonzero terms add up to P u L per step in the one form and
+    8 P u L in the other, which sums up to 8 steps of P terms per segment, with L =
+    sum_j |a_j| + |b_j| and F the top frequency.  So per step the two differ by at most
+    (delta_0 + delta_7 + 2 pi F 2^-57 + (9 P + 2) u) L, and each float sum S += x adds
+    u |S| at the S it makes, per step in the one form and per segment in the other."""
+    steps = np.cumsum(doubling_steps(states, f))
+    coeffs = np.concatenate([f.cos_coeffs, f.sin_coeffs])
+    terms, top = np.count_nonzero(coeffs), f.max_freq
+    d = squaring_errors()
+    per_step = (d[0] + d[-1] + 2.0 * math.pi * top * 2.0 ** -57
+                + (9 * terms + 2) * U) * np.abs(coeffs).sum()
+    s, seg_abs = 0.0, 0.0
+    for t, x in pairs:
+        s += x
+        seg_abs += abs(s)
+        bound = t * per_step + U * (np.abs(steps[:t]).sum() + seg_abs)
+        assert abs(s - steps[t - 1]) <= bound, (t, s, steps[t - 1], bound)
 
 
 class FixedWords:
@@ -260,14 +347,14 @@ def simulate_in_blocks(block_size, *args, **kwargs):
 
 def sample_states(spec, step: int, reps: int, seed: int = 0) -> np.ndarray:
     """Each replicate's state at time `step` on the path `simulate` walks: the
-    doubling map's fixed-point word from the kernel's `_doubling_states` (the last
-    row of its last tile), rounded once to a double; the circle walk's x0 + {k a}
-    mod 1."""
+    doubling map's fixed-point word, the head word with each step word of
+    `_draw_words` shifted in from the top as the kernel does at a word end, rounded
+    once to a double; the circle walk's x0 + {k a} mod 1."""
     gens = [substream(seed, r).generator() for r in range(reps)]
     if isinstance(spec, DoublingMap):
         w, words = _draw_words(gens, step)
-        for tile in _doubling_states(w, words, 5):
-            w = tile[-1]
+        for word, m in words:
+            w = (w >> np.uint64(m)) | (word << np.uint64(64 - m))
         return w.astype(np.float64) * 2.0 ** -64
     w0, words = _draw_words(gens, step)
     x0 = (w0 >> np.uint64(11)) * 2.0 ** -53
@@ -722,64 +809,73 @@ class TestSimulate:
             simulate(DM, cosine(1), 10, 5, checkpoints=[20], seed=0)
 
     def test_doubling_fixed_point_replay(self):
-        # bit-exact contract: row r consumes substream(seed, r) as one word for
-        # the initial state followed by packed step bits, low bit first
-        from meanclt.numerics import substream
+        # bit-exact contract: row r consumes substream(seed, r) as one word for the
+        # initial state followed by packed step bits, low bit first, and S adds the
+        # segment sums `replay_doubling_segments` gives; near the per-step reference
         f = cosine(1)
         n, reps, seed = 75, 6, 314
         ens = simulate(DM, f, n, reps, checkpoints=[n], seed=seed)
         for r in range(reps):
-            s = 0.0
-            for x in replay_doubling(substream(seed, r).generator(), n, f):
-                s += x
-            assert s == ens.partial_sums[r, 0]
+            pairs = replay_doubling_segments(substream(seed, r).generator(), n, [n], f)
+            assert [t for t, _ in pairs] == [8, 16, 24, 32, 40, 48, 56, 64, 72, 75]
+            assert sums_at(pairs, [n])[0] == ens.partial_sums[r, 0]
+            assert_near_doubling_steps(doubling_states(substream(seed, r).generator(), n), pairs)
 
     def test_doubling_kernel_replay_mixed_observable(self):
-        # cosines at j = 1 and 3 and a sine at j = 3, step by step; 3 w wraps mod 2^64
-        from meanclt.numerics import substream
+        # cosines at j = 1 and 3 and a sine at j = 3, segment by segment; 3 w wraps mod 2^64
         f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
-        n, reps, seed = 200, 5, 17
+        n, reps, seed, cps = 200, 5, 17, (37, 100, 200)
         pairs = list(DM._simulate_block(
-            f, n, [substream(seed, r).generator() for r in range(reps)], (n,)))
-        assert [t for t, _ in pairs] == list(range(1, n + 1))  # one step per yield
-        xs = np.array([x for _, x in pairs])
+            f, n, [substream(seed, r).generator() for r in range(reps)], cps))
         wraps = 0
         for r in range(reps):
-            wraps += sum(3 * w >> 64 for w in doubling_states(substream(seed, r).generator(), n))
-            assert xs[:, r].tolist() == replay_doubling(substream(seed, r).generator(), n, f)
+            states = doubling_states(substream(seed, r).generator(), n)
+            wraps += sum(3 * w >> 64 for w in states)
+            replay = doubling_segments(states, cps, f)
+            assert [(t, x[r]) for t, x in pairs] == replay
+            assert_near_doubling_steps(states, replay, f)
         assert wraps > 0
 
     @pytest.mark.parametrize("tile", [1, 3, 8192, 10 ** 5])
     def test_doubling_tiles_keep_the_sums(self, tile, monkeypatch):
-        # the kernel steps through tiles of max(1, _TILE_ELEMS // reps) states that end
-        # at word ends; the sums are the per-step replay's bit for bit at checkpoints
-        # inside tiles and at word ends, whatever the tile
-        from meanclt.numerics import substream
+        # the kernel reads tiles of max(1, _TILE_ELEMS // (2 reps)) segment ends that end
+        # at word ends; the sums are the segment replay's bit for bit at checkpoints
+        # inside words and at word ends, whatever the tile and the block
         monkeypatch.setattr(processes, "_TILE_ELEMS", tile)
         f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
         n, seed = 200, 19
         cps = [1, 2, 3, 5, 63, 64, 65, 127, 128, 129, 131, 192, 199, 200]
         for reps in (1, 5):
-            ens = simulate(DM, f, n, reps, checkpoints=cps, seed=seed)
-            for r in range(reps):
-                partial = np.cumsum(replay_doubling(substream(seed, r).generator(), n, f))
-                assert np.array_equal(partial[np.array(cps) - 1], ens.partial_sums[r])
+            for bs in (1, 3, 4096):
+                ens = simulate_in_blocks(bs, DM, f, n, reps, checkpoints=cps, seed=seed)
+                for r in range(reps):
+                    pairs = replay_doubling_segments(substream(seed, r).generator(), n, cps, f)
+                    assert np.array_equal(sums_at(pairs, cps), ens.partial_sums[r])
 
-    def test_doubling_kernel_steps_in_tiles(self, monkeypatch):
-        # a structural guard, with no timer: at n = 4096 the kernel reads at most
-        # ceil(n/rows) + ceil(n/64) tiles of at most rows = _TILE_ELEMS // reps states
-        # each, so a per-step fallback fails; it still yields once per step
-        from meanclt.numerics import substream
-        n, reps = 4096, 3
-        rows = processes._TILE_ELEMS // reps
-        shapes, states = [], processes._doubling_states
-        monkeypatch.setattr(processes, "_doubling_states", lambda *args: (
-            shapes.append(tile.shape) or tile for tile in states(*args)))
-        gens = [substream(1, r).generator() for r in range(reps)]
-        steps = [t for t, _ in DM._simulate_block(cosine(1), n, gens, (n,))]
-        assert steps == list(range(1, n + 1))
-        assert len(shapes) <= -(-n // rows) + -(-n // 64)
-        assert all(1 <= k <= rows and width == reps for k, width in shapes)
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_doubling_segments_at_the_edges(self, n):
+        # a checkpoint at every step, at n alone, and off the multiples of 8; all-ones and
+        # all-zeros words, and segments cut short by checkpoints and by the last word
+        f = FourierFn(0.0, [1.0, 0.0, 0.5], [0.0, 0.0, 0.3])
+        head = 0x9E3779B97F4A7C15
+        for cps in (tuple(range(1, n + 1)), (n,), tuple(c for c in (3, 13, 70) if c < n) + (n,)):
+            for fill in ((1 << 64) - 1, 0, 0x0123456789ABCDEF):
+                w, states = head, []
+                for t in range(n):
+                    w = (w >> 1) | ((fill >> (t % 64) & 1) << 63)
+                    states.append(w)
+                pairs = [(t, x[0]) for t, x in DM._simulate_block(f, n, [FixedWords(head, fill)],
+                                                                  cps)]
+                assert pairs == doubling_segments(states, cps, f)
+                assert_near_doubling_steps(states, pairs, f)
+
+    def test_doubling_kernel_sums_segments(self):
+        # a structural guard, with no timer: the hook hands over at most one sum per
+        # 8 steps, per word end and per checkpoint, so a per-step fallback fails
+        n, cps = 4096, (100, 1000, 2049, 4096)
+        gens = [substream(1, r).generator() for r in range(3)]
+        yields = sum(1 for _ in DM._simulate_block(cosine(1), n, gens, cps))
+        assert yields <= -(-n // 8) + -(-n // 64) + len(cps)
 
     def test_doubling_tiles_take_bounded_memory(self):
         # a tile's temporaries hold _TILE_ELEMS numbers, 64 KiB, under README's 256 KiB:
@@ -799,22 +895,32 @@ class TestSimulate:
         assert abs(large - mid) <= 64 * 1024
         assert large - one <= 15 * 8 * reps + 10 * 8 * processes._TILE_ELEMS
 
-    def test_doubling_kernel_per_step_accuracy(self):
-        # cos and sin 2 pi j w 2^-64 against 40 digits at the exact states w: the table
-        # entry's error (under 0.51 ulp(1)) and the last rounding (under 0.25 ulp(1));
-        # replay_doubling_eval's rounded state loses up to 2 pi j 2^-54 more
-        from meanclt.numerics import substream
+    def test_doubling_kernel_segment_accuracy(self):
+        # each segment sum against 40 digits at the exact states: the end state's (cos,
+        # sin) within delta_0, r squarings within delta_r (`squaring_errors`), the r low
+        # bits that w_e << r drops, an angle below 2 pi j (2^r - 1) 2^-64, and the float
+        # sum of the m terms, which rounds within u (r + 1)(1 + delta_r) at its r-th add
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
-        n, reps, seed = 100, 4, 29
+        n, reps, seed, cps = 200, 4, 29, (5, 64, 67, 131, 200)
         gens = lambda: [substream(seed, r).generator() for r in range(reps)]
         states = [doubling_states(g, n) for g in gens()]
+        d = squaring_errors()
         for j in (1, 2, 3, 7, 64):
+            bounds = np.cumsum([d[r] + 2.0 * math.pi * j * (2 ** r - 1) * 2.0 ** -64
+                                + (U * (r + 1) * (1.0 + d[r]) if r else 0.0)
+                                for r in range(_SEGMENT_BITS)])
             for f, fn in ((cosine(j), mpmath.cos), (sine(j), mpmath.sin)):
-                xs = np.array([x for _, x in DM._simulate_block(f, n, gens(), (n,))])
-                err = max(abs(float(xs[t, r] - fn(2 * mpmath.pi * j * mpmath.mpf(w) / 2 ** 64)))
-                          for r in range(reps) for t, w in enumerate(states[r]))
-                assert err <= 2.0 ** -52, (j, fn, err)
+                pairs = list(DM._simulate_block(f, n, gens(), cps))
+                assert [t for t, _ in pairs] == [t + m for t, m in segments(cps)]
+                start = 0
+                for t, x in pairs:
+                    m = t - start
+                    for r in range(reps):
+                        exact = sum(fn(2 * mpmath.pi * j * mpmath.mpf(w) / 2 ** 64)
+                                    for w in states[r][start:t])
+                        assert abs(float(x[r] - exact)) <= bounds[m - 1], (j, fn, t, r)
+                    start = t
 
     def test_doubling_kernel_near_eval_formula(self):
         # per step the kernel is within ulp(1) of cos 2 pi w 2^-64 and f.eval at the
