@@ -21,21 +21,21 @@ import numpy as np
 from .errors import DegenerateVarianceError, DomainError, PreconditionError
 from .fourier import (FourierFn, FourierStack, _to_complex, constant_fn, l1_norms,
                       lebesgue_inner, product)
-from .numerics import Tolerance, integrate_many, integrate_unit
+from .numerics import DEFAULT_TOLERANCE, Tolerance, integrate_many, integrate_unit
 from .processes import (IIDLaw, ProcessSpec, check_observable, is_martingale,
                         long_run_variance, resolvent_tail, transfer)
 
+# the quadrature tolerance of E|X0|^3 and the `jan` norms; the bound norms take DEFAULT_TOLERANCE
 _NORM_TOL = Tolerance(1e-12, 1e-12, 44)
 _STABLE_EPS = 1e-16
 _TAIL_CHUNK = 64  # resolvent tails of the non-adapted correction per batch request
 
 
-def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
-              tol: Tolerance = _NORM_TOL) -> list:
+def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]]) -> list:
     """[||g||_1 for ("l1", g), ||f g||_1 for ("weighted", g)]: 0.0 for a zero g,
-    the rest from `fourier.l1_norms` in request order, a weighted one as the
-    exact product f g.  The requests are read one by one, so a generator of
-    them keeps no more than one batch of functions alive."""
+    the rest from `fourier.l1_norms` at DEFAULT_TOLERANCE in request order, a
+    weighted one as the exact product f g.  The requests are read one by one,
+    so a generator of them keeps no more than one batch of functions alive."""
     zero = []
 
     def items():
@@ -44,7 +44,7 @@ def _l1_norms(f: FourierFn, requests: Iterable[tuple[str, FourierFn]],
             if not zero[-1]:
                 yield _to_complex(product(f, g).fn if kind == "weighted" else g), ()
 
-    norms = iter(list(l1_norms(items(), tol)))  # reads every request, filling `zero`
+    norms = iter(list(l1_norms(items(), DEFAULT_TOLERANCE)))  # reads every request, filling `zero`
     return [0.0 if z else next(norms) for z in zero]
 
 
@@ -111,10 +111,10 @@ def _drift_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -
     return sums
 
 
-def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int, compensator=None) -> list:
-    """[R_0, ..., R_count] of `_drift_sums`: every entry past its last is the
-    same object as the last one."""
-    sums = _drift_sums(spec, f, count, compensator)
+def _partial_sums(spec: ProcessSpec, f: FourierFn, count: int) -> list:
+    """[R_0, ..., R_count] of `_drift_sums` for z = f: every entry past its
+    last is the same object as the last one."""
+    sums = _drift_sums(spec, f, count)
     return sums[:count + 1] + [sums[-1]] * (count + 1 - len(sums))
 
 
@@ -125,9 +125,9 @@ def _drift_values(spec: ProcessSpec, f: FourierFn, count: int, compensator, valu
     return [known[min(m, len(known) - 1)] for m in range(1, count + 1)]
 
 
-def _drift_pairs(f: FourierFn, ws: Sequence[FourierFn], tol: Tolerance) -> list:
+def _drift_pairs(f: FourierFn, ws: Sequence[FourierFn]) -> list:
     """[(||w||_1, ||f w||_1) for w in ws], as one batch request."""
-    norms = _l1_norms(f, [(kind, w) for w in ws for kind in ("l1", "weighted")], tol)
+    norms = _l1_norms(f, [(kind, w) for w in ws for kind in ("l1", "weighted")])
     return list(zip(norms[::2], norms[1::2]))
 
 
@@ -147,7 +147,7 @@ def _compensator(spec: ProcessSpec, f: FourierFn) -> FourierFn:
     return (f2 + 2.0 * fg).shift_constant(-sigma2)
 
 
-def _tail_norms(spec: ProcessSpec, f: FourierFn, count: int, tol: Tolerance) -> list:
+def _tail_norms(spec: ProcessSpec, f: FourierFn, count: int) -> list:
     """[||X0 sum_{l>=m} E_0(X_l)||_1 for m = 1..count], _TAIL_CHUNK per request,
     ending before the first zero tail (all later ones vanish as well for the
     interval maps) or the first norm no larger than 1e-16 of the one before."""
@@ -155,20 +155,19 @@ def _tail_norms(spec: ProcessSpec, f: FourierFn, count: int, tol: Tolerance) -> 
     tails = itertools.takewhile(lambda tail: not tail.is_zero(), tails)
     norms = []
     while chunk := [("weighted", tail) for tail in itertools.islice(tails, _TAIL_CHUNK)]:
-        for norm in _l1_norms(f, chunk, tol):
+        for norm in _l1_norms(f, chunk):
             if norms and norm <= _STABLE_EPS * (1.0 + norms[-1]):
                 return norms
             norms.append(norm)
     return norms
 
 
-def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
-                          tol: Tolerance = _NORM_TOL) -> float:
+def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int) -> float:
     """sum_m (sigma sqrt m)^{-1} || X0 sum_{l>=m} E_0(X_l) ||_1
        + sum_m (2m)^{-1} || (1 + X0^2/sigma^2) E_0(S_m) ||_1, for m = 1..n,
     as `projective_d1_bound` reports it; 0 for martingale differences and
     i.i.d. inputs."""
-    return projective_d1_bound(spec, f, n, tol).correction
+    return projective_d1_bound(spec, f, n).correction
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,7 @@ def nonadapted_correction(spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
 @dataclass(frozen=True)
 class BoundTerms:
-    """What the `kind` bound ("martingale" or "projective") of (spec, f, tol)
+    """What the `kind` bound ("martingale" or "projective") of (spec, f)
     sums at every n <= n_max: the moments, the pairs (||W_m||_1, ||X0 W_m||_1)
     for m <= isqrt(2 n_max) (W_m = U_m for the martingale kind), and the
     projective correction's `_tail_norms` and ||(1 + X0^2/sigma^2) E_0(S_m)||_1
@@ -187,7 +186,6 @@ class BoundTerms:
     kind: str
     spec: ProcessSpec
     f: Optional[FourierFn]
-    tol: Tolerance
     n_max: int
     moments: MomentSummary
     pairs: tuple
@@ -198,8 +196,7 @@ class BoundTerms:
 _COMPENSATORS = {"martingale": _variance_compensator, "projective": _compensator}
 
 
-def bound_terms(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n_max: int,
-                tol: Tolerance = _NORM_TOL) -> BoundTerms:
+def bound_terms(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n_max: int) -> BoundTerms:
     """The `BoundTerms` of the `kind` bound to n_max, each distinct drift sum valued once."""
     if kind not in _COMPENSATORS:
         raise DomainError(f"bound kind must be one of {sorted(_COMPENSATORS)}, got {kind!r}")
@@ -208,16 +205,16 @@ def bound_terms(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n_max: int
     mom = moments(spec, f)
     cutoff = math.isqrt(2 * n_max)
     if isinstance(spec, IIDLaw):
-        return BoundTerms(kind, spec, f, tol, n_max, mom, ((0.0, 0.0),) * cutoff)
+        return BoundTerms(kind, spec, f, n_max, mom, ((0.0, 0.0),) * cutoff)
     pairs = _drift_values(spec, f, cutoff, _COMPENSATORS[kind],
-                          lambda ws: _drift_pairs(f, ws, tol))
+                          lambda ws: _drift_pairs(f, ws))
     if kind == "martingale":
-        return BoundTerms(kind, spec, f, tol, n_max, mom, tuple(pairs))
+        return BoundTerms(kind, spec, f, n_max, mom, tuple(pairs))
     one_plus = product(f, f).fn * (1.0 / mom.sigma2) + constant_fn(1.0)
     one_plus_norms = _drift_values(spec, f, n_max, None, lambda sums: _l1_norms(
-        f, (("l1", product(one_plus, s).fn) for s in sums), tol))
-    return BoundTerms(kind, spec, f, tol, n_max, mom, tuple(pairs),
-                      tuple(_tail_norms(spec, f, n_max, tol)), tuple(one_plus_norms))
+        f, (("l1", product(one_plus, s).fn) for s in sums)))
+    return BoundTerms(kind, spec, f, n_max, mom, tuple(pairs),
+                      tuple(_tail_norms(spec, f, n_max)), tuple(one_plus_norms))
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +244,15 @@ class BoundReport:
 
 
 def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
-              tol: Tolerance, terms: Optional[BoundTerms]) -> BoundReport:
+              terms: Optional[BoundTerms]) -> BoundReport:
     """13 sigma/6 + (Lambda/6) log(1+2n) + (nonadapted correction)
        + sum_{m<=sqrt(2n)} (||X0 W_m||_1 + 2 sigma ||W_m||_1)/(m sigma^2),
     summed from prefixes of the terms, which are built for n alone if None."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    terms = terms or bound_terms(kind, spec, f, n, tol)
-    if (terms.kind, terms.spec, terms.f, terms.tol) != (kind, spec, f, tol) or terms.n_max < n:
-        raise DomainError(f"not the {kind} bound terms of this spec, f and tol up to n = {n}")
+    terms = terms or bound_terms(kind, spec, f, n)
+    if (terms.kind, terms.spec, terms.f) != (kind, spec, f) or terms.n_max < n:
+        raise DomainError(f"not the {kind} bound terms of this spec and f up to n = {n}")
     mom = terms.moments
     constant = 13.0 * mom.sigma / 6.0
     log_term = mom.lam / 6.0 * math.log1p(2.0 * n)
@@ -272,20 +269,18 @@ def _d1_bound(kind: str, spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
 
 def martingale_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
-                        tol: Tolerance = _NORM_TOL,
                         terms: Optional[BoundTerms] = None) -> BoundReport:
     """Distance bound for stationary martingale differences:
 
         13 sigma/6 + (Lambda/6) log(1+2n)
         + sum_{m<=sqrt(2n)} (||X0 U_m||_1 + 2 sigma ||U_m||_1)/(m sigma^2).
 
-    terms: `bound_terms("martingale", spec, f, n_max, tol)`, n_max >= n.
+    terms: `bound_terms("martingale", spec, f, n_max)`, n_max >= n.
     """
-    return _d1_bound("martingale", spec, f, n, tol, terms)
+    return _d1_bound("martingale", spec, f, n, terms)
 
 
 def projective_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
-                        tol: Tolerance = _NORM_TOL,
                         terms: Optional[BoundTerms] = None) -> BoundReport:
     """Distance bound for stationary sequences with a convergent resolvent:
 
@@ -295,13 +290,12 @@ def projective_d1_bound(spec: ProcessSpec, f: Optional[FourierFn], n: int,
 
     Coincides with the martingale bound (correction 0, W_m = U_m) on
     martingale-difference inputs.
-    terms: `bound_terms("projective", spec, f, n_max, tol)`, n_max >= n.
+    terms: `bound_terms("projective", spec, f, n_max)`, n_max >= n.
     """
-    return _d1_bound("projective", spec, f, n, tol, terms)
+    return _d1_bound("projective", spec, f, n, terms)
 
 
-def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
-                        tol: Tolerance = _NORM_TOL) -> tuple[float, float]:
+def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int) -> tuple[float, float]:
     """(||E_0(S_m^2) - m sigma^2||_1, ||E_0(J_m)||_1) for bounded observables.
 
     With R_j = sum_{d<=j} K^d f, the lagged products collapse to one sum:
@@ -319,7 +313,7 @@ def second_moment_norms(spec: ProcessSpec, f: Optional[FourierFn], m: int,
         total = total + transfer(spec, f2 + 2.0 * product(f, sums[m - k])[0], k)
     g_tail = resolvent_tail(spec, f, 1)
     j_m = transfer(spec, g_tail, m)
-    return tuple(_l1_norms(f, [("l1", total), ("l1", j_m)], tol))
+    return tuple(_l1_norms(f, [("l1", total), ("l1", j_m)]))
 
 
 def variance_l32_norm(spec: ProcessSpec, f: Optional[FourierFn], l: int) -> float:

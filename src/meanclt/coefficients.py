@@ -13,7 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -500,46 +500,27 @@ def _centered_product_means(values: np.ndarray, probs: np.ndarray,
     return out
 
 
-def _alphas(points: np.ndarray, probs: np.ndarray, counts: np.ndarray,
-            conditioning: Optional[int] = None) -> np.ndarray:
+def _alphas(points: np.ndarray, probs: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Largest |E prod_c (1_{X_c > x_c} - P(X_c > x_c))| of each joint over
-    the threshold grids, or with `conditioning` set, the L1 distance of its
-    conditional mean given X_conditioning from its mean, over the grids of
-    the other coordinates.  A padded threshold's column is 0, and so is the
+    the threshold grids.  A padded threshold's column is 0, and so is the
     mean of every product it enters."""
     B, N, k = points.shape
     real = np.arange(N) < counts[:, None]
-    axes = [c for c in range(k) if c != conditioning]
-    x = np.moveaxis(points[:, :, axes], 2, 1)
+    x = np.moveaxis(points, 2, 1)
     grids = _threshold_grids(x, real[:, None, :])
     above = (x[:, :, None, :] > grids[..., None]) & real[:, None, None, :]
     columns = above - _masked_sums(probs[:, None, None, :], above)[..., None]
-    groups = 1
-    if conditioning is not None:
-        values, _ = _distinct_values(points[:, :, conditioning], real)
-        members = (points[:, None, :, conditioning] == values[..., None]) & real[:, None, :]
-        group_probs = _masked_sums(probs[:, None, :], members)[:, None, :]
-        groups = members.shape[1]
     size = grids.shape[-1]
-    tuples = size ** len(axes)
-    block = max(1, _BATCH_DOUBLES // (B * N * groups))
+    tuples = size ** k
+    block = max(1, _BATCH_DOUBLES // (B * N))
     best = np.zeros(B)
     for start in range(0, tuples, block):
         t = np.arange(start, min(start + block, tuples))
         g = np.ones((B, t.size, N))
-        for i in range(len(axes)):
-            g = g * columns[:, i, t // size ** (len(axes) - 1 - i) % size]
+        for i in range(k):
+            g = g * columns[:, i, t // size ** (k - 1 - i) % size]
         g = g * probs[:, None, :]
-        overall = _row_sums(g, counts[:, None])
-        if conditioning is None:
-            norms = np.abs(overall)
-        else:
-            cond_means = (_masked_sums(g[:, :, None, :], members[:, None])
-                          / np.where(group_probs == 0.0, 1.0, group_probs))
-            terms = np.where(group_probs == 0.0, 0.0,
-                             group_probs * np.abs(cond_means - overall[..., None]))
-            norms = np.cumsum(terms, axis=-1)[..., -1]  # a running total over the groups
-        best = np.maximum(best, norms.max(axis=-1))
+        best = np.maximum(best, np.abs(_row_sums(g, counts[:, None])).max(axis=-1))
     return best
 
 
@@ -556,13 +537,12 @@ def _reports(lhs: np.ndarray, alpha: np.ndarray, rhs: np.ndarray) -> list:
             for x, a, r in zip(lhs.tolist(), alpha.tolist(), rhs.tolist())]
 
 
-def _covariance_bounds(points: np.ndarray, probs: np.ndarray, counts: np.ndarray,
-                       conditioning: Optional[int] = None) -> tuple:
+def _covariance_bounds(points: np.ndarray, probs: np.ndarray, counts: np.ndarray) -> tuple:
     """(lhs, alpha, rhs) of the covariance bound of each joint, then its
     marginal laws and their dispersion steps."""
     laws = merge_weighted(np.moveaxis(points, 2, 1), probs[:, None, :])
     edges, vals = steps = _dispersion_steps(*laws)
-    alpha = _alphas(points, probs, counts, conditioning)
+    alpha = _alphas(points, probs, counts)
     factors = [(edges[:, c], vals[:, c]) for c in range(points.shape[2])]
     rhs = 2.0 * _product_step_integrals(factors, alpha / 2.0)
     return _centered_product_means(points, probs, counts), alpha, rhs, laws, steps
@@ -600,16 +580,14 @@ def appendix_checks(points: np.ndarray, probs: np.ndarray, counts: np.ndarray,
     return _reports(lhs, alpha, rhs), _reports(cor_lhs, alpha, cor_rhs), dispersion
 
 
-def covariance_bound_check(j: JointPmf, conditioning: Optional[int] = None
-                           ) -> CovarianceBoundReport:
+def covariance_bound_check(j: JointPmf) -> CovarianceBoundReport:
     """Check |E prod (X_i - E X_i)| <= 2 int_0^{alpha/2} prod D_i(u) du.
 
     lhs by full enumeration; alpha maximized over the exact midpoint
-    threshold grid (the conditional indicator form when `conditioning` marks
-    a coordinate); the right side integrates the product of the exact
+    threshold grid; the right side integrates the product of the exact
     inter-quantile dispersion steps.
     """
-    lhs, alpha, rhs, _, _ = _covariance_bounds(*joint_arrays([j]), conditioning)
+    lhs, alpha, rhs, _, _ = _covariance_bounds(*joint_arrays([j]))
     return _reports(lhs, alpha, rhs)[0]
 
 

@@ -35,7 +35,7 @@ from .coefficients import (QuantileSeq, _tail_quantile_steps, alpha_tabulation,
 from .errors import (DegenerateVarianceError, DomainError, PreconditionError, SchemaError,
                      json_typed, reject_unknown_keys, required)
 from .fourier import FourierFn, lebesgue_inner
-from .numerics import Tolerance, substream
+from .numerics import DEFAULT_TOLERANCE, Tolerance, substream
 from .processes import (DoublingMap, FiniteChain, IIDLaw, ProcessSpec, exact_law,
                         is_martingale, long_run_variance, process_from_dict, simulate,
                         transfer)
@@ -75,12 +75,13 @@ class ExperimentConfig:
     reps: int
     seed: int
     targets: tuple
-    tolerance: Tolerance = Tolerance()
     output: Optional[str] = None
     bootstrap: int = 100
-    # whether the process's law of S_n is a pmf, so that the run simulates nothing;
-    # not an argument, and a config file may only repeat it
+    # whether the process's law of S_n is a pmf, so that the run simulates nothing, and
+    # the quadrature tolerance of the bound norms: not arguments, and a config file may
+    # only repeat them
     exact_pmf: bool = field(init=False, default=False)
+    tolerance: Tolerance = field(init=False, default=DEFAULT_TOLERANCE)
 
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
@@ -130,9 +131,11 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         process, observable = read_process(d)
         tol = json_typed(d.get("tolerance"), dict, "tolerance") or {}
-        reject_unknown_keys(tol, [f.name for f in fields(Tolerance)], "tolerance")
+        record = asdict(DEFAULT_TOLERANCE)
+        reject_unknown_keys(tol, list(record), "tolerance")
         for k, v in tol.items():
-            json_typed(v, int if k == "max_depth" else float, f"tolerance.{k}")
+            if json_typed(v, type(record[k]), f"tolerance.{k}") != record[k]:
+                raise DomainError(f"tolerance.{k} must be {record[k]!r} (field: tolerance.{k})")
         grid = json_typed(required(d, "n_grid"), list, "n_grid")
         exact_pmf = json_typed(d["exact_pmf"], bool, "exact_pmf") if "exact_pmf" in d else None
         config = cls(process=process, observable=observable,
@@ -141,7 +144,6 @@ class ExperimentConfig:
                      seed=json_typed(d.get("seed", 0), int, "seed"),
                      targets=tuple(json_typed(d.get("targets", ["empirical_d1", "rate_fit"]),
                                                list, "targets")),
-                     tolerance=Tolerance(**tol),
                      output=d.get("output"),
                      bootstrap=json_typed(d.get("bootstrap", 100), int, "bootstrap"))
         if exact_pmf not in (None, config.exact_pmf):
@@ -388,16 +390,16 @@ def run(config: ExperimentConfig) -> RunManifest:
         timings["distances"] = time.perf_counter() - t
 
     if {"martingale_bound", "projective_bound", "second_moment_terms"} & set(config.targets):
-        t, tol = time.perf_counter(), config.tolerance
+        t = time.perf_counter()
         for kind, bound in (("martingale", martingale_d1_bound),
                             ("projective", projective_d1_bound)):
             if f"{kind}_bound" in config.targets:  # its terms once, for the grid's largest n
-                terms = bound_terms(kind, spec, f, config.n_grid[-1], tol)
+                terms = bound_terms(kind, spec, f, config.n_grid[-1])
                 for rec in per_n:
-                    rec[f"bound_{kind}"] = bound(spec, f, rec["n"], tol, terms).to_dict()
+                    rec[f"bound_{kind}"] = bound(spec, f, rec["n"], terms).to_dict()
         if "second_moment_terms" in config.targets:
             for rec in per_n:
-                drift, smooth = second_moment_norms(spec, f, math.isqrt(2 * rec["n"]), tol)
+                drift, smooth = second_moment_norms(spec, f, math.isqrt(2 * rec["n"]))
                 rec["second_moment_drift"] = drift
                 rec["resolvent_smoothing"] = smooth
         timings["bounds"] = time.perf_counter() - t

@@ -39,14 +39,11 @@ class Tolerance:
 
     def __post_init__(self):
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise DomainError(f"abs_tol must be finite and positive, got {self.abs_tol!r} "
-                              "(field: tolerance.abs_tol)")
+            raise DomainError(f"abs_tol must be finite and positive, got {self.abs_tol!r}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0.0):
-            raise DomainError(f"rel_tol must be finite and nonnegative, got {self.rel_tol!r} "
-                              "(field: tolerance.rel_tol)")
+            raise DomainError(f"rel_tol must be finite and nonnegative, got {self.rel_tol!r}")
         if self.max_depth < 1:
-            raise DomainError(f"max_depth must be at least 1, got {self.max_depth!r} "
-                              "(field: tolerance.max_depth)")
+            raise DomainError(f"max_depth must be at least 1, got {self.max_depth!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()

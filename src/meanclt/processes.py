@@ -85,18 +85,18 @@ def sqrt2_minus_one() -> SplitReal:
     return SplitReal.from_fraction(Fraction(num, scale) - 1)
 
 
-def _continued_fraction_guard(a: float, max_den: int = 10 ** 6, tol: float = 1e-15) -> None:
-    """Reject step sizes indistinguishable from a small-denominator rational."""
+def _continued_fraction_guard(a: float) -> None:
+    """Reject step sizes within 1e-15 of a rational of denominator at most 10^6."""
     x = a
     p0, q0, p1, q1 = 0, 1, 1, 0
     for _ in range(64):
         n = math.floor(x)
         p0, q0, p1, q1 = p1, q1, n * p1 + p0, n * q1 + q0
-        if q1 > max_den:
+        if q1 > 10 ** 6:
             return
-        if q1 > 0 and abs(a - p1 / q1) < tol:
+        if q1 > 0 and abs(a - p1 / q1) < 1e-15:
             raise DomainError(
-                f"step {a!r} is within {tol:g} of the rational {p1}/{q1}; "
+                f"step {a!r} is within 1e-15 of the rational {p1}/{q1}; "
                 "an irrational step is required")
         frac = x - n
         if frac <= 0.0:

@@ -59,8 +59,7 @@ def _theta_windows(i: int, j: int, gap: int, window: int) -> list:
 
 
 def theta_coeff(spec: ProcessSpec, f: Optional[FourierFn], i: int, j: int,
-                gap: int, window: int,
-                tol: Tolerance = _THETA_TOL) -> float:
+                gap: int, window: int) -> float:
     """Windowed lower bound of the product-dependence coefficient.
 
     Maximum over multiindices 0 = k_1 <= ... <= k_i <= window and
@@ -73,12 +72,12 @@ def theta_coeff(spec: ProcessSpec, f: Optional[FourierFn], i: int, j: int,
     (an exact sum for finite chains).  Enlarging the window never
     decreases the result.  `theta_coeffs` of the one request (i, j, gap).
     """
-    return theta_coeffs(spec, f, [(i, j, gap)], window, tol)[0]
+    return theta_coeffs(spec, f, [(i, j, gap)], window)[0]
 
 
 def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[tuple],
-                 window: int, tol: Tolerance = _THETA_TOL) -> list:
-    """[theta_coeff(spec, f, i, j, gap, window, tol) for (i, j, gap) in requests].
+                 window: int) -> list:
+    """[theta_coeff(spec, f, i, j, gap, window) for (i, j, gap) in requests].
 
     A window's norm depends only on (i, past gaps, future gaps), so each
     distinct one is computed once for all requests, each distinct nest of
@@ -104,7 +103,7 @@ def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[t
     if isinstance(spec, FiniteChain):
         norms_of = functools.partial(_chain_theta_norms, spec)
     else:
-        norms_of = functools.partial(_map_theta_norms, spec, f, tol=tol)
+        norms_of = functools.partial(_map_theta_norms, spec, f)
     # _theta_windows enumerates the nondecreasing i- and (j - i)-tuples over 0..window
     count = sum(math.comb(window + i, i) * math.comb(window + j - i, j - i)
                 for i, j, _ in requests)
@@ -118,12 +117,11 @@ def theta_coeffs(spec: ProcessSpec, f: Optional[FourierFn], requests: Sequence[t
     return [max([0.0] + [norms[key] for key in w]) for w in windows]
 
 
-def _map_theta_norms(spec: ProcessSpec, f: FourierFn, keys: Sequence[tuple],
-                     tol: Tolerance) -> list:
+def _map_theta_norms(spec: ProcessSpec, f: FourierFn, keys: Sequence[tuple]) -> list:
     """The theta norms of an interval map's windows keys[k] = (i, past gaps,
     future gaps), in order: the terms of every window with a nonzero future
-    nest stream through one `fourier.l1_norms`, and each window's norm is its
-    terms' weighted sum, in order."""
+    nest stream through one `fourier.l1_norms` at _THETA_TOL, and each
+    window's norm is its terms' weighted sum, in order."""
     nest = functools.lru_cache(maxsize=None)(functools.partial(_centred_nest, spec, f))
     owners = collections.deque()  # (window, weight) of each term not yet integrated
 
@@ -135,7 +133,7 @@ def _map_theta_norms(spec: ProcessSpec, f: FourierFn, keys: Sequence[tuple],
                     yield p, ds
 
     norms = [0.0] * len(keys)
-    for value in l1_norms(terms(), tol, f):
+    for value in l1_norms(terms(), _THETA_TOL, f):
         k, weight = owners.popleft()
         norms[k] += weight * value
     return norms

@@ -259,8 +259,8 @@ def _ks_step_cdf(cum: np.ndarray, phi: np.ndarray) -> float:
 
 # Gil-Pelaez inversion grid: x lives on a period of 2 * _X_SIGMAS s, s the larger
 # of sigma and the law's own spread, so the t-step is pi / (_X_SIGMAS s); the
-# default t-cutoff is _T_SIGMAS / sigma, twice the point where the Gaussian
-# factor exp(-sigma^2 t^2 / 2) is 2.6e-18, and doubles at most
+# t-cutoff is _T_SIGMAS / sigma, twice the point where the Gaussian factor
+# exp(-sigma^2 t^2 / 2) is 2.6e-18 (so at least 69 t-steps), and doubles at most
 # _CUTOFF_DOUBLINGS times where a relative error is asked for.
 _X_SIGMAS = 12.0
 _T_SIGMAS = 18.0
@@ -294,20 +294,19 @@ def _gil_pelaez_w1(psi: np.ndarray, h: float, x_points: int) -> float:
 
 
 def w1_charfn_gauss(charfn: Callable[[np.ndarray], tuple], sigma: float,
-                    t_max: Optional[float] = None, spread: Optional[float] = None,
+                    spread: Optional[float] = None,
                     rel_err: Optional[float] = None) -> tuple[float, float]:
     """W1 distance between a law given by its characteristic function and N(0, sigma^2).
 
     charfn(t) returns (phi(t), bound) for an array of t > 0: the values and a
     bound on each value's error.  F - Phi_sigma comes from the Gil-Pelaez
-    formula at t-step h = pi / (12 s) up to the cutoff t_max (default
-    18 / sigma), with s = max(sigma, spread), so the law must lie within about
-    12 s of 0: pass its standard deviation as `spread` where it may exceed
-    sigma.  Its absolute value is integrated over an x-grid.  A law whose
-    density has singular peaks, such as a sum of a few terms of a smooth
-    sequence, has a slowly decaying phi and needs a larger t_max for the same
-    accuracy; with `rel_err` the cutoff doubles, at most twice, while
-    err > rel_err * d1.
+    formula at t-step h = pi / (12 s) up to the cutoff 18 / sigma, with
+    s = max(sigma, spread), so the law must lie within about 12 s of 0: pass
+    its standard deviation as `spread` where it may exceed sigma.  Its
+    absolute value is integrated over an x-grid.  A law whose density has
+    singular peaks, such as a sum of a few terms of a smooth sequence, has a
+    slowly decaying phi and needs a larger cutoff for the same accuracy; with
+    `rel_err` the cutoff doubles, at most twice, while err > rel_err * d1.
 
     Returns (d1, err).  err adds a bound, 2 sum_j bound(t_j) / t_j, on what the
     charfn errors can move d1, to estimates of the discretization error: the
@@ -318,7 +317,7 @@ def w1_charfn_gauss(charfn: Callable[[np.ndarray], tuple], sigma: float,
     if spread is not None and not (spread >= 0.0 and math.isfinite(spread)):
         raise DomainError("spread must be a nonnegative finite real")
     h = math.pi / (_X_SIGMAS * max(sigma, spread or 0.0))
-    cutoff = t_max if t_max is not None else _T_SIGMAS / sigma
+    cutoff = _T_SIGMAS / sigma
     for _ in range(_CUTOFF_DOUBLINGS + 1 if rel_err is not None else 1):
         d1, err = _w1_charfn_on_grid(charfn, sigma, h, int(math.ceil(cutoff / h)))
         if rel_err is None or err <= rel_err * d1:
@@ -329,8 +328,6 @@ def w1_charfn_gauss(charfn: Callable[[np.ndarray], tuple], sigma: float,
 
 def _w1_charfn_on_grid(charfn, sigma: float, h: float, count: int) -> tuple[float, float]:
     """(d1, err) of w1_charfn_gauss at t-step h and cutoff count * h."""
-    if count < 2:
-        raise DomainError("t_max must cover at least two t-steps of pi / (12 max(sigma, spread))")
     t = np.concatenate([0.5 * h * np.arange(1, 2 * count + 1),
                         h * np.arange(count + 1, 2 * count + 1)])
     phi, bound = charfn(t)

@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from meanclt.bounds import (_NORM_TOL, _drift_values, _l1_norms, _partial_sums, bound_terms,
+from meanclt.bounds import (_drift_values, _l1_norms, _partial_sums, bound_terms,
                             cubic_moment_sum, martingale_d1_bound, moments,
                             nonadapted_correction, projective_d1_bound, rate_fit,
                             second_moment_norms, variance_l32_norm, variance_l32_norms,
                             zolotarev_bound)
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError
 from meanclt.fourier import FourierFn, constant_fn, cosine, lebesgue_inner, product
-from meanclt.numerics import Tolerance
 from meanclt.processes import (DoublingMap, CircleWalk, FiniteChain, iid_rademacher,
                                long_run_variance, resolvent_tail, sqrt2_minus_one,
                                transfer)
@@ -324,12 +323,10 @@ class TestReuseAcrossN:
     def test_mismatched_terms_are_refused(self):
         f = cosine(2)
         terms = bound_terms("projective", DM, f, 64)
-        assert (terms.kind, terms.spec, terms.f, terms.tol, terms.n_max) == \
-            ("projective", DM, f, _NORM_TOL, 64)
+        assert (terms.kind, terms.spec, terms.f, terms.n_max) == ("projective", DM, f, 64)
         refused = [lambda: martingale_d1_bound(DM, f, 64, terms=terms),
                    lambda: projective_d1_bound(CW, f, 64, terms=terms),
                    lambda: projective_d1_bound(DM, cosine(2), 64, terms=terms),
-                   lambda: projective_d1_bound(DM, f, 64, Tolerance(1e-10, 1e-10, 44), terms),
                    lambda: projective_d1_bound(DM, f, 65, terms=terms)]
         for call in refused:
             with pytest.raises(DomainError, match="bound terms"):

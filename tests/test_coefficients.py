@@ -14,6 +14,7 @@ from meanclt.fourier import FourierFn, cosine
 from meanclt.numerics import Tolerance
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, iid_rademacher,
                                sqrt2_minus_one)
+from meanclt.theta import _THETA_TOL
 from meanclt.wasserstein import EmpiricalSample, FinitePmf
 
 DM = DoublingMap()
@@ -176,8 +177,8 @@ class TestTheta:
         # and the pointwise form, the binomial average of the integrand over
         # the shifts, within the theta tolerance
         from meanclt.theta import _map_theta_norms
-        tol = Tolerance(1e-10, 1e-10, 40)
-        got = _map_theta_norms(CW, f, [(i, past_gaps, gaps)], tol)
+        tol = _THETA_TOL
+        got = _map_theta_norms(CW, f, [(i, past_gaps, gaps)])
         assert got == [_window_one_term_at_a_time(CW, f, i, past_gaps, gaps, tol)]
         assert got[0] == pytest.approx(_window_norm_alone(CW, f, i, past_gaps, gaps, tol),
                                        rel=1e-10)
@@ -207,10 +208,9 @@ class TestTheta:
         # the pointwise integrand, summed over a fine midpoint grid; its
         # kinks keep the sum at O(h^2)
         from meanclt.theta import _map_theta_norms
-        tol = Tolerance(1e-10, 1e-10, 40)
         x = (np.arange(1 << 18) + 0.5) / (1 << 18)
         oracle = float(np.mean(_window_integrand(spec, f, i, past_gaps, gaps)(x)))
-        got, = _map_theta_norms(spec, f, [(i, past_gaps, gaps)], tol)
+        got, = _map_theta_norms(spec, f, [(i, past_gaps, gaps)])
         assert got > 0.0 and got == pytest.approx(oracle, abs=1e-8)
 
     def test_finite_chain_exact(self):
@@ -413,7 +413,7 @@ THETA_CASES = {
 
 
 class TestThetaTable:
-    TOL = Tolerance(1e-10, 1e-10, 40)
+    TOL = _THETA_TOL  # the one-at-a-time oracles' tolerance
     REQUESTS = [(i, j, gap) for i, j in THETA_PAIRS for gap in (1, 2, 3)]  # kmax 3
 
     @pytest.mark.parametrize("case", list(THETA_CASES))
@@ -421,7 +421,7 @@ class TestThetaTable:
         spec, f = THETA_CASES[case]
         want = [_theta_one_at_a_time(spec, f, i, j, gap, 3, self.TOL)
                 for i, j, gap in self.REQUESTS]
-        got = theta_coeffs(spec, f, self.REQUESTS, 3, self.TOL)
+        got = theta_coeffs(spec, f, self.REQUESTS, 3)
         if isinstance(spec, FiniteChain):
             # a chain sums forward over states, the oracle over state tuples: both
             # sum nonnegative terms, so they agree to a few ulps relative
@@ -450,12 +450,12 @@ class TestThetaTable:
         spec, f = THETA_CASES[case]
         keys = list(dict.fromkeys((i, past_gaps, gaps) for i, j, gap in self.REQUESTS[::2]
                                   for past_gaps, gaps in _theta_windows(i, j, gap, 1)))
-        together = _map_theta_norms(spec, f, keys, self.TOL)
+        together = _map_theta_norms(spec, f, keys)
         assert len(keys) > 32 and len({k[:2] for k in keys}) > 4  # several batches and pasts
         assert together == [_window_one_term_at_a_time(spec, f, *k, self.TOL) for k in keys]
-        assert _map_theta_norms(spec, f, keys[::-1], self.TOL) == together[::-1]
+        assert _map_theta_norms(spec, f, keys[::-1]) == together[::-1]
         monkeypatch.setattr(fourier, "_NORM_BATCH", 5)  # terms split differently
-        assert _map_theta_norms(spec, f, keys, self.TOL) == together
+        assert _map_theta_norms(spec, f, keys) == together
 
     @pytest.mark.parametrize("case", [
         "doubling-cos2", "circle-cos1",
@@ -467,7 +467,7 @@ class TestThetaTable:
         spec, f = THETA_CASES[case]
         keys = list(dict.fromkeys((i, past_gaps, gaps) for i, j, gap in self.REQUESTS
                                   for past_gaps, gaps in _theta_windows(i, j, gap, 1)))
-        got = _map_theta_norms(spec, f, keys, self.TOL)
+        got = _map_theta_norms(spec, f, keys)
         want = [_window_norm_alone(spec, f, *k, self.TOL) for k in keys]
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
         assert any(v > 0.0 for v in got)
@@ -509,16 +509,18 @@ class TestThetaTable:
         assert 0 < len(built) <= 700
 
     @pytest.mark.parametrize("case,max_depth", [("circle-cos1", 4), ("doubling-cos2", 6)])
-    def test_depth_failure_is_the_one_at_a_time_failure(self, case, max_depth):
+    def test_depth_failure_is_the_one_at_a_time_failure(self, case, max_depth, monkeypatch):
         # the first failing term, in window order and then shift order, is
         # the one a term-by-term quadrature meets first
         spec, f = THETA_CASES[case]
+        import meanclt.theta as theta
         tol = Tolerance(1e-10, 1e-10, max_depth)
+        monkeypatch.setattr(theta, "_THETA_TOL", tol)
         with pytest.raises(AccuracyError) as want:
             for i, j, gap in self.REQUESTS:
                 _theta_one_at_a_time(spec, f, i, j, gap, 3, tol)
         with pytest.raises(AccuracyError) as got:
-            theta_coeffs(spec, f, self.REQUESTS, 3, tol)
+            theta_coeffs(spec, f, self.REQUESTS, 3)
         assert (got.value.estimate, got.value.error_bound) == \
             (want.value.estimate, want.value.error_bound)
 
@@ -614,19 +616,6 @@ class TestCovarianceBound:
         rep = covariance_bound_check(j)
         assert rep.lhs == pytest.approx(0.0, abs=1e-15)
         assert rep.holds
-
-    def test_conditional_dominates_unconditional(self):
-        gen = np.random.default_rng(17)
-        for _ in range(20):
-            pts = np.round(gen.normal(0, 1, (5, 2)), 1)
-            pts[:, 0] = np.round(pts[:, 0] * 2) / 2
-            try:
-                j = JointPmf(pts, gen.dirichlet(np.ones(5)))
-            except DomainError:
-                continue
-            uncond = covariance_bound_check(j).alpha
-            cond = covariance_bound_check(j, conditioning=0).alpha
-            assert uncond <= cond + 1e-12
 
     def test_fuzz_holds(self):
         gen = np.random.default_rng(99)

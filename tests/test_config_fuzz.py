@@ -4,7 +4,8 @@ Starting from a tiny valid config of one process family (circle walk, i.i.d.
 law or finite chain), one top-level or nested field is replaced by a value
 from a fixed pool of wrong types and edge values; the run command must
 return 0, 2 or 3 and never raise.  A numeric field given a boolean, a string
-or null must exit 2 and name the field.
+or null must exit 2 and name the field, and so must the `tolerance` block
+given anything but a part of the one tolerance every run uses.
 """
 
 import copy
@@ -77,6 +78,10 @@ def test_one_bad_field_gives_documented_exit(tmp_path, monkeypatch, capsys, fiel
     code = main(["run", "--config", str(cfg)])
     err = capsys.readouterr().err
     if path in NUMERIC and (value is None or isinstance(value, (bool, str))):
+        assert code == EXIT_VALIDATION
+        assert f"(field: {'.'.join(path)})" in err
+    elif path[0] == "tolerance" and (len(path) == 2 or value not in (None, {})):
+        # no pool value is the record's, and only null or {} leave the whole block out
         assert code == EXIT_VALIDATION
         assert f"(field: {'.'.join(path)})" in err
     else:

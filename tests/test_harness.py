@@ -10,13 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from meanclt.bounds import martingale_d1_bound, projective_d1_bound, second_moment_norms
 from meanclt.errors import DegenerateVarianceError, DomainError, PreconditionError, SchemaError
-from meanclt import harness
+from meanclt import bounds, harness
 from meanclt.fourier import FourierFn, cosine
 from meanclt.harness import (PRESETS, ExperimentConfig, _bootstrap_se, check_appendix,
                              diagnose_conditions, merge_reports, preset_config, render_csv,
                              run)
-from meanclt.numerics import substream
+from meanclt.numerics import Tolerance, substream
 from meanclt.processes import (CircleWalk, DoublingMap, FiniteChain, exact_law, iid_gaussian,
                                iid_rademacher, simulate, sqrt2_minus_one)
 from meanclt.wasserstein import (EmpiricalSample, ks_sample_gauss, sorted_gauss_tables,
@@ -173,6 +174,29 @@ class TestRun:
         first = manifest(circle4)
         manifest({"constant": 0.0, "cos": [1.0, 0.5], "sin": [0.0, 0.3]})
         assert manifest(circle4) == first
+
+    @pytest.mark.parametrize("process,observable,grid,targets", [
+        (CIRCLE, {"cos": [1.0, 0.5, 0.25, 0.125], "sin": [0.0, 0.3]}, [64, 256],
+         ["projective_bound"]),
+        ({"type": "doubling_map"}, {"cos": [0.0, 1.0]}, [64, 256, 1024],
+         ["projective_bound", "second_moment_terms"]),
+        ({"type": "doubling_map"}, {"cos": [1.0]}, [64, 256, 1024], ["martingale_bound"])],
+        ids=["circle4-projective", "doubling-cos2", "doubling-cos1-martingale"])
+    def test_library_bounds_are_the_run_bounds(self, process, observable, grid, targets):
+        # a bound called with its defaults is the number a run writes, bit for bit:
+        # both integrate the norms at the one tolerance
+        config = ExperimentConfig.from_dict({"process": process, "observable": observable,
+                                             "n_grid": grid, "reps": 1, "targets": targets})
+        spec, f = config.process, config.observable
+        for rec in run(config).per_n:
+            n = rec["n"]
+            if "martingale_bound" in targets:
+                assert martingale_d1_bound(spec, f, n).to_dict() == rec["bound_martingale"]
+            if "projective_bound" in targets:
+                assert projective_d1_bound(spec, f, n).to_dict() == rec["bound_projective"]
+            if "second_moment_terms" in targets:
+                assert second_moment_norms(spec, f, math.isqrt(2 * n)) == \
+                    (rec["second_moment_drift"], rec["resolvent_smoothing"])
 
     def test_normalization_identity(self):
         m = run(small_config())
@@ -583,17 +607,18 @@ class TestCli:
     @pytest.mark.parametrize("max_depth,estimate", [(1, 0.5932809736509904),
                                                      (3, 0.5969991831399206),
                                                      (6, 0.596998722530117)])
-    def test_depth_exhaustion_exit_code(self, tmp_path, capsys, max_depth, estimate):
+    def test_depth_exhaustion_exit_code(self, tmp_path, capsys, monkeypatch, max_depth,
+                                        estimate):
         # the batched norms fail at the same first norm, with the same best
         # estimate, as one quadrature per norm did
         from meanclt.cli import main
+        monkeypatch.setattr(bounds, "DEFAULT_TOLERANCE", Tolerance(max_depth=max_depth))
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"process": CIRCLE,
                                     "observable": {"cos": [1.0, 0.5, 0.25, 0.125],
                                                    "sin": [0.0, 0.3]},
                                     "n_grid": [64, 256], "reps": 1, "seed": 1,
-                                    "targets": ["projective_bound"],
-                                    "tolerance": {"max_depth": max_depth}}))
+                                    "targets": ["projective_bound"]}))
         assert main(["run", "--config", str(path), "--output", str(tmp_path / "o")]) == 3
         got = float(re.search(r"best estimate ([^,]+),", capsys.readouterr().err).group(1))
         assert got == pytest.approx(estimate, rel=1e-12)
@@ -813,7 +838,9 @@ class TestCli:
                                             (("tolerance", "abs_tol"), -math.inf),
                                             (("tolerance", "abs_tol"), 0.0),
                                             (("tolerance", "rel_tol"), -1.0),
-                                            (("tolerance", "max_depth"), 0)])
+                                            (("tolerance", "max_depth"), 0),
+                                            (("tolerance", "max_depth"), 45),
+                                            (("tolerance", "abs_tol"), 1e-10)])
     def test_malformed_field_exit_code(self, tmp_path, capsys, path, value):
         from meanclt.cli import main
         cfg = {"process": {"type": "circle_walk", "a_hi": 0.41421356237309503},

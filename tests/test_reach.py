@@ -1,5 +1,7 @@
 """Every module-level function of meanclt feeds a command, or is listed in
-LIBRARY_ONLY with the reason it stays; every hook of a process family feeds one.
+LIBRARY_ONLY with the reason it stays; every hook of a process family feeds one;
+every defaulted parameter of a called function is set by a command, or is listed
+in UNSET_PARAMETERS with the reason it stays.
 
 The tests profile (sys.setprofile) small CLI calls that cover every command and
 every process family, in a fresh interpreter so that no cache an earlier test
@@ -8,7 +10,10 @@ src/meanclt is called, or is a LIBRARY_ONLY entry; each entry exists and is not
 called.  A function that stops feeding a command fails the test until it is
 wired, deleted or listed here with its reason, which README repeats.  The
 methods of the ProcessSpec classes have no such list: each is called, unless it
-is a base-class default that only raises NotImplementedError.
+is a base-class default that only raises NotImplementedError.  A parameter
+with a default that every call leaves at it (or at a value equal to it) is an
+option no command has: it fails the test until it is made a constant, wired or
+listed with its reason.
 """
 
 import ast
@@ -39,6 +44,10 @@ LIBRARY_ONLY = {
     "fourier.sine": "an observable constructor of the library API",
 }
 
+# 'module.qualname(parameter)' of the defaulted parameters of called functions
+# that no command sets, each with the reason it stays
+UNSET_PARAMETERS = {}
+
 CHAIN = {"type": "finite_chain", "transition": [[0.9, 0.1], [0.2, 0.8]], "values": [1.0, -1.0]}
 DOUBLING = {"type": "doubling_map"}
 CIRCLE = {"type": "circle_walk", "a": "sqrt2_minus_one"}
@@ -60,17 +69,46 @@ RUNS = {
 }
 DIAGNOSED = ("chain", "rademacher", "doubling-martingale", "circle")
 
-# run in a fresh interpreter: the argument lists arrive as JSON on stdin, and the
-# (file, qualified name) of every Python function called leaves as JSON on stdout
+# run in a fresh interpreter: the argument lists arrive as JSON on stdin; the
+# (file, qualified name) of every Python function called, and the (file,
+# qualified name, parameter) of every defaulted parameter of a meanclt function
+# or method that some call sets to a value that is not its default, nor equal
+# to it, leave as JSON on stdout.  Replicate blocks of 32 make the 100-replicate
+# runs re-key generators, as runs of more than 4096 replicates do.
 PROBE = """
-import json, sys
-import meanclt.cli
+import importlib, inspect, json, pkgutil, sys
+import meanclt, meanclt.cli, meanclt.processes
+meanclt.processes._BLOCK_SIZE = 32
 argvs = json.load(sys.stdin)
-codes = set()
+unset = {}  # code -> {parameter: default} of the defaults no call has set yet
+for info in pkgutil.iter_modules(meanclt.__path__):
+    module = importlib.import_module("meanclt." + info.name)
+    for obj in vars(module).values():
+        owned = inspect.isclass(obj) and obj.__module__ == module.__name__
+        for fn in vars(obj).values() if owned else [obj]:
+            fn = inspect.unwrap(getattr(fn, "__func__", fn))
+            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                unset[fn.__code__] = {p.name: p.default
+                                      for p in inspect.signature(fn).parameters.values()
+                                      if p.default is not p.empty}
+defaulted = {(c.co_filename, c.co_qualname, name) for c, d in unset.items() for name in d}
+codes, is_set = set(), set()
+
+def equal(value, default):
+    try:
+        return value is default or bool(value == default)
+    except ValueError:  # an array's truth value: an array is no scalar default
+        return False
 
 def profile(frame, event, arg):
     if event == "call":
-        codes.add(frame.f_code)
+        code = frame.f_code
+        codes.add(code)
+        if unset.get(code):
+            params, values = unset[code], frame.f_locals
+            for name in [n for n in params if not equal(values[n], params[n])]:
+                del params[name]
+                is_set.add((code.co_filename, code.co_qualname, name))
 
 sys.setprofile(profile)
 try:
@@ -78,7 +116,8 @@ try:
 finally:
     sys.setprofile(None)
 print(json.dumps({"exits": exits,
-                  "called": sorted({(c.co_filename, c.co_qualname) for c in codes})}))
+                  "called": sorted({(c.co_filename, c.co_qualname) for c in codes}),
+                  "defaulted": sorted(defaulted), "set": sorted(is_set)}))
 """
 
 
@@ -124,6 +163,7 @@ def command_lines(tmp: Path) -> list:
     for preset in ("mds-doubling", "circle-walk", "iid-rademacher-exact", "doubling-nonadapted"):
         argvs.append(["preset", preset, "--n-max", "64", "--reps", "100",
                       "--output", str(tmp / preset)])
+    argvs[-1] += ["--seed", "2"]  # perfbench gives presets a seed
     for name in DIAGNOSED:
         argvs.append(["diagnose", "--config", str(tmp / f"{name}.json"), "--kmax", "3",
                       "--window", "1", "--output", str(tmp / f"{name}.diagnosis.json")])
@@ -134,8 +174,8 @@ def command_lines(tmp: Path) -> list:
 
 
 @pytest.fixture(scope="module")
-def called(tmp_path_factory) -> set:
-    """'module.qualname' of every function in src/meanclt the command lines call."""
+def probe(tmp_path_factory) -> dict:
+    """PROBE's output for the command lines."""
     argvs = command_lines(tmp_path_factory.mktemp("reach"))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
@@ -144,8 +184,20 @@ def called(tmp_path_factory) -> set:
     assert out.returncode == 0, out.stderr
     probe = json.loads(out.stdout.splitlines()[-1])
     assert probe["exits"] == [0] * len(argvs), list(zip(probe["exits"], argvs))
-    return {f"{Path(file).stem}.{name}" for file, name in probe["called"]
-            if Path(file).resolve().parent == SRC}
+    return probe
+
+
+def in_src(entries) -> set:
+    """'module.qualname', or 'module.qualname(parameter)', of the (file,
+    qualname[, parameter]) entries whose file is in src/meanclt."""
+    return {f"{Path(file).stem}.{name}" + "".join(f"({p})" for p in param)
+            for file, name, *param in entries if Path(file).resolve().parent == SRC}
+
+
+@pytest.fixture(scope="module")
+def called(probe) -> set:
+    """'module.qualname' of every function in src/meanclt the command lines call."""
+    return in_src(probe["called"])
 
 
 def test_every_function_feeds_a_command_or_is_listed(called):
@@ -168,3 +220,13 @@ def test_every_process_hook_feeds_a_command(called):
     hooks = {f"processes.{name}" for name in process_methods()}
     assert "processes.DoublingMap._transfer" in hooks
     assert sorted(hooks - called) == [], "unreached process methods"
+
+
+def test_every_defaulted_parameter_is_set_by_a_command_or_is_listed(probe, called):
+    # a default that every call keeps is an option no command has
+    defaulted = {p for p in in_src(probe["defaulted"]) if p.split("(")[0] in called}
+    unset = defaulted - in_src(probe["set"])
+    assert sorted(unset - set(UNSET_PARAMETERS)) == [], "unset and unlisted"
+    assert sorted(set(UNSET_PARAMETERS) - defaulted) == [], "listed but not a called default"
+    assert sorted(set(UNSET_PARAMETERS) & (defaulted - unset)) == [], "listed but set"
+    assert "harness.preset_config(seed)" in defaulted - unset
